@@ -4,7 +4,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test race vet fix-check lint-test bench bench-alloc bench-compare bench-smoke bench-sweep sweep-race queue-diff chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
+.PHONY: all build test race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep sweep-race queue-diff chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
 
 all: build
 
@@ -42,6 +42,15 @@ FORCE:
 # hacking on internal/lint.
 lint-test:
 	$(GO) test ./internal/lint/...
+
+# fuzz-smoke searches FuzzAllocate for 10 s: random scripts of ports,
+# flows, capacity changes, rate caps and cancels, each step checked
+# against the map-based oracle allocator and a max-min fairness
+# certificate (DESIGN.md §10). Plain `go test` replays only the
+# checked-in corpus (internal/fairshare/testdata/fuzz/FuzzAllocate); a
+# crasher found here belongs in that corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 10s ./internal/fairshare
 
 # bench runs the engine performance harness — per-figure benchmarks plus
 # the event-engine microbenchmarks (timer churn, fetch-session churn,
@@ -137,7 +146,7 @@ metrics-smoke:
 	$(GO) run ./cmd/almrun -workload terasort -size-gb 12.5 -reduces 20 -mode yarn -fail mof-node -at 0.55 -metrics bin/metrics-b.prom
 	cmp bin/metrics-a.prom bin/metrics-b.prom
 
-ci: build test race vet fix-check bench-smoke bench-alloc sweep-race queue-diff chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
+ci: build test fuzz-smoke race vet fix-check bench-smoke bench-alloc sweep-race queue-diff chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
 
 clean:
 	rm -rf bin

@@ -250,6 +250,11 @@ type EventStats struct {
 	// Stopped counts events removed from the heap by Timer.Stop before
 	// their deadline.
 	Stopped uint64
+	// AllocPasses and AllocRounds are the fair-share allocator's work:
+	// max-min allocations run and bottleneck ports frozen across them
+	// (fairshare.Stats).
+	AllocPasses uint64
+	AllocRounds uint64
 }
 
 // localNode is a worker node's local state outside YARN's view: the local

@@ -199,10 +199,13 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 	}
 	job.finalizeMetrics(eng)
 	res := job.Result()
+	alloc := cl.Net.System().Stats()
 	res.Events = EventStats{
-		Processed: eng.Processed(),
-		MaxQueue:  eng.MaxQueueLen(),
-		Stopped:   eng.StoppedEvents(),
+		Processed:   eng.Processed(),
+		MaxQueue:    eng.MaxQueueLen(),
+		Stopped:     eng.StoppedEvents(),
+		AllocPasses: alloc.Passes,
+		AllocRounds: alloc.Rounds,
 	}
 	if !job.Finished() {
 		res.Failed = true

@@ -2,6 +2,7 @@ package fairshare
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"alm/internal/sim"
@@ -43,4 +44,45 @@ func BenchmarkAllocate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.allocate()
 	}
+}
+
+// BenchmarkAllocateWide measures one allocation pass shaped like a
+// 1000-node run's: 580 live ports — NIC, disk and rack-uplink ports with
+// a spread of capacities, many of them equal — and 270 flows over 2–4
+// ports each.
+func BenchmarkAllocateWide(b *testing.B) {
+	e := sim.NewEngine(1)
+	s := NewSystem(e)
+	rng := rand.New(rand.NewSource(1))
+	kinds := []struct {
+		suffix   string
+		capacity float64
+	}{{"in", 1.25e9}, {"out", 1.25e9}, {"disk-r", 5e8}, {"disk-w", 3e8}}
+	ports := make([]*Port, 0, 580)
+	for i := 0; i < 30; i++ {
+		ports = append(ports, s.NewPort(fmt.Sprintf("rack-%d/uplink", i), 2.5e9*float64(1+i%3)))
+	}
+	for i := 0; len(ports) < 580; i++ {
+		k := kinds[i%len(kinds)]
+		capacity := k.capacity
+		if i%7 == 0 {
+			capacity *= 0.5 + rng.Float64() // a degraded or faster device
+		}
+		ports = append(ports, s.NewPort(fmt.Sprintf("node-%03d/%s", i/len(kinds), k.suffix), capacity))
+	}
+	sel := make([]*Port, 0, 4)
+	for f := 0; f < 270; f++ {
+		sel = sel[:0]
+		for n := 2 + rng.Intn(3); len(sel) < n; {
+			sel = append(sel, ports[rng.Intn(len(ports))])
+		}
+		s.StartFlow("xfer", 1e15, sel, 0, nil)
+	}
+	before := s.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.allocate()
+	}
+	after := s.Stats()
+	b.ReportMetric(float64(after.Rounds-before.Rounds)/float64(after.Passes-before.Passes), "rounds/pass")
 }

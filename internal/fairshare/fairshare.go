@@ -24,10 +24,18 @@ import (
 
 // Port is a capacity constraint shared by the flows that cross it.
 type Port struct {
-	name     string
+	name   string
+	prefix uint64 // namePrefix(name)
+	// seq is the port's creation number within its System (refreshed
+	// when a cap port is recycled): the last bottleneck tie-break, after
+	// share and name, so the choice never depends on iteration order.
+	seq      uint64
 	capacity float64 // bytes per second; 0 means the port is down
 	sys      *System
-	flows    map[*Flow]struct{}
+	// flows holds one entry per crossing. Each entry records which of
+	// the flow's links points back here, so a flow leaves in O(1) by
+	// swap-remove.
+	flows []crossing
 
 	// allocate() scratch, valid only while p.allocEpoch == sys.allocEpoch.
 	// Epoch tagging lets the hot path reuse ports across allocation passes
@@ -36,6 +44,19 @@ type Port struct {
 	allocEpoch uint64
 	residual   float64
 	unfrozen   int
+	id         int32 // pass-local id: index into sys.heap.ports and .pos
+}
+
+// crossing is a port's record of one flow crossing it.
+type crossing struct {
+	f    *Flow
+	link int // index into f.links of the link to this port
+}
+
+// link is a flow's record of one port it crosses.
+type link struct {
+	port *Port
+	slot int // index into port.flows of the crossing back to the flow
 }
 
 // Name returns the port's diagnostic name.
@@ -57,17 +78,41 @@ func (p *Port) SetCapacity(c float64) {
 	p.sys.reschedule()
 }
 
-// ActiveFlows returns the number of flows currently crossing the port.
-func (p *Port) ActiveFlows() int { return len(p.flows) }
+// ActiveFlows returns the number of flows currently crossing the port. A
+// flow that lists the port more than once counts once.
+func (p *Port) ActiveFlows() int {
+	n := 0
+	for _, c := range p.flows {
+		if c.f.firstLink(p) == c.link {
+			n++
+		}
+	}
+	return n
+}
+
+// drop swap-removes the crossing at slot.
+func (p *Port) drop(slot int) {
+	last := len(p.flows) - 1
+	if slot != last {
+		moved := p.flows[last]
+		p.flows[slot] = moved
+		moved.f.links[moved.link].slot = slot
+	}
+	p.flows[last] = crossing{}
+	p.flows = p.flows[:last]
+}
 
 // Flow is an in-progress transfer of a fixed number of bytes across a set
 // of ports.
 type Flow struct {
-	name      string
-	seq       uint64
-	sys       *System
-	ports     []*Port
+	name string
+	seq  uint64
+	sys  *System
+	// links lists the ports the flow crosses; the private cap port, when
+	// there is one, is always last.
+	links     []link
 	capPort   *Port // non-nil when the flow has a private rate cap
+	idx       int   // position in sys.flows while the flow is active
 	remaining float64
 	rate      float64
 	done      func()
@@ -118,10 +163,11 @@ func (f *Flow) SetPriorityCap(rate float64) {
 	f.sys.advance()
 	if rate <= 0 {
 		if f.capPort != nil {
-			delete(f.capPort.flows, f)
-			// Drop the private port; detach it from the flow's port list
-			// and recycle the struct.
-			f.ports = removePort(f.ports, f.capPort)
+			// Drop the private port, always the last link, and recycle
+			// the struct.
+			last := len(f.links) - 1
+			f.capPort.drop(f.links[last].slot)
+			f.links = f.links[:last]
 			f.sys.capPortFree = append(f.sys.capPortFree, f.capPort)
 			f.capPort = nil
 		}
@@ -130,38 +176,57 @@ func (f *Flow) SetPriorityCap(rate float64) {
 	} else {
 		p := f.sys.newCapPort(f.name, rate)
 		f.capPort = p
-		f.ports = append(f.ports, p)
-		p.flows[f] = struct{}{}
+		f.attach(p)
 	}
 	f.sys.reschedule()
 }
 
-func removePort(ports []*Port, p *Port) []*Port {
-	out := ports[:0]
-	for _, q := range ports {
-		if q != p {
-			out = append(out, q)
+// attach links the flow to p.
+func (f *Flow) attach(p *Port) {
+	f.links = append(f.links, link{port: p, slot: len(p.flows)})
+	p.flows = append(p.flows, crossing{f: f, link: len(f.links) - 1})
+}
+
+// firstLink returns the index of the flow's first link to p, or -1.
+func (f *Flow) firstLink(p *Port) int {
+	for k, l := range f.links {
+		if l.port == p {
+			return k
 		}
 	}
-	return out
+	return -1
+}
+
+// Stats counts allocator work. Both counts depend only on the sequence of
+// flow and capacity changes, never on the host.
+type Stats struct {
+	// Passes is the number of max-min allocations over a non-empty flow
+	// set: about one per flow start, finish, cancel or capacity change.
+	Passes uint64
+	// Rounds is the number of bottleneck ports frozen, summed over all
+	// passes.
+	Rounds uint64
 }
 
 // System ties ports and flows to a simulation engine.
 type System struct {
 	eng        *sim.Engine
-	flows      map[*Flow]struct{}
+	flows      []*Flow
 	lastUpdate sim.Time
 	completion *sim.Timer
 	nextSeq    uint64
+	nextPort   uint64
+	stats      Stats
 
 	// onCompletionFn is the method value bound once at construction so
 	// reschedule — the hottest call site in the simulator — does not
 	// allocate a fresh closure per flow start/finish.
 	onCompletionFn func()
 
-	// allocate() scratch, reused across calls.
-	allocEpoch   uint64
-	portsScratch []*Port
+	// allocate() scratch, reused across calls: the pass epoch and the
+	// bottleneck heap.
+	allocEpoch uint64
+	heap       bottleneckHeap
 
 	// onCompletion scratch, reused across completion events.
 	finishedScratch []*Flow
@@ -175,10 +240,13 @@ type System struct {
 
 // NewSystem returns a fair-share system bound to the engine.
 func NewSystem(e *sim.Engine) *System {
-	s := &System{eng: e, flows: make(map[*Flow]struct{})}
+	s := &System{eng: e}
 	s.onCompletionFn = s.onCompletion
 	return s
 }
+
+// Stats returns the allocator work done so far.
+func (s *System) Stats() Stats { return s.stats }
 
 // NewPort creates a port with the given capacity in bytes/second.
 func (s *System) NewPort(name string, capacity float64) *Port {
@@ -189,19 +257,23 @@ func (s *System) NewPort(name string, capacity float64) *Port {
 }
 
 func (s *System) newPortInternal(name string, capacity float64) *Port {
-	return &Port{name: name, capacity: capacity, sys: s, flows: make(map[*Flow]struct{})}
+	s.nextPort++
+	return &Port{name: name, prefix: namePrefix(name), seq: s.nextPort, capacity: capacity, sys: s}
 }
 
 // newCapPort returns a private rate-cap port, reusing a recycled struct
-// (and its emptied flow map) when one is available. The name string is
-// rebuilt identically either way — allocate()'s bottleneck tie-break
-// compares port names, so pooling must not perturb them.
+// (and its emptied flow list) when one is available. The name string is
+// rebuilt identically either way and the creation number is fresh, so
+// pooling does not perturb the bottleneck tie-break.
 func (s *System) newCapPort(flowName string, rate float64) *Port {
 	if n := len(s.capPortFree); n > 0 {
 		p := s.capPortFree[n-1]
 		s.capPortFree[n-1] = nil
 		s.capPortFree = s.capPortFree[:n-1]
+		s.nextPort++
 		p.name = flowName + "/cap"
+		p.prefix = namePrefix(p.name)
+		p.seq = s.nextPort
 		p.capacity = rate
 		return p
 	}
@@ -227,21 +299,20 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 		}
 		return f
 	}
-	f.ports = make([]*Port, 0, len(ports)+1)
+	f.links = make([]link, 0, len(ports)+1)
 	for _, p := range ports {
 		if p == nil {
 			panic("fairshare: nil port in StartFlow")
 		}
-		f.ports = append(f.ports, p)
-		p.flows[f] = struct{}{}
+		f.attach(p)
 	}
 	if maxRate > 0 {
 		cp := s.newCapPort(name, maxRate)
 		f.capPort = cp
-		f.ports = append(f.ports, cp)
-		cp.flows[f] = struct{}{}
+		f.attach(cp)
 	}
-	s.flows[f] = struct{}{}
+	f.idx = len(s.flows)
+	s.flows = append(s.flows, f)
 	s.reschedule()
 	return f
 }
@@ -250,13 +321,21 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 func (s *System) ActiveFlows() int { return len(s.flows) }
 
 func (s *System) remove(f *Flow) {
-	delete(s.flows, f)
-	for _, p := range f.ports {
-		delete(p.flows, f)
+	last := len(s.flows) - 1
+	moved := s.flows[last]
+	s.flows[f.idx] = moved
+	moved.idx = f.idx
+	s.flows[last] = nil
+	s.flows = s.flows[:last]
+	// Index on every step: dropping one crossing can move another of
+	// this flow's crossings (a port listed twice) and rewrite its slot.
+	for k := range f.links {
+		l := f.links[k]
+		l.port.drop(l.slot)
 	}
 	if f.capPort != nil {
 		// The private cap port is reachable only through this flow;
-		// recycle it (its flow map is empty again after the loop above).
+		// recycle it (its flow list is empty again after the loop above).
 		s.capPortFree = append(s.capPortFree, f.capPort)
 		f.capPort = nil
 	}
@@ -271,7 +350,7 @@ func (s *System) advance() {
 		return
 	}
 	secs := dt.Seconds()
-	for f := range s.flows {
+	for _, f := range s.flows {
 		f.remaining -= f.rate * secs
 		if f.remaining < 0 {
 			f.remaining = 0
@@ -287,7 +366,7 @@ func (s *System) reschedule() {
 	s.allocate()
 	// Find the earliest completion among flows with a positive rate.
 	first := math.Inf(1)
-	for f := range s.flows {
+	for _, f := range s.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -317,14 +396,14 @@ func (s *System) reschedule() {
 func (s *System) onCompletion() {
 	s.advance()
 	finished := s.finishedScratch[:0]
-	for f := range s.flows {
+	for _, f := range s.flows {
 		if f.remaining <= completionEpsilon {
 			finished = append(finished, f)
 		}
 	}
-	// Completion callbacks fire in flow-creation order: the map
-	// iteration above is nondeterministic, so sort by sequence number to
-	// keep simulations reproducible.
+	// Completion callbacks fire in flow-creation order: removals permute
+	// s.flows, so sort by sequence number to keep simulations
+	// reproducible.
 	sortFlows(finished)
 	for _, f := range finished {
 		f.finished = true
@@ -356,34 +435,46 @@ func sortFlows(fs []*Flow) {
 }
 
 // allocate computes max-min fair rates via progressive filling: repeatedly
-// find the port with the smallest per-flow fair share, freeze its flows at
+// take the port with the smallest per-flow fair share, freeze its flows at
 // that rate, subtract their consumption everywhere, and continue.
 //
-// The pass keeps its working state (per-port residual capacity and
-// unfrozen-flow count, per-flow frozen bit) in epoch-tagged scratch fields
-// instead of freshly built maps: allocate runs on every flow start and
-// finish, and at paper scale the map churn dominated the recompute cost.
-// The bottleneck choice is by (share, name), so the result is independent
-// of the order ports were gathered in.
+// The ports of the live flows sit in an indexed min-heap keyed on
+// (share, name, seq), where share is residual/float64(unfrozen), so a
+// pass costs O((ports + flow·port incidences) · log ports). The ports a
+// frozen flow crosses are re-keyed lazily. In exact arithmetic a freeze
+// at s <= r/u only raises (r-s)/(u-1); a raised key is re-sifted only
+// once it reaches the top, so every stored key is at most the true one
+// and the top is the true minimum whenever its key is current. Rounding
+// at s == r/u and the residual clamp at 0 can lower a key instead; that
+// one is re-sifted at once, and fix moves it either way. A port whose
+// flows have all frozen is dropped when it surfaces, and the pass ends
+// when no flow is left to freeze.
+//
+// Every step is independent of the order of s.flows and port.flows: the
+// key order is total, and a port's residual takes the same share k times
+// within a round whichever of its flows freezes first.
 func (s *System) allocate() {
 	if len(s.flows) == 0 {
 		return
 	}
+	s.stats.Passes++
 	s.allocEpoch++
-	ports := s.portsScratch[:0]
+	h := &s.heap
+	h.reset()
 	remaining := 0
-	for f := range s.flows {
+	for _, f := range s.flows {
 		f.rate = 0
-		for _, p := range f.ports {
+		for _, l := range f.links {
+			p := l.port
 			if p.allocEpoch != s.allocEpoch {
 				p.allocEpoch = s.allocEpoch
 				p.residual = p.capacity
 				p.unfrozen = 0
-				ports = append(ports, p)
+				p.id = h.add(p)
 			}
 			p.unfrozen++
 		}
-		if len(f.ports) == 0 {
+		if len(f.links) == 0 {
 			// Unconstrained flow: complete "instantly" at a huge rate.
 			f.rate = math.MaxFloat64 / 4
 			f.frozen = true
@@ -392,41 +483,57 @@ func (s *System) allocate() {
 			remaining++
 		}
 	}
-	s.portsScratch = ports
+	h.init()
 	for remaining > 0 {
-		// Find the bottleneck port: the one with the least fair share.
-		var bottleneck *Port
-		share := math.Inf(1)
-		for _, p := range ports {
-			if p.unfrozen == 0 {
-				continue
-			}
-			ps := p.residual / float64(p.unfrozen)
-			if ps < share || (ps == share && bottleneck != nil && p.name < bottleneck.name) {
-				share = ps
-				bottleneck = p
-			}
+		top := &h.entries[0]
+		bottleneck := h.ports[top.id]
+		if bottleneck.unfrozen == 0 {
+			// Its flows all froze at other ports' shares.
+			h.removeAt(0)
+			continue
 		}
-		if bottleneck == nil {
+		share := bottleneck.residual / float64(bottleneck.unfrozen)
+		if share != top.share {
+			// A raised key, re-sifted now that it surfaced.
+			top.share = share
+			h.fix(0)
+			continue
+		}
+		if !(share < math.Inf(1)) {
+			// Every port left has an unbounded share: no port binds, and
+			// the remaining flows keep rate 0.
 			break
 		}
+		h.removeAt(0)
+		s.stats.Rounds++
 		if share < 0 {
 			share = 0
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		for f := range bottleneck.flows {
+		for _, c := range bottleneck.flows {
+			f := c.f
 			if f.frozen {
 				continue
 			}
 			f.rate = share
 			f.frozen = true
 			remaining--
-			for _, p := range f.ports {
+			for _, l := range f.links {
+				p := l.port
 				p.residual -= share
 				if p.residual < 0 {
 					p.residual = 0
 				}
 				p.unfrozen--
+				// Re-key p unless it is the popped bottleneck or has
+				// nothing left to freeze.
+				i := int(h.pos[p.id])
+				if i >= 0 && p.unfrozen > 0 {
+					if ps := p.residual / float64(p.unfrozen); ps < h.entries[i].share {
+						h.entries[i].share = ps
+						h.fix(i)
+					}
+				}
 			}
 		}
 	}
