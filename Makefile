@@ -4,7 +4,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep sweep-race queue-diff chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
+.PHONY: all build test race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
 
 all: build
 
@@ -77,21 +77,6 @@ bench-alloc:
 bench-sweep:
 	$(GO) run ./cmd/almbench -perf-sweep -perf-out BENCH_engine.json
 
-# sweep-race runs the sweep scheduler's own suite under the race
-# detector: ordered delivery, worker parity, cancellation and panic
-# isolation are all concurrency claims, so they get their own racing
-# job in CI.
-sweep-race:
-	$(GO) test -race -count=1 ./internal/sweep
-
-# queue-diff is the event-queue differential gate: drives the timing
-# wheel and the binary-heap oracle through fixed-seed randomized scripts
-# of mixed Schedule/Stop/Reschedule/Run operations (over a million ops
-# total) and asserts bit-identical firing sequences, Stop results and
-# queue accounting (DESIGN.md §16).
-queue-diff:
-	$(GO) test -count=1 -run 'TestQueueDifferential|TestQueueParity' ./internal/sim ./internal/engine
-
 # bench-compare diffs a saved baseline against the checked-in
 # BENCH_engine.json: per-benchmark ns/op, B/op and allocs/op deltas.
 # Usage: make bench-compare OLD=old.json
@@ -146,7 +131,7 @@ metrics-smoke:
 	$(GO) run ./cmd/almrun -workload terasort -size-gb 12.5 -reduces 20 -mode yarn -fail mof-node -at 0.55 -metrics bin/metrics-b.prom
 	cmp bin/metrics-a.prom bin/metrics-b.prom
 
-ci: build test fuzz-smoke race vet fix-check bench-smoke bench-alloc sweep-race queue-diff chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
+ci: build test fuzz-smoke race vet fix-check bench-smoke bench-alloc chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
 
 clean:
 	rm -rf bin

@@ -72,12 +72,6 @@ type RunOptions struct {
 	// Ctx, when non-nil, is polled at event-loop boundaries; once it is
 	// canceled Run aborts and returns its error wrapped in ErrCanceled.
 	Ctx context.Context
-	// Queue selects the sim event-queue backend. The zero value
-	// (sim.QueueDefault) resolves to the process-wide default — the
-	// timing wheel. Both backends fire events in identical (at, seq)
-	// order, so results are byte-identical either way; the knob exists
-	// for the queue-parity tests and A/B benchmarking.
-	Queue sim.QueueKind
 }
 
 // RunOption mutates RunOptions; pass them to Run.
@@ -121,12 +115,6 @@ func WithContext(ctx context.Context) RunOption {
 	return func(o *RunOptions) { o.Ctx = ctx }
 }
 
-// WithQueue selects the sim event-queue backend for the run (see
-// RunOptions.Queue).
-func WithQueue(k sim.QueueKind) RunOption {
-	return func(o *RunOptions) { o.Queue = k }
-}
-
 // Handles exposes a finished run's control-plane objects for audits.
 type Handles struct {
 	Cluster *cluster.Cluster
@@ -168,7 +156,7 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	eng := sim.NewEngine(specD.Seed, sim.WithQueue(o.Queue))
+	eng := sim.NewEngine(specD.Seed)
 	eng.SetMaxEvents(cs.MaxEvents)
 	if o.Ctx != nil {
 		if err := o.Ctx.Err(); err != nil {

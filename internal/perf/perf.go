@@ -69,14 +69,6 @@ func Benchmarks() []Bench {
 			Budget: &Budget{AllocsPerOp: 1, BytesPerOp: 64, Tolerance: 0},
 		},
 		{
-			Name: "queue_churn_wheel",
-			Desc: "the timer_churn pattern pinned to the timing-wheel backend: O(1) schedule + O(1) unlink",
-			Func: benchQueueChurnWheel,
-			// Same deterministic profile as timer_churn: one 64-byte
-			// Timer per op, nothing else.
-			Budget: &Budget{AllocsPerOp: 1, BytesPerOp: 64, Tolerance: 0},
-		},
-		{
 			Name: "queue_cascade",
 			Desc: "drain 512 timers spread across every wheel level plus overflow: the advance/cascade path",
 			Func: benchQueueCascade,
@@ -159,27 +151,6 @@ func benchTimerChurn(b *testing.B) {
 	b.ReportMetric(float64(eng.MaxQueueLen()), "max_event_queue")
 }
 
-// benchQueueChurnWheel is benchTimerChurn pinned to the wheel backend,
-// so the baseline keeps an explicit wheel entry even if the process-wide
-// default queue is ever flipped for an A/B run (almbench -queue).
-func benchQueueChurnWheel(b *testing.B) {
-	const window = 1024
-	eng := sim.NewEngine(1, sim.WithQueue(sim.QueueWheel))
-	ring := make([]*sim.Timer, window)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot := i % window
-		if ring[slot] != nil {
-			ring[slot].Stop()
-		}
-		ring[slot] = eng.Schedule(sim.Time(1<<40), fn)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.MaxQueueLen()), "max_event_queue")
-}
-
 // benchQueueCascade schedules a geometric spread of delays — sub-tick
 // through beyond-horizon — and drains them, so one op measures the
 // wheel's advance loop: overflow re-homing, bitmap scans and multi-level
@@ -193,7 +164,7 @@ func benchQueueCascade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(1, sim.WithQueue(sim.QueueWheel))
+		eng := sim.NewEngine(1)
 		for _, d := range delays {
 			eng.Schedule(d, fn)
 		}

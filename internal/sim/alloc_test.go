@@ -6,13 +6,13 @@ import (
 )
 
 // TestRescheduleAllocFree is the CI allocation gate for timer churn: once
-// a timer object exists, re-arming and stopping it must not allocate, on
-// either queue backend. The engine's liveness pings, fetch watchdogs and
+// a timer object exists, re-arming and stopping it must not allocate.
+// The engine's liveness pings, fetch watchdogs and
 // fair-share completion events all ride this path thousands of times per
 // run.
 func TestRescheduleAllocFree(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		fn := func() {}
 		tm := e.Schedule(time.Second, fn)
 		allocs := testing.AllocsPerRun(200, func() {
@@ -27,12 +27,12 @@ func TestRescheduleAllocFree(t *testing.T) {
 }
 
 // TestScheduleSingleAlloc pins Schedule to exactly one allocation (the
-// Timer itself) in the steady state, after the backend's internal
-// storage has grown — the wheel's ready/overflow heaps and bucket lists
-// must not allocate per event any more than the plain heap did.
+// Timer itself) in the steady state, after the queue's internal storage
+// has grown — the wheel's ready/overflow heaps and bucket lists must not
+// allocate per event.
 func TestScheduleSingleAlloc(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		fn := func() {}
 		timers := make([]*Timer, 0, 256)
 		for i := 0; i < 256; i++ {
@@ -55,7 +55,7 @@ func TestScheduleSingleAlloc(t *testing.T) {
 // intrusive bucket lists, so draining far-future events must not
 // allocate beyond the one-off growth of the ready heap.
 func TestCascadeAllocFree(t *testing.T) {
-	e := NewEngine(1, WithQueue(QueueWheel))
+	e := NewEngine(1)
 	fn := func() {}
 	// Warm the ready/overflow heap storage.
 	for i := 0; i < 64; i++ {

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestRescheduleContract pins the Timer.Reschedule contract on both
-// backends: re-arming is behaviourally identical to Stop() followed by
-// Schedule, from every starting state a timer can be in.
+// TestRescheduleContract pins the Timer.Reschedule contract: re-arming
+// is behaviourally identical to Stop() followed by Schedule, from every
+// starting state a timer can be in.
 //
 //   - pending: the old event is displaced (counted in StoppedEvents,
 //     exactly as a true-returning Stop) and the new one fires.
@@ -20,9 +20,9 @@ import (
 // spelling so swapping the two forms cannot reorder same-instant
 // events.
 func TestRescheduleContract(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
+	wheel(t, func(t *testing.T) {
 		t.Run("pending", func(t *testing.T) {
-			e := NewEngine(1, WithQueue(kind))
+			e := NewEngine(1)
 			var got []string
 			tm := e.Schedule(time.Second, func() { got = append(got, "old") })
 			tm.Reschedule(2*time.Second, func() { got = append(got, "new") })
@@ -48,7 +48,7 @@ func TestRescheduleContract(t *testing.T) {
 		})
 
 		t.Run("fired", func(t *testing.T) {
-			e := NewEngine(1, WithQueue(kind))
+			e := NewEngine(1)
 			fired := 0
 			tm := e.Schedule(time.Second, func() { fired++ })
 			e.RunAll()
@@ -72,7 +72,7 @@ func TestRescheduleContract(t *testing.T) {
 		})
 
 		t.Run("stopped", func(t *testing.T) {
-			e := NewEngine(1, WithQueue(kind))
+			e := NewEngine(1)
 			fired := 0
 			tm := e.Schedule(time.Second, func() { t.Error("stopped event fired") })
 			if !tm.Stop() || tm.Active() {
@@ -98,7 +98,7 @@ func TestRescheduleContract(t *testing.T) {
 		// would: among same-instant peers it fires in re-arm order, not
 		// original-arm order.
 		t.Run("sequencing", func(t *testing.T) {
-			e := NewEngine(1, WithQueue(kind))
+			e := NewEngine(1)
 			var got []int
 			first := e.Schedule(time.Second, func() { got = append(got, 0) })
 			e.Schedule(time.Second, func() { got = append(got, 1) })

@@ -2,18 +2,21 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
 
-// Differential tester: drive the wheel and the heap backend through the
-// same randomized script of mixed Schedule / Stop / Reschedule / Run
+// Differential tester: drive the engine's timing wheel and refLoop, a
+// reference event loop kept deliberately naive, through the same
+// randomized script of mixed Schedule / Stop / Reschedule / Run
 // operations and assert bit-identical behaviour — firing sequence,
-// virtual clock, Stop return values, queue accounting. The heap is the
-// oracle: it is the pre-wheel implementation whose ordering every golden
-// in the repo was recorded against.
+// virtual clock, Stop return values, queue accounting. refLoop is the
+// oracle: a sorted list of pending events, ordered by (at, seq) with its
+// own comparison so a fault in the wheel's ordering key cannot hide in
+// both.
 //
-// Scripts are generated up front from a seeded rand so both backends
+// Scripts are generated up front from a seeded rand so both loops
 // interpret exactly the same operations; anything a callback does is
 // fixed at generation time. The delay grid is engineered to hit the
 // wheel where it could break: negative delays, zero delays, sub-tick
@@ -109,11 +112,129 @@ type diffOutcome struct {
 	queueLen  int
 }
 
-// runScript interprets the script on one backend and returns everything
-// observable about the run.
-func runScript(kind QueueKind, script []diffOp, slots int) diffOutcome {
-	e := NewEngine(1, WithQueue(kind))
-	timers := make([]*Timer, slots)
+// refTimer is a refLoop event and its handle.
+type refTimer struct {
+	loop    *refLoop
+	at      Time
+	seq     uint64
+	fn      func()
+	pending bool
+}
+
+// refLoop is the reference event loop: the Engine's scheduling contract
+// and accounting (processed, stopped, queue high-water mark, length)
+// over a slice of pending timers kept sorted by (at, seq).
+type refLoop struct {
+	now       Time
+	seq       uint64
+	pending   []*refTimer
+	processed uint64
+	stopped   uint64
+	maxQueue  int
+}
+
+// refBefore reports whether a fires before b.
+func refBefore(a, b *refTimer) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// search returns the position of t in the pending list, or where it
+// belongs.
+func (r *refLoop) search(t *refTimer) int {
+	return sort.Search(len(r.pending), func(i int) bool { return !refBefore(r.pending[i], t) })
+}
+
+func (r *refLoop) arm(t *refTimer, delay Time, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	at := r.now + delay
+	if at < r.now {
+		at = r.now
+	}
+	r.seq++
+	t.at, t.seq, t.fn, t.pending = at, r.seq, fn, true
+	i := r.search(t)
+	r.pending = append(r.pending, nil)
+	copy(r.pending[i+1:], r.pending[i:])
+	r.pending[i] = t
+	r.maxQueue = max(r.maxQueue, len(r.pending))
+}
+
+func (r *refLoop) unlink(t *refTimer) {
+	i := r.search(t)
+	r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	t.pending = false
+}
+
+func (r *refLoop) Schedule(delay Time, fn func()) *refTimer {
+	t := &refTimer{loop: r}
+	r.arm(t, delay, fn)
+	return t
+}
+
+func (t *refTimer) Stop() bool {
+	if t == nil || !t.pending {
+		return false
+	}
+	t.loop.unlink(t)
+	t.loop.stopped++
+	return true
+}
+
+func (t *refTimer) Reschedule(delay Time, fn func()) {
+	if t.pending {
+		t.loop.unlink(t)
+		t.loop.stopped++
+	}
+	t.loop.arm(t, delay, fn)
+}
+
+func (r *refLoop) Run(until Time) {
+	for len(r.pending) > 0 {
+		t := r.pending[0]
+		if until >= 0 && t.at > until {
+			r.now = max(r.now, until)
+			return
+		}
+		r.unlink(t)
+		r.now = t.at
+		r.processed++
+		t.fn()
+	}
+}
+
+func (r *refLoop) RunAll()               { r.Run(-1) }
+func (r *refLoop) Now() Time             { return r.now }
+func (r *refLoop) Processed() uint64     { return r.processed }
+func (r *refLoop) StoppedEvents() uint64 { return r.stopped }
+func (r *refLoop) MaxQueueLen() int      { return r.maxQueue }
+func (r *refLoop) QueueLen() int         { return len(r.pending) }
+
+// diffTimer and diffEngine are the API a script drives: *Timer and
+// *Engine implement them, and so do refTimer and refLoop.
+type diffTimer interface {
+	comparable
+	Stop() bool
+	Reschedule(delay Time, fn func())
+}
+
+type diffEngine[T diffTimer] interface {
+	Schedule(delay Time, fn func()) T
+	Run(until Time)
+	RunAll()
+	Now() Time
+	Processed() uint64
+	StoppedEvents() uint64
+	MaxQueueLen() int
+	QueueLen() int
+}
+
+// runScript interprets the script on one event loop and returns
+// everything observable about the run.
+func runScript[T diffTimer](e diffEngine[T], script []diffOp, slots int) diffOutcome {
+	timers := make([]T, slots)
+	var none T
 	out := diffOutcome{}
 	var callback func(op diffOp) func()
 	callback = func(op diffOp) func() {
@@ -135,7 +256,7 @@ func runScript(kind QueueKind, script []diffOp, slots int) diffOutcome {
 		case dopStop:
 			out.stops = append(out.stops, timers[op.slot].Stop())
 		case dopResched:
-			if timers[op.slot] != nil {
+			if timers[op.slot] != none {
 				timers[op.slot].Reschedule(op.delay, callback(op))
 			}
 		case dopRun:
@@ -155,30 +276,30 @@ func runScript(kind QueueKind, script []diffOp, slots int) diffOutcome {
 	return out
 }
 
-func diffCompare(t *testing.T, seed int64, wheel, heap diffOutcome) {
+func diffCompare(t *testing.T, seed int64, wheel, ref diffOutcome) {
 	t.Helper()
-	if len(wheel.fired) != len(heap.fired) {
-		t.Fatalf("seed %d: wheel fired %d events, heap fired %d", seed, len(wheel.fired), len(heap.fired))
+	if len(wheel.fired) != len(ref.fired) {
+		t.Fatalf("seed %d: wheel fired %d events, ref fired %d", seed, len(wheel.fired), len(ref.fired))
 	}
 	for i := range wheel.fired {
-		if wheel.fired[i] != heap.fired[i] {
-			t.Fatalf("seed %d: firing sequence diverges at %d: wheel (at=%v id=%d) vs heap (at=%v id=%d)",
-				seed, i, wheel.fired[i].at, wheel.fired[i].id, heap.fired[i].at, heap.fired[i].id)
+		if wheel.fired[i] != ref.fired[i] {
+			t.Fatalf("seed %d: firing sequence diverges at %d: wheel (at=%v id=%d) vs ref (at=%v id=%d)",
+				seed, i, wheel.fired[i].at, wheel.fired[i].id, ref.fired[i].at, ref.fired[i].id)
 		}
 	}
-	if len(wheel.stops) != len(heap.stops) {
-		t.Fatalf("seed %d: stop-call counts differ: %d vs %d", seed, len(wheel.stops), len(heap.stops))
+	if len(wheel.stops) != len(ref.stops) {
+		t.Fatalf("seed %d: stop-call counts differ: %d vs %d", seed, len(wheel.stops), len(ref.stops))
 	}
 	for i := range wheel.stops {
-		if wheel.stops[i] != heap.stops[i] {
-			t.Fatalf("seed %d: Stop() return %d differs: wheel %v, heap %v", seed, i, wheel.stops[i], heap.stops[i])
+		if wheel.stops[i] != ref.stops[i] {
+			t.Fatalf("seed %d: Stop() return %d differs: wheel %v, ref %v", seed, i, wheel.stops[i], ref.stops[i])
 		}
 	}
-	if wheel.now != heap.now || wheel.processed != heap.processed ||
-		wheel.stopped != heap.stopped || wheel.queueLen != heap.queueLen ||
-		wheel.maxQueue != heap.maxQueue {
-		t.Fatalf("seed %d: summaries diverge:\nwheel %+v\nheap  %+v",
-			seed, summaryOnly(wheel), summaryOnly(heap))
+	if wheel.now != ref.now || wheel.processed != ref.processed ||
+		wheel.stopped != ref.stopped || wheel.queueLen != ref.queueLen ||
+		wheel.maxQueue != ref.maxQueue {
+		t.Fatalf("seed %d: summaries diverge:\nwheel %+v\nref   %+v",
+			seed, summaryOnly(wheel), summaryOnly(ref))
 	}
 }
 
@@ -190,14 +311,14 @@ func summaryOnly(o diffOutcome) diffOutcome {
 func diffSeed(t *testing.T, seed int64, ops, slots int) {
 	t.Helper()
 	script := genScript(rand.New(rand.NewSource(seed)), ops, slots)
-	wheel := runScript(QueueWheel, script, slots)
-	heap := runScript(QueueHeap, script, slots)
-	diffCompare(t, seed, wheel, heap)
+	wheel := runScript[*Timer](NewEngine(1), script, slots)
+	ref := runScript[*refTimer](&refLoop{}, script, slots)
+	diffCompare(t, seed, wheel, ref)
 }
 
-// TestQueueDifferentialFixedSeed is the CI smoke gate (`make queue-diff`):
-// a fixed batch of seeds, over a million mixed operations total, heap vs
-// wheel, asserting identical firing sequences and accounting.
+// TestQueueDifferentialFixedSeed runs a fixed batch of seeds, over a
+// million mixed operations total, wheel vs reference loop, asserting
+// identical firing sequences and accounting.
 func TestQueueDifferentialFixedSeed(t *testing.T) {
 	ops := 400_000
 	if testing.Short() {
@@ -225,12 +346,12 @@ func TestQueueDifferentialManySeeds(t *testing.T) {
 	}
 }
 
-// TestQueueDifferentialRunBoundary pins Run(until) semantics on both
-// backends with events at exactly `until`: the boundary event fires, the
-// clock parks exactly at until, and a later Run resumes identically.
+// TestQueueDifferentialRunBoundary pins Run(until) semantics with events
+// at exactly `until`: the boundary event fires, the clock parks exactly
+// at until, and a later Run resumes identically.
 func TestQueueDifferentialRunBoundary(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		var got []int
 		e.Schedule(2*time.Second, func() { got = append(got, 0) })
 		e.Schedule(2*time.Second, func() { got = append(got, 1) }) // same boundary instant
@@ -250,11 +371,11 @@ func TestQueueDifferentialRunBoundary(t *testing.T) {
 }
 
 // TestQueueDifferentialStopWithinCallback pins in-handler cancellation:
-// a firing event stops a peer scheduled for the same instant, on both
-// backends, with identical Stop() results.
+// a firing event stops a peer scheduled for the same instant, and a
+// later one, both reporting true.
 func TestQueueDifferentialStopWithinCallback(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		var got []int
 		var peer, later *Timer
 		e.Schedule(time.Second, func() {

@@ -1,12 +1,21 @@
 package sim
 
+// timerLess orders timers by (at, seq): time first, scheduling order for
+// ties. Every heap and every bucket drain in the wheel reduces to this
+// key, which is what makes seeded runs bit-for-bit reproducible.
+func timerLess(a, b *Timer) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // timerHeap is a typed binary min-heap over (at, seq), equivalent to
 // container/heap but without the interface indirection. Timer.idx fields
 // track positions so remove can sift in O(log n); loc stamps the tag the
 // heap's timers carry, letting Timer.Stop route a removal back to the
-// structure that holds it. The heap backend uses one timerHeap for the
-// whole queue; the wheel backend reuses it twice — as the imminent
-// "ready" buffer and as the beyond-horizon overflow store.
+// structure that holds it. The wheel uses two — the imminent "ready"
+// buffer and the beyond-horizon overflow store.
 type timerHeap struct {
 	loc uint8
 	s   []*Timer
@@ -107,27 +116,4 @@ func (h *timerHeap) siftDown(i int) bool {
 	s[i] = t
 	t.idx = int32(i)
 	return i > start
-}
-
-// heapQueue is the binary-heap queue backend: the pre-wheel
-// implementation, kept selectable (sim.WithQueue(sim.QueueHeap)) as the
-// oracle the differential tester drives against the wheel.
-type heapQueue struct {
-	h timerHeap
-}
-
-func newHeapQueue() *heapQueue {
-	return &heapQueue{h: timerHeap{loc: locHeap}}
-}
-
-func (q *heapQueue) schedule(t *Timer) { q.h.push(t) }
-func (q *heapQueue) remove(t *Timer)   { q.h.remove(t) }
-func (q *heapQueue) peek() *Timer      { return q.h.peek() }
-func (q *heapQueue) len() int          { return q.h.len() }
-
-func (q *heapQueue) pop() *Timer {
-	if q.h.len() == 0 {
-		return nil
-	}
-	return q.h.pop()
 }

@@ -11,11 +11,10 @@
 // experiments is achieved by running independent engines in separate
 // goroutines.
 //
-// Two event-queue backends implement the same strict (at, seq) firing
-// order: a hierarchical timing wheel (the default; O(1) Schedule and
-// Stop) and a binary min-heap (O(log n), kept as the differential-test
-// oracle). See queue.go for the contract and wheel.go/heap.go for the
-// implementations; DESIGN.md §16 has the architecture notes.
+// The event queue is a hierarchical timing wheel (wheel.go): O(1)
+// Schedule and Stop, with a small binary min-heap (heap.go) serving the
+// imminent events in strict (at, seq) order. DESIGN.md §16 has the
+// architecture notes.
 package sim
 
 import (
@@ -32,14 +31,13 @@ type Time = time.Duration
 // never armed.
 const (
 	locNone     uint8 = iota
-	locHeap           // the heap backend's single timerHeap
 	locReady          // the wheel's imminent-events heap
 	locBucket         // linked into a wheel bucket list
 	locOverflow       // the wheel's beyond-horizon heap
 )
 
 // Timer is a scheduled callback and its cancellation handle in one
-// object: the queue backends store *Timer directly, so scheduling an
+// object: the queue stores *Timer directly, so scheduling an
 // event costs a single allocation, and Reschedule re-arms an existing
 // timer with no allocation at all. The zero value is not usable; timers
 // are created by Engine.Schedule and Engine.At.
@@ -55,7 +53,7 @@ type Timer struct {
 	// doubly-linked list while loc == locBucket; nil otherwise.
 	prev, next *Timer
 	// idx is the timer's position inside a timerHeap while loc is
-	// locHeap, locReady or locOverflow; -1 otherwise.
+	// locReady or locOverflow; -1 otherwise.
 	idx int32
 	// loc tags the structure that currently holds the timer; the single
 	// source of truth for Active().
@@ -70,11 +68,12 @@ type Timer struct {
 // from firing (false when the event already fired or was stopped before).
 //
 // Stop removes the event from its queue immediately — an O(1) bucket
-// unlink on the wheel backend, an O(log n) sift on the heap — so
-// canceled timers cost nothing at pop time and never inflate the queue.
-// This matters at paper scale: watchFetch and completion timers are
-// stopped by the thousands, and retaining them until their deadline made
-// the queue grow quadratically under fetch-session churn.
+// unlink, or an O(log n) sift while the timer sits in the wheel's ready
+// or overflow heap — so canceled timers cost nothing at pop time and
+// never inflate the queue. This matters at paper scale: watchFetch and
+// completion timers are stopped by the thousands, and retaining them
+// until their deadline made the queue grow quadratically under
+// fetch-session churn.
 func (t *Timer) Stop() bool {
 	if t == nil || t.loc == locNone {
 		return false
@@ -128,8 +127,7 @@ func (t *Timer) Reschedule(delay Time, fn func()) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       eventQueue
-	kind    QueueKind
+	q       *wheelQueue
 	rng     *rand.Rand
 	stopped bool
 	// Processed counts events that have fired; useful for loop guards in
@@ -154,36 +152,9 @@ type Engine struct {
 	interruptLeft  uint64
 }
 
-// Option configures an Engine at construction time.
-type Option func(*Engine)
-
-// WithQueue selects the event-queue backend. The default (QueueDefault)
-// resolves to the process-wide default — the timing wheel unless
-// SetDefaultQueue changed it.
-func WithQueue(k QueueKind) Option {
-	return func(e *Engine) { e.kind = k }
-}
-
 // NewEngine returns an engine whose random source is seeded with seed.
-func NewEngine(seed int64, opts ...Option) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(e)
-		}
-	}
-	if e.kind == QueueDefault {
-		e.kind = DefaultQueue()
-	}
-	switch e.kind {
-	case QueueHeap:
-		e.q = newHeapQueue()
-	case QueueWheel:
-		e.q = newWheelQueue()
-	default:
-		panic(fmt.Sprintf("sim: unknown queue kind %d", e.kind))
-	}
-	return e
+func NewEngine(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed)), q: newWheelQueue()}
 }
 
 // Now returns the current virtual time.
@@ -191,9 +162,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Queue returns the event-queue backend this engine was built with.
-func (e *Engine) Queue() QueueKind { return e.kind }
 
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -250,7 +218,7 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	return tm
 }
 
-// enqueue hands a timer to the backend and tracks the high-water mark.
+// enqueue hands a timer to the queue and tracks the high-water mark.
 func (e *Engine) enqueue(t *Timer) {
 	e.q.schedule(t)
 	if n := e.q.len(); n > e.maxQueue {
@@ -286,7 +254,9 @@ func (e *Engine) Step() bool {
 }
 
 // Run fires events until the queue drains, Stop is called, or the clock
-// passes until (events at exactly until still fire). Pass a negative
+// passes until (events at exactly until still fire). When an event is
+// left pending beyond until, the clock parks at until — never earlier
+// than Now, so virtual time does not run backwards. Pass a negative
 // until to run until the queue drains.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
@@ -297,7 +267,7 @@ func (e *Engine) Run(until Time) {
 			return
 		}
 		if until >= 0 && next.at > until {
-			e.now = until
+			e.now = max(e.now, until)
 			return
 		}
 		e.Step()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,28 @@ func TestRunUntil(t *testing.T) {
 	e.RunAll()
 	if len(got) != 2 {
 		t.Fatalf("remaining event did not fire: %v", got)
+	}
+
+	// An until bound behind the clock must not rewind it: the event
+	// scheduled afterwards fires at the current instant, not in the past.
+	e.Schedule(5*time.Second, func() { got = append(got, 10) })
+	e.Run(10 * time.Second)
+	e.Schedule(10*time.Second, func() { got = append(got, 20) })
+	e.Run(5 * time.Second)
+	if e.Now() != 10*time.Second {
+		t.Fatalf("Run(5s) at 10s moved the clock to %v, want it left at 10s", e.Now())
+	}
+	var firedAt Time
+	e.Schedule(0, func() { got, firedAt = append(got, 0), e.Now() })
+	e.RunAll()
+	if want := []int{1, 5, 10, 0, 20}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if firedAt != 10*time.Second {
+		t.Fatalf("zero-delay event fired at %v, want 10s", firedAt)
+	}
+	if e.Now() != 20*time.Second {
+		t.Fatalf("Now = %v, want 20s", e.Now())
 	}
 }
 

@@ -17,9 +17,9 @@ import "math/bits"
 //
 // Buckets are intrusive doubly-linked Timer lists, so Schedule is an
 // O(levels) index computation plus a list append, and Stop is a pure
-// O(1) unlink — strictly better than the O(log n) sift-remove the heap
-// backend pays. A per-level occupancy bitmap (one uint64 for the 64
-// slots) lets the clock advance to the next pending event with bit
+// O(1) unlink, where a binary heap over every pending timer would pay an
+// O(log n) sift-remove. A per-level occupancy bitmap (one uint64 for the
+// 64 slots) lets the clock advance to the next pending event with bit
 // arithmetic instead of scanning empty buckets, which matters because
 // virtual time routinely jumps seconds at a stroke.
 //
@@ -29,7 +29,8 @@ import "math/bits"
 // therefore never serves events straight from a bucket. Advancing drains
 // the earliest bucket into `ready`, a small (at, seq) min-heap, and
 // peek/pop serve only from ready. Invariants, maintained by
-// construction and checked by the differential tester:
+// construction and checked by the differential tester against a
+// sorted-list reference loop:
 //
 //	I1. every bucketed timer's tick is  > curTick, and every level-l
 //	    bucket's timers share one exact value of tick>>(6l) that is in
@@ -41,7 +42,7 @@ import "math/bits"
 //
 // I1-I3 give ready.min < every bucketed or overflowed timer (strictly,
 // because tick quantisation is monotone), so serving from the ready heap
-// yields the exact global (at, seq) order the heap backend produces.
+// yields the exact global (at, seq) order.
 const (
 	wheelTickBits = 19 // one tick = 2^19 ns ≈ 524 µs of virtual time
 	wheelSlotBits = 6
@@ -58,7 +59,11 @@ type wheelBucket struct {
 	head, tail *Timer
 }
 
-// wheelQueue is the timing-wheel event-queue backend.
+// wheelQueue is the engine's event queue. The Engine guarantees
+// single-threaded access and that every scheduled timer has at >= the
+// engine clock; peek/pop yield pending timers in strict (at, seq) order.
+// peek may cascade buckets to locate the minimum but never changes the
+// firing sequence.
 type wheelQueue struct {
 	// curTick is the level-0 tick the wheel has advanced to; see the
 	// invariants above.

@@ -6,21 +6,18 @@ import (
 	"time"
 )
 
-// backends runs a subtest against both queue implementations; ordering
-// and API-contract tests use it so every behavioural assertion is pinned
-// on the wheel and the heap alike.
-func backends(t *testing.T, f func(t *testing.T, kind QueueKind)) {
+// wheel runs f as the "wheel" subtest, so the IDs of the ordering,
+// contract and allocation tests name the event queue they pin.
+func wheel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	for _, k := range []QueueKind{QueueWheel, QueueHeap} {
-		t.Run(k.String(), func(t *testing.T) { f(t, k) })
-	}
+	t.Run("wheel", f)
 }
 
 // TestWheelLevelSpread schedules one timer per wheel level plus an
 // overflow-range one and checks exact firing order: cascading from every
 // level down to the ready heap must preserve (at, seq).
 func TestWheelLevelSpread(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
+	wheel(t, func(t *testing.T) {
 		delays := []Time{
 			0,                    // ready immediately
 			5 * time.Millisecond, // level 0
@@ -30,7 +27,7 @@ func TestWheelLevelSpread(t *testing.T) {
 			48 * time.Hour,       // level 4
 			30 * 24 * time.Hour,  // overflow (beyond the ~6.5-day horizon)
 		}
-		e := NewEngine(1, WithQueue(kind))
+		e := NewEngine(1)
 		var got []int
 		// Schedule in reverse so insertion order disagrees with firing order.
 		for i := len(delays) - 1; i >= 0; i-- {
@@ -56,8 +53,8 @@ func TestWheelLevelSpread(t *testing.T) {
 // tick granularity: distinct timestamps quantised into the same wheel
 // bucket must still fire in exact (at, seq) order.
 func TestWheelSubTickOrdering(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		base := 10 * time.Second
 		var got []int
 		// 100ns apart: hundreds of events inside one ~524µs tick, scheduled
@@ -77,8 +74,8 @@ func TestWheelSubTickOrdering(t *testing.T) {
 // TestWheelSameTimestampFIFO: ties on `at` break by scheduling order even
 // when the timestamps land deep in a coarse level.
 func TestWheelSameTimestampFIFO(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		var got []int
 		for i := 0; i < 32; i++ {
 			i := i
@@ -98,9 +95,6 @@ func TestWheelSameTimestampFIFO(t *testing.T) {
 // wheel's structures.
 func TestWheelStopUnlinks(t *testing.T) {
 	e := NewEngine(1)
-	if e.Queue() != QueueWheel {
-		t.Fatalf("default backend = %v, want wheel", e.Queue())
-	}
 	fired := 0
 	keep := e.Schedule(time.Second, func() { fired++ })
 	victims := []*Timer{
@@ -136,8 +130,8 @@ func TestWheelStopUnlinks(t *testing.T) {
 // next pending event, which may lie far beyond until. Events scheduled
 // afterwards — between until and that event — must still fire first.
 func TestWheelRunUntilThenEarlier(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		var got []int
 		e.Schedule(time.Hour, func() { got = append(got, 2) })
 		e.Run(time.Minute) // clock parks at 1min; wheel has advanced toward the 1h event
@@ -164,8 +158,8 @@ func TestWheelRunUntilThenEarlier(t *testing.T) {
 // first must not fire before a nearer event scheduled afterwards, and
 // both must fire before a later overflow event.
 func TestWheelOverflowInterleaved(t *testing.T) {
-	backends(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngine(1, WithQueue(kind))
+	wheel(t, func(t *testing.T) {
+		e := NewEngine(1)
 		var got []string
 		e.Schedule(10*24*time.Hour, func() { got = append(got, "far") })
 		e.Schedule(20*24*time.Hour, func() { got = append(got, "farther") })
@@ -188,24 +182,24 @@ func TestWheelOverflowInterleaved(t *testing.T) {
 }
 
 // TestWheelMaxQueueParity: the queue high-water mark is part of
-// Result.Events and rides into benchmark metrics, so both backends must
-// report identical values for the same schedule/stop profile.
+// Result.Events and rides into benchmark metrics, so the wheel must
+// report the reference loop's values for the same schedule/stop profile.
 func TestWheelMaxQueueParity(t *testing.T) {
-	profile := func(kind QueueKind) (int, int) {
-		e := NewEngine(1, WithQueue(kind))
-		var live []*Timer
-		for i := 0; i < 500; i++ {
-			live = append(live, e.Schedule(Time(i)*time.Millisecond+time.Second, func() {}))
-			if i%3 == 0 {
-				live[i/2].Stop()
-			}
+	wMax, wLen := maxQueueProfile[*Timer](NewEngine(1))
+	rMax, rLen := maxQueueProfile[*refTimer](&refLoop{})
+	if wMax != rMax || wLen != rLen {
+		t.Fatalf("wheel (max=%d len=%d) != ref (max=%d len=%d)", wMax, wLen, rMax, rLen)
+	}
+}
+
+func maxQueueProfile[T diffTimer](e diffEngine[T]) (int, int) {
+	var live []T
+	for i := 0; i < 500; i++ {
+		live = append(live, e.Schedule(Time(i)*time.Millisecond+time.Second, func() {}))
+		if i%3 == 0 {
+			live[i/2].Stop()
 		}
-		e.Run(time.Second + 250*time.Millisecond)
-		return e.MaxQueueLen(), e.QueueLen()
 	}
-	wMax, wLen := profile(QueueWheel)
-	hMax, hLen := profile(QueueHeap)
-	if wMax != hMax || wLen != hLen {
-		t.Fatalf("wheel (max=%d len=%d) != heap (max=%d len=%d)", wMax, wLen, hMax, hLen)
-	}
+	e.Run(time.Second + 250*time.Millisecond)
+	return e.MaxQueueLen(), e.QueueLen()
 }
