@@ -4,7 +4,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
+.PHONY: all build test fmt-check race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
 
 all: build
 
@@ -13,6 +13,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails when a Go file is not gofmt-formatted. The analyzer
+# fixtures under testdata/ keep their deliberate layout, and bench/out/
+# holds the benchmark's build cache, so both are skipped.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v -e '/testdata/' -e '^bench/out/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -131,7 +138,7 @@ metrics-smoke:
 	$(GO) run ./cmd/almrun -workload terasort -size-gb 12.5 -reduces 20 -mode yarn -fail mof-node -at 0.55 -metrics bin/metrics-b.prom
 	cmp bin/metrics-a.prom bin/metrics-b.prom
 
-ci: build test fuzz-smoke race vet fix-check bench-smoke bench-alloc chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
+ci: build test fmt-check fuzz-smoke race vet fix-check bench-smoke bench-alloc chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
 
 clean:
 	rm -rf bin

@@ -33,13 +33,13 @@ func buildPolicy(spec JobSpec) RecoveryPolicy {
 
 // ---- queries ----
 
-func (am *appMaster) Now() sim.Time   { return am.job.Eng.Now() }
+func (am *appMaster) Now() sim.Time    { return am.job.Eng.Now() }
 func (am *appMaster) Conf() *mr.Config { return &am.conf }
 
-func (am *appMaster) NumNodes() int                          { return am.job.Cluster.Topo.NumNodes() }
-func (am *appMaster) NodeUsable(n topology.NodeID) bool      { return am.job.Cluster.NodeUsable(n) }
-func (am *appMaster) NodeReachable(n topology.NodeID) bool   { return am.job.Cluster.NodeReachable(n) }
-func (am *appMaster) NodeFailures(n topology.NodeID) int     { return am.nodeFailures[n] }
+func (am *appMaster) NumNodes() int                              { return am.job.Cluster.Topo.NumNodes() }
+func (am *appMaster) NodeUsable(n topology.NodeID) bool          { return am.job.Cluster.NodeUsable(n) }
+func (am *appMaster) NodeReachable(n topology.NodeID) bool       { return am.job.Cluster.NodeReachable(n) }
+func (am *appMaster) NodeFailures(n topology.NodeID) int         { return am.nodeFailures[n] }
 func (am *appMaster) LastNodeFailure(n topology.NodeID) sim.Time { return am.lastNodeFailure[n] }
 
 func (am *appMaster) NodeName(n topology.NodeID) string {
@@ -80,10 +80,10 @@ func (am *appMaster) RunningAttemptInfo(typ faults.TaskType, idx int) (AttemptIn
 	}, true
 }
 
-func (am *appMaster) MOFAvailable(mapIdx int) bool               { return am.mofAvailable(mapIdx) }
-func (am *appMaster) MapsWithMOFOn(node topology.NodeID) []int   { return am.mapsWithMOFOn(node) }
-func (am *appMaster) RerunScheduled(mapIdx int) bool             { return am.rerunScheduled[mapIdx] }
-func (am *appMaster) JobDone() bool                              { return am.jobDone }
+func (am *appMaster) MOFAvailable(mapIdx int) bool             { return am.mofAvailable(mapIdx) }
+func (am *appMaster) MapsWithMOFOn(node topology.NodeID) []int { return am.mapsWithMOFOn(node) }
+func (am *appMaster) RerunScheduled(mapIdx int) bool           { return am.rerunScheduled[mapIdx] }
+func (am *appMaster) JobDone() bool                            { return am.jobDone }
 
 func (am *appMaster) SpeculativeLaunched() int { return am.speculativeLaunched }
 func (am *appMaster) SpeculativeCap() int      { return am.speculativeCap() }

@@ -53,11 +53,11 @@ type reduceExec struct {
 	stage core.Stage
 
 	// Shuffle state.
-	copied           []bool
-	copiedCount      int
-	hostIdx          *hostIndex
-	candHosts        []topology.NodeID // pickHost scratch, reused per call
-	candMinIdx       []int
+	copied      []bool
+	copiedCount int
+	hostIdx     *hostIndex
+	candHosts   []topology.NodeID // pickHost scratch, reused per call
+	candMinIdx  []int
 	// hostInSession/hostFailures are dense NodeID-indexed tables (like
 	// hostIndex.byHost): at thousand-node scale the per-reducer maps cost
 	// far more than two flat slices, and slice reads keep the fetch loop

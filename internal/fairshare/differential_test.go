@@ -25,6 +25,9 @@ const (
 	opCancel
 	opRun
 	numOpKinds
+	// opBatch applies its steps inside one engine event. The fuzz
+	// decoder and randomScript never emit it.
+	opBatch = numOpKinds
 )
 
 // op is one script step. Port and flow indexes are taken modulo the
@@ -38,6 +41,7 @@ type op struct {
 	value float64 // capacity, rate cap (<= 0 removes it) or unused
 	bytes int64
 	dt    sim.Time
+	batch []op // opBatch's steps
 }
 
 func (o op) String() string {
@@ -52,6 +56,8 @@ func (o op) String() string {
 		return fmt.Sprintf("flow %d SetPriorityCap(%v)", o.flow, o.value)
 	case opCancel:
 		return fmt.Sprintf("flow %d Cancel()", o.flow)
+	case opBatch:
+		return fmt.Sprintf("in one event %v", o.batch)
 	default:
 		if o.dt < 0 {
 			return "RunAll()"
@@ -154,6 +160,10 @@ type diffRig struct {
 	oFlows []*oracleFlow
 	nDone  []completion
 	oDone  []completion
+	// batched is set once a step has run inside an event. Until then
+	// every event changes flows at most once, so System must report
+	// exactly the oracle's eager work.
+	batched bool
 }
 
 func newDiffRig(t testing.TB) *diffRig {
@@ -168,43 +178,90 @@ func newDiffRig(t testing.TB) *diffRig {
 
 func (r *diffRig) apply(o op) {
 	switch o.kind {
+	case opRun:
+		r.ne.Run(r.ne.Now() + o.dt)
+		r.oe.Run(r.oe.Now() + o.dt)
+	case opBatch:
+		// One event on each engine applies every step to its own
+		// system; running to the current instant fires it.
+		r.batched = true
+		r.ne.Schedule(0, func() {
+			for _, b := range o.batch {
+				r.applySystem(b)
+			}
+		})
+		r.oe.Schedule(0, func() {
+			for _, b := range o.batch {
+				r.applyOracle(b)
+			}
+		})
+		r.ne.Run(r.ne.Now())
+		r.oe.Run(r.oe.Now())
+	default:
+		r.applySystem(o)
+		r.applyOracle(o)
+	}
+}
+
+// applySystem applies a step other than a run or a batch to System.
+func (r *diffRig) applySystem(o op) {
+	switch o.kind {
 	case opNewPort:
 		r.nPorts = append(r.nPorts, r.ns.NewPort(o.name, o.value))
-		r.oPorts = append(r.oPorts, r.os.NewPort(o.name, o.value))
 	case opStartFlow:
-		var nSel []*Port
-		var oSel []*oraclePort
+		var sel []*Port
 		if len(r.nPorts) > 0 {
 			for _, i := range o.ports {
-				nSel = append(nSel, r.nPorts[i%len(r.nPorts)])
-				oSel = append(oSel, r.oPorts[i%len(r.oPorts)])
+				sel = append(sel, r.nPorts[i%len(r.nPorts)])
 			}
 		}
 		id := len(r.nFlows)
-		r.nFlows = append(r.nFlows, r.ns.StartFlow(o.name, o.bytes, nSel, o.value, func() {
+		r.nFlows = append(r.nFlows, r.ns.StartFlow(o.name, o.bytes, sel, o.value, func() {
 			r.nDone = append(r.nDone, completion{id, r.ne.Now()})
-		}))
-		r.oFlows = append(r.oFlows, r.os.StartFlow(o.name, o.bytes, oSel, o.value, func() {
-			r.oDone = append(r.oDone, completion{id, r.oe.Now()})
 		}))
 	case opSetCapacity:
 		if len(r.nPorts) > 0 {
 			r.nPorts[o.port%len(r.nPorts)].SetCapacity(o.value)
-			r.oPorts[o.port%len(r.oPorts)].SetCapacity(o.value)
 		}
 	case opSetPriorityCap:
 		if len(r.nFlows) > 0 {
 			r.nFlows[o.flow%len(r.nFlows)].SetPriorityCap(o.value)
-			r.oFlows[o.flow%len(r.oFlows)].SetPriorityCap(o.value)
 		}
 	case opCancel:
 		if len(r.nFlows) > 0 {
 			r.nFlows[o.flow%len(r.nFlows)].Cancel()
+		}
+	}
+}
+
+// applyOracle applies a step other than a run or a batch to the oracle.
+func (r *diffRig) applyOracle(o op) {
+	switch o.kind {
+	case opNewPort:
+		r.oPorts = append(r.oPorts, r.os.NewPort(o.name, o.value))
+	case opStartFlow:
+		var sel []*oraclePort
+		if len(r.oPorts) > 0 {
+			for _, i := range o.ports {
+				sel = append(sel, r.oPorts[i%len(r.oPorts)])
+			}
+		}
+		id := len(r.oFlows)
+		r.oFlows = append(r.oFlows, r.os.StartFlow(o.name, o.bytes, sel, o.value, func() {
+			r.oDone = append(r.oDone, completion{id, r.oe.Now()})
+		}))
+	case opSetCapacity:
+		if len(r.oPorts) > 0 {
+			r.oPorts[o.port%len(r.oPorts)].SetCapacity(o.value)
+		}
+	case opSetPriorityCap:
+		if len(r.oFlows) > 0 {
+			r.oFlows[o.flow%len(r.oFlows)].SetPriorityCap(o.value)
+		}
+	case opCancel:
+		if len(r.oFlows) > 0 {
 			r.oFlows[o.flow%len(r.oFlows)].Cancel()
 		}
-	case opRun:
-		r.ne.Run(r.ne.Now() + o.dt)
-		r.oe.Run(r.oe.Now() + o.dt)
 	}
 }
 
@@ -219,8 +276,38 @@ func (r *diffRig) compare(step int, o op) {
 	if r.ne.Now() != r.oe.Now() {
 		fail("clock %v, oracle %v", r.ne.Now(), r.oe.Now())
 	}
-	if got, want := r.ns.Stats(), r.os.stats; got != want {
-		fail("stats %+v, oracle %+v", got, want)
+	if got, want := r.ns.Stats(), r.os.coalesced; got != want {
+		fail("stats %+v, oracle's coalesced model %+v", got, want)
+	}
+	if !r.batched && r.os.coalesced != r.os.stats {
+		fail("unbatched script: coalesced stats %+v, oracle %+v", r.os.coalesced, r.os.stats)
+	}
+	stalled := 0
+	for _, f := range r.ns.flows {
+		dead := int32(0)
+		for _, l := range f.links {
+			if !carries(l.port.capacity) {
+				dead++
+			}
+		}
+		if dead != f.dead {
+			fail("flow %q counts %d non-carrying links, recounted %d", f.name, f.dead, dead)
+		}
+		if dead > 0 {
+			stalled++
+		}
+	}
+	if stalled != r.ns.stalled {
+		fail("stalled count %d, recounted %d", r.ns.stalled, stalled)
+	}
+	if r.ns.dirty {
+		fail("allocation still pending outside an event")
+	}
+	if r.ne.Processed() != r.oe.Processed() || r.ne.StoppedEvents() != r.oe.StoppedEvents() ||
+		r.ne.MaxQueueLen() != r.oe.MaxQueueLen() || r.ne.QueueLen() != r.oe.QueueLen() {
+		fail("engine processed/stopped/max queue/queue %d/%d/%d/%d, oracle's %d/%d/%d/%d",
+			r.ne.Processed(), r.ne.StoppedEvents(), r.ne.MaxQueueLen(), r.ne.QueueLen(),
+			r.oe.Processed(), r.oe.StoppedEvents(), r.oe.MaxQueueLen(), r.oe.QueueLen())
 	}
 	if got, want := r.ns.ActiveFlows(), len(r.os.flows); got != want {
 		fail("%d active flows, oracle %d", got, want)

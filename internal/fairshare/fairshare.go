@@ -7,7 +7,9 @@
 // crosses a single disk port. At any instant, flow rates are the max-min
 // fair allocation subject to every port's capacity. Whenever the flow set
 // or a capacity changes, rates are recomputed and the next completion
-// event is rescheduled.
+// event is rescheduled — at most once per engine event: changes made
+// inside one event handler share a single allocation, run when the
+// handler returns (DESIGN.md §10).
 //
 // This is the standard flow-level abstraction used by cluster simulators:
 // it captures bandwidth contention (the dominant effect in bulk MapReduce
@@ -74,9 +76,37 @@ func (p *Port) SetCapacity(c float64) {
 	if p.capacity == c {
 		return
 	}
-	p.capacity = c
+	p.setCapacity(c)
 	p.sys.reschedule()
 }
+
+// setCapacity sets the capacity and keeps the System's stalled count
+// current when the port starts or stops carrying traffic.
+func (p *Port) setCapacity(c float64) {
+	if was, now := carries(p.capacity), carries(c); was != now {
+		d := int32(1)
+		if now {
+			d = -1
+		}
+		for _, x := range p.flows {
+			x.f.addDead(d)
+		}
+	}
+	p.capacity = c
+}
+
+// minCarry is the smallest capacity that counts as carrying traffic.
+// A flow whose ports all carry gets a rate of at least capacity/flows
+// at its bottleneck, and with capacity >= minCarry that leaves its
+// completion time finite; below it a share can underflow to zero or a
+// completion time overflow to +Inf.
+const minCarry = 1e-100
+
+// carries reports whether a port of capacity c is sure to give every
+// flow crossing it a positive rate and a finite completion time: c is
+// finite and at least minCarry. Zero (a downed port), +Inf and NaN do
+// not carry.
+func carries(c float64) bool { return c >= minCarry && c <= math.MaxFloat64 }
 
 // ActiveFlows returns the number of flows currently crossing the port. A
 // flow that lists the port more than once counts once.
@@ -121,13 +151,25 @@ type Flow struct {
 	// frozen is allocate() scratch: whether the flow's rate is fixed in
 	// the current progressive-filling pass.
 	frozen bool
+	// dead counts the flow's links to ports that do not carry (see
+	// carries); the flow is stalled while it is positive. It packs into
+	// the word the flags above leave open, so the struct keeps its size
+	// class.
+	dead int32
 }
 
 // Name returns the flow's diagnostic name.
 func (f *Flow) Name() string { return f.name }
 
-// Rate returns the flow's current allocated rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's current allocated rate in bytes/second, 0 once
+// the flow has finished or been canceled. Inside an event handler that
+// has changed the flow set, it runs the pending allocation first.
+func (f *Flow) Rate() float64 {
+	if f.sys.dirty {
+		f.sys.flush()
+	}
+	return f.rate
+}
 
 // Remaining returns the bytes left to transfer as of the current virtual
 // instant.
@@ -168,11 +210,14 @@ func (f *Flow) SetPriorityCap(rate float64) {
 			last := len(f.links) - 1
 			f.capPort.drop(f.links[last].slot)
 			f.links = f.links[:last]
+			if !carries(f.capPort.capacity) {
+				f.addDead(-1)
+			}
 			f.sys.capPortFree = append(f.sys.capPortFree, f.capPort)
 			f.capPort = nil
 		}
 	} else if f.capPort != nil {
-		f.capPort.capacity = rate
+		f.capPort.setCapacity(rate)
 	} else {
 		p := f.sys.newCapPort(f.name, rate)
 		f.capPort = p
@@ -181,10 +226,27 @@ func (f *Flow) SetPriorityCap(rate float64) {
 	f.sys.reschedule()
 }
 
-// attach links the flow to p.
+// attach links the flow, which must be live, to p.
 func (f *Flow) attach(p *Port) {
 	f.links = append(f.links, link{port: p, slot: len(p.flows)})
 	p.flows = append(p.flows, crossing{f: f, link: len(f.links) - 1})
+	if !carries(p.capacity) {
+		f.addDead(1)
+	}
+}
+
+// addDead moves the live flow's count of non-carrying links by d and
+// the System's stalled count with it when the flow stalls or unstalls.
+func (f *Flow) addDead(d int32) {
+	was := f.dead > 0
+	f.dead += d
+	if now := f.dead > 0; now != was {
+		if now {
+			f.sys.stalled++
+		} else {
+			f.sys.stalled--
+		}
+	}
 }
 
 // firstLink returns the index of the flow's first link to p, or -1.
@@ -201,7 +263,9 @@ func (f *Flow) firstLink(p *Port) int {
 // flow and capacity changes, never on the host.
 type Stats struct {
 	// Passes is the number of max-min allocations over a non-empty flow
-	// set: about one per flow start, finish, cancel or capacity change.
+	// set: at most one per event that changes flows, plus one per change
+	// made outside an event or while every flow is stalled, and one per
+	// Flow.Rate call that finds an allocation pending.
 	Passes uint64
 	// Rounds is the number of bottleneck ports frozen, summed over all
 	// passes.
@@ -218,10 +282,21 @@ type System struct {
 	nextPort   uint64
 	stats      Stats
 
-	// onCompletionFn is the method value bound once at construction so
-	// reschedule — the hottest call site in the simulator — does not
-	// allocate a fresh closure per flow start/finish.
+	// onCompletionFn and flushFn are the method values bound once at
+	// construction so reschedule — the hottest call site in the
+	// simulator — does not allocate a fresh closure per flow
+	// start/finish.
 	onCompletionFn func()
+	flushFn        func()
+
+	// stalled counts the live flows that cross at least one port that
+	// does not carry (Flow.dead > 0). While len(flows) > stalled, an
+	// allocation is sure to leave some flow a finite completion time,
+	// which is what makes deferring it exact (reschedule).
+	stalled int
+	// dirty is set while an allocation deferred by reschedule waits for
+	// flush, which runs after the current event's handler returns.
+	dirty bool
 
 	// allocate() scratch, reused across calls: the pass epoch and the
 	// bottleneck heap.
@@ -242,6 +317,7 @@ type System struct {
 func NewSystem(e *sim.Engine) *System {
 	s := &System{eng: e}
 	s.onCompletionFn = s.onCompletion
+	s.flushFn = s.flush
 	return s
 }
 
@@ -299,6 +375,10 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 		}
 		return f
 	}
+	// The flow joins s.flows before it attaches, so attach can count it
+	// as stalled.
+	f.idx = len(s.flows)
+	s.flows = append(s.flows, f)
 	f.links = make([]link, 0, len(ports)+1)
 	for _, p := range ports {
 		if p == nil {
@@ -311,8 +391,6 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 		f.capPort = cp
 		f.attach(cp)
 	}
-	f.idx = len(s.flows)
-	s.flows = append(s.flows, f)
 	s.reschedule()
 	return f
 }
@@ -327,6 +405,13 @@ func (s *System) remove(f *Flow) {
 	moved.idx = f.idx
 	s.flows[last] = nil
 	s.flows = s.flows[:last]
+	// A flow that left carries nothing. Zeroing the rate also keeps it
+	// independent of whether the passes of the event that removed it
+	// ran one by one or as one.
+	f.rate = 0
+	if f.dead > 0 {
+		s.stalled--
+	}
 	// Index on every step: dropping one crossing can move another of
 	// this flow's crossings (a port listed twice) and rewrite its slot.
 	for k := range f.links {
@@ -359,12 +444,69 @@ func (s *System) advance() {
 }
 
 // reschedule recomputes the max-min fair rates and re-arms the next
-// completion event. Callers must have advanced progress first (advance is
-// called by the mutating entry points).
+// completion event after a change to the flow set or a capacity.
+//
+// Inside an event handler, while some live flow is not stalled, it does
+// not allocate. That pass is then sure to leave some flow a finite
+// completion time, so the eager code would re-arm the timer here with
+// Reschedule; reschedule makes the same Reschedule call with a
+// placeholder delay of zero — the same sequence number, stop count and
+// queue length — and flush, run once after the handler returns, does
+// the one allocation and moves the timer to its real deadline with
+// Retime, which keeps the sequence number. Every other change runs the
+// allocation now, as the eager code did.
 func (s *System) reschedule() {
 	s.advance()
+	if s.eng.InEvent() && len(s.flows) > s.stalled {
+		s.arm(0)
+		if !s.dirty {
+			s.dirty = true
+			s.eng.AfterEvent(s.flushFn)
+		}
+		return
+	}
+	s.dirty = false
 	s.allocate()
-	// Find the earliest completion among flows with a positive rate.
+	first := s.firstCompletion()
+	if math.IsInf(first, 1) {
+		if s.completion != nil {
+			s.completion.Stop()
+		}
+		return
+	}
+	s.arm(secondsToDuration(first))
+}
+
+// arm re-arms the single completion timer after delay. Reschedule is
+// ordering-equivalent to Stop-then-Schedule but reuses the timer and
+// the pre-bound onCompletionFn, which together were the top allocation
+// sites under fetch-session churn.
+func (s *System) arm(delay time.Duration) {
+	if s.completion == nil {
+		s.completion = s.eng.Schedule(delay, s.onCompletionFn)
+	} else {
+		s.completion.Reschedule(delay, s.onCompletionFn)
+	}
+}
+
+// flush runs the allocation reschedule deferred, if one is pending, and
+// moves the placeholder completion timer to the real deadline.
+func (s *System) flush() {
+	if !s.dirty {
+		return
+	}
+	s.dirty = false
+	s.allocate()
+	first := s.firstCompletion()
+	if math.IsInf(first, 1) {
+		panic("fairshare: deferred allocation left no flow a finite completion time")
+	}
+	s.completion.Retime(secondsToDuration(first))
+}
+
+// firstCompletion returns the seconds until the earliest completion
+// among flows with a positive rate, or +Inf when none has one.
+func (s *System) firstCompletion() float64 {
 	first := math.Inf(1)
 	for _, f := range s.flows {
 		if f.rate <= 0 {
@@ -375,22 +517,7 @@ func (s *System) reschedule() {
 			first = t
 		}
 	}
-	if math.IsInf(first, 1) {
-		if s.completion != nil {
-			s.completion.Stop()
-		}
-		return
-	}
-	delay := secondsToDuration(first)
-	// Re-arm the single completion timer in place; Reschedule is
-	// ordering-equivalent to the old Stop-then-Schedule but reuses the
-	// timer and the pre-bound onCompletionFn, which together were the
-	// top allocation sites under fetch-session churn.
-	if s.completion == nil {
-		s.completion = s.eng.Schedule(delay, s.onCompletionFn)
-	} else {
-		s.completion.Reschedule(delay, s.onCompletionFn)
-	}
+	return first
 }
 
 func (s *System) onCompletion() {

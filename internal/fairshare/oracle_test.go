@@ -12,6 +12,11 @@ import (
 // every progressive-filling round. It differs from the original only in
 // the tie-break on a port's creation number, which makes its bottleneck
 // choice deterministic, and in counting the same Stats as System.
+//
+// It allocates eagerly on every change, as System did before it learned
+// to defer in-event allocations, so its timer accounting is the
+// reference the deferral must reproduce. coalesced models the work
+// System reports instead (see reschedule).
 type oracleSystem struct {
 	eng        *sim.Engine
 	flows      map[*oracleFlow]struct{}
@@ -20,6 +25,15 @@ type oracleSystem struct {
 	nextSeq    uint64
 	nextPort   uint64
 	stats      Stats
+
+	// coalesced is the work System should report for the same changes:
+	// every pass made outside an event or while every flow is stalled,
+	// plus, for each event that defers, the last deferred pass (System
+	// runs it once, when the handler returns). deferred holds that pass
+	// while pending is set.
+	coalesced Stats
+	deferred  Stats
+	pending   bool
 
 	onCompletionFn func()
 
@@ -181,6 +195,7 @@ func (s *oracleSystem) StartFlow(name string, bytes int64, ports []*oraclePort, 
 
 func (s *oracleSystem) remove(f *oracleFlow) {
 	delete(s.flows, f)
+	f.rate = 0
 	for _, p := range f.ports {
 		delete(p.flows, f)
 	}
@@ -208,7 +223,19 @@ func (s *oracleSystem) advance() {
 
 func (s *oracleSystem) reschedule() {
 	s.advance()
+	before := s.stats
 	s.allocate()
+	pass := Stats{Passes: s.stats.Passes - before.Passes, Rounds: s.stats.Rounds - before.Rounds}
+	if s.eng.InEvent() && len(s.flows) > s.stalledFlows() {
+		s.deferred = pass
+		if !s.pending {
+			s.pending = true
+			s.eng.AfterEvent(s.settle)
+		}
+	} else {
+		s.pending = false
+		s.coalesced.add(pass)
+	}
 	first := math.Inf(1)
 	for f := range s.flows {
 		if f.rate <= 0 {
@@ -231,6 +258,34 @@ func (s *oracleSystem) reschedule() {
 	} else {
 		s.completion.Reschedule(delay, s.onCompletionFn)
 	}
+}
+
+// stalledFlows counts, from scratch, the live flows that cross a port
+// that does not carry.
+func (s *oracleSystem) stalledFlows() int {
+	n := 0
+	for f := range s.flows {
+		for _, p := range f.ports {
+			if !carries(p.capacity) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// settle counts the pass an event deferred, once its handler returns.
+func (s *oracleSystem) settle() {
+	if s.pending {
+		s.pending = false
+		s.coalesced.add(s.deferred)
+	}
+}
+
+func (st *Stats) add(o Stats) {
+	st.Passes += o.Passes
+	st.Rounds += o.Rounds
 }
 
 func (s *oracleSystem) onCompletion() {

@@ -318,4 +318,3 @@ func mutexesTouched(pass *analysis.Pass, body *ast.BlockStmt) map[string]bool {
 	})
 	return out
 }
-

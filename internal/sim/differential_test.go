@@ -9,7 +9,7 @@ import (
 
 // Differential tester: drive the engine's timing wheel and refLoop, a
 // reference event loop kept deliberately naive, through the same
-// randomized script of mixed Schedule / Stop / Reschedule / Run
+// randomized script of mixed Schedule / Stop / Reschedule / Retime / Run
 // operations and assert bit-identical behaviour — firing sequence,
 // virtual clock, Stop return values, queue accounting. refLoop is the
 // oracle: a sorted list of pending events, ordered by (at, seq) with its
@@ -27,6 +27,7 @@ const (
 	dopSchedule = iota // schedule into a slot
 	dopStop            // stop the timer in a slot
 	dopResched         // reschedule the timer in a slot (any state)
+	dopRetime          // retime the timer in a slot, if it is pending
 	dopRun             // Run(now + delta): boundary events at exactly until
 	dopRunAll
 )
@@ -87,6 +88,8 @@ func genScript(rng *rand.Rand, ops, slots int) []diffOp {
 			op.kind = dopStop
 		case r < 75:
 			op.kind = dopResched
+		case r < 80:
+			op.kind = dopRetime
 		case r < 97:
 			op.kind = dopRun
 		default:
@@ -190,6 +193,30 @@ func (t *refTimer) Reschedule(delay Time, fn func()) {
 	t.loop.arm(t, delay, fn)
 }
 
+// Retime moves a pending timer to now+delay and re-inserts it under its
+// old sequence number; nothing is counted.
+func (t *refTimer) Retime(delay Time) {
+	if !t.pending {
+		panic("refLoop: Retime of a timer that is not pending")
+	}
+	r := t.loop
+	r.unlink(t)
+	if delay < 0 {
+		delay = 0
+	}
+	t.at = r.now + delay
+	if t.at < r.now {
+		t.at = r.now
+	}
+	i := r.search(t)
+	r.pending = append(r.pending, nil)
+	copy(r.pending[i+1:], r.pending[i:])
+	r.pending[i] = t
+	t.pending = true
+}
+
+func (t *refTimer) Active() bool { return t.pending }
+
 func (r *refLoop) Run(until Time) {
 	for len(r.pending) > 0 {
 		t := r.pending[0]
@@ -217,6 +244,8 @@ type diffTimer interface {
 	comparable
 	Stop() bool
 	Reschedule(delay Time, fn func())
+	Retime(delay Time)
+	Active() bool
 }
 
 type diffEngine[T diffTimer] interface {
@@ -258,6 +287,10 @@ func runScript[T diffTimer](e diffEngine[T], script []diffOp, slots int) diffOut
 		case dopResched:
 			if timers[op.slot] != none {
 				timers[op.slot].Reschedule(op.delay, callback(op))
+			}
+		case dopRetime:
+			if tm := timers[op.slot]; tm != none && tm.Active() {
+				tm.Retime(op.delay)
 			}
 		case dopRun:
 			if op.delay >= 0 {

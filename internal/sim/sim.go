@@ -15,6 +15,12 @@
 // Schedule and Stop, with a small binary min-heap (heap.go) serving the
 // imminent events in strict (at, seq) order. DESIGN.md §16 has the
 // architecture notes.
+//
+// A handler can defer work to the end of its event with AfterEvent: the
+// fair-share model uses it to run one bandwidth allocation per event
+// however many flows the handler starts or stops, arming its completion
+// timer as a placeholder and moving it to the real deadline with
+// Timer.Retime.
 package sim
 
 import (
@@ -123,6 +129,32 @@ func (t *Timer) Reschedule(delay Time, fn func()) {
 	e.enqueue(t)
 }
 
+// Retime moves a pending timer to fire after delay of virtual time,
+// keeping its callback and its sequence number. Unlike Reschedule it is
+// not a new scheduling: it counts as neither a stop nor a schedule and
+// leaves the queue length alone, so among events due at the same
+// instant the timer keeps the place its last arming gave it. A caller
+// that arms a placeholder with Reschedule(0, fn) and learns the real
+// deadline later in the same event ends with exactly the timer, event
+// order and accounting that Reschedule(delay, fn) would have produced.
+// Retime panics when the timer is not pending.
+func (t *Timer) Retime(delay Time) {
+	if t.loc == locNone {
+		panic("sim: Retime called on a timer that is not pending")
+	}
+	e := t.eng
+	if delay < 0 {
+		delay = 0
+	}
+	at := e.now + delay
+	if at < e.now { // overflow clamp, mirroring Engine.At
+		at = e.now
+	}
+	e.q.remove(t)
+	t.at = at
+	e.q.schedule(t)
+}
+
 // Engine is a discrete-event scheduler with a virtual clock.
 type Engine struct {
 	now     Time
@@ -150,6 +182,14 @@ type Engine struct {
 	interruptFn    func() bool
 	interruptEvery uint64
 	interruptLeft  uint64
+	// inEvent is true while Step runs an event handler (not its
+	// after-event hooks).
+	inEvent bool
+	// afterEvent holds the hooks registered by the running handler, in
+	// registration order. Step runs and clears them once the handler
+	// returns; the slice keeps its capacity, so registering costs no
+	// allocation in the steady state.
+	afterEvent []func()
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -226,6 +266,24 @@ func (e *Engine) enqueue(t *Timer) {
 	}
 }
 
+// InEvent reports whether an event handler is running: true inside the
+// callback Step fires, false outside Step and inside after-event hooks.
+func (e *Engine) InEvent() bool { return e.inEvent }
+
+// AfterEvent registers fn to run once, after the running event handler
+// returns and before the next event is popped. Hooks run in
+// registration order with InEvent false, so anything they schedule or
+// re-time is in the queue before Run looks at it again. A component that
+// would otherwise redo the same work several times within one event
+// defers it to a hook and does it once. AfterEvent panics outside an
+// event handler.
+func (e *Engine) AfterEvent(fn func()) {
+	if !e.inEvent {
+		panic("sim: AfterEvent called outside an event handler")
+	}
+	e.afterEvent = append(e.afterEvent, fn)
+}
+
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -249,7 +307,16 @@ func (e *Engine) Step() bool {
 	}
 	fn := tm.fn
 	tm.fn = nil
+	e.inEvent = true
 	fn()
+	e.inEvent = false
+	if len(e.afterEvent) > 0 {
+		for i, h := range e.afterEvent {
+			e.afterEvent[i] = nil
+			h()
+		}
+		e.afterEvent = e.afterEvent[:0]
+	}
 	return true
 }
 
