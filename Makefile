@@ -4,7 +4,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test fmt-check race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep chaos chaos-smoke shuffle-smoke tournament-smoke metrics-smoke ci clean
+.PHONY: all build test fmt-check race vet fix-check lint-test fuzz-smoke bench bench-alloc bench-compare bench-smoke bench-sweep chaos chaos-smoke metrics-smoke ci clean
 
 all: build
 
@@ -107,28 +107,6 @@ chaos:
 chaos-smoke:
 	$(GO) run -race ./cmd/almrun -chaos -seed 11 -seeds 8
 
-# shuffle-smoke sweeps a fixed seed batch of the remote-shuffle chaos
-# matrix ({yarn,alm} with the tier enabled, tier faults in the draw) and
-# diffs the deterministic sweep transcript against the checked-in
-# golden. Catches both invariant violations and any drift in the seeded
-# tier fault schedules.
-shuffle-smoke:
-	@mkdir -p bin
-	$(GO) run ./cmd/almrun -chaos -shuffle=remote -seed 11 -seeds 4 > bin/shuffle-chaos.txt
-	diff -u internal/shuffletier/testdata/shuffle-chaos-11-4.golden bin/shuffle-chaos.txt
-
-# tournament-smoke races every registered recovery policy head-to-head
-# over a small seeded chaos batch (3 fault classes, one seed that hits
-# the speculation constraints so regret/backup columns are non-zero) and
-# diffs the deterministic league table against the checked-in golden.
-# The same golden is pinned by internal/tournament's TestLeagueGolden;
-# regenerate both with:
-#   go test ./internal/tournament -run TestLeagueGolden -update-league
-tournament-smoke:
-	@mkdir -p bin
-	$(GO) run ./cmd/almrun -tournament -seed 28 -seeds 6 > bin/tournament-league.txt
-	diff -u internal/tournament/testdata/league-28-6.golden bin/tournament-league.txt
-
 # metrics-smoke runs the paper's Fig. 4 scenario (Terasort, MOF-node
 # failure at 55% job progress, stock YARN) at 1/8 scale twice and
 # asserts the snapshots are byte-identical. almrun validates the
@@ -138,7 +116,7 @@ metrics-smoke:
 	$(GO) run ./cmd/almrun -workload terasort -size-gb 12.5 -reduces 20 -mode yarn -fail mof-node -at 0.55 -metrics bin/metrics-b.prom
 	cmp bin/metrics-a.prom bin/metrics-b.prom
 
-ci: build test fmt-check fuzz-smoke race vet fix-check bench-smoke bench-alloc chaos-smoke shuffle-smoke tournament-smoke metrics-smoke
+ci: build test fmt-check fuzz-smoke race vet fix-check bench-smoke bench-alloc chaos-smoke metrics-smoke
 
 clean:
 	rm -rf bin

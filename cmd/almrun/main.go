@@ -172,67 +172,27 @@ func main() {
 	}
 }
 
-// runChaos sweeps n consecutive chaos seeds under all four engine modes
-// (or, with remote, the {yarn,alm} x remote-shuffle matrix with tier
-// faults in the draw) across workers parallel engines, and reports
-// invariant violations with a minimal reproducer command line each.
-// Returns the process exit code.
+// runChaos sweeps n consecutive chaos seeds (chaos.Sweep prints the
+// transcript) and returns the process exit code.
 func runChaos(first int64, n, workers int, remote, verbose bool, metricsPath string) int {
-	if n < 1 {
-		n = 1
-	}
-	budget := chaos.DefaultBudget()
-	modes := chaos.Modes
-	sweep := chaos.CheckSeeds
-	if remote {
-		budget.TierFaults = true
-		modes = chaos.RemoteModes
-		sweep = chaos.CheckSeedsRemote
-		fmt.Printf("chaos: sweeping %d seed(s) from %d under modes yarn|alm with the remote shuffle tier\n", n, first)
-	} else {
-		fmt.Printf("chaos: sweeping %d seed(s) from %d under modes yarn|alg|sfm|alm\n", n, first)
-	}
-	if verbose {
-		sh, _ := chaos.CheckShape()
-		if remote {
-			sh.TierNodes = chaos.RemoteTierNodes
-		}
-		for seed := first; seed < first+int64(n); seed++ {
-			sched := chaos.Generate(seed, budget, sh)
-			fmt.Print(sched.String())
-		}
-	}
-	checked := 0
 	reg := metrics.NewRegistry()
-	all := sweep(first, n, budget, workers, reg, func(seed int64, bad []chaos.Violation) {
-		checked++
-		status := "ok"
-		if len(bad) > 0 {
-			status = fmt.Sprintf("%d VIOLATION(S)", len(bad))
-		}
-		fmt.Printf("  seed %-6d [%d/%d] %s\n", seed, checked, n, status)
-	})
+	bad := chaos.Sweep(os.Stdout, first, n, workers, remote, verbose, reg)
 	if metricsPath != "" {
 		if err := writeMetrics(metricsPath, reg.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "almrun:", err)
 			return 2
 		}
 	}
-	if len(all) == 0 {
-		fmt.Printf("chaos: all invariants held over %d seed(s) x %d modes\n", n, len(modes))
-		return 0
+	if len(bad) > 0 {
+		return 1
 	}
-	fmt.Printf("\nchaos: %d invariant violation(s):\n", len(all))
-	for _, v := range all {
-		fmt.Printf("  %s\n      reproduce: %s\n", v, v.Reproducer())
-	}
-	return 1
+	return 0
 }
 
 // runTournament races the recovery-policy set over n consecutive chaos
 // seeds and prints the deterministic per-fault-class league table
-// (tournament.Result.Format, byte-identical across runs — `make
-// tournament-smoke` diffs it against a checked-in golden), the
+// (tournament.Result.Format, byte-identical across runs —
+// TestLeagueGolden pins it against a checked-in golden), the
 // regret-weighted standings (-standings), or one seed's drill-down
 // (-seed-detail). Returns the process exit code.
 func runTournament(first int64, n, workers int, policiesCSV string, verbose, standings bool, seedDetail int64) int {

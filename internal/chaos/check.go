@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"alm/internal/engine"
@@ -357,6 +358,59 @@ func CheckSeedsRemote(first int64, n int, budget Budget, workers int, reg *metri
 	return sweepSeeds(first, n, workers, RemoteModes, true, reg, report, func(seed int64) []Violation {
 		return checkSeedRemote(seed, budget)
 	})
+}
+
+// Sweep runs n consecutive seeds starting at first (at least one) under
+// all four engine modes — or, with remote, the {yarn,alm} ×
+// remote-shuffle matrix with tier faults in the draw — across workers
+// parallel engines, and writes the sweep transcript to w: a header, each
+// schedule when verbose, one status line per seed in seed order, and a
+// summary listing every violation with a minimal reproducer command
+// line. The transcript is byte-identical at any worker count. It returns
+// the violations; reg, when non-nil, accumulates the sweep metrics.
+func Sweep(w io.Writer, first int64, n, workers int, remote, verbose bool, reg *metrics.Registry) []Violation {
+	if n < 1 {
+		n = 1
+	}
+	budget := DefaultBudget()
+	modes := Modes
+	sweep := CheckSeeds
+	if remote {
+		budget.TierFaults = true
+		modes = RemoteModes
+		sweep = CheckSeedsRemote
+		fmt.Fprintf(w, "chaos: sweeping %d seed(s) from %d under modes yarn|alm with the remote shuffle tier\n", n, first)
+	} else {
+		fmt.Fprintf(w, "chaos: sweeping %d seed(s) from %d under modes yarn|alg|sfm|alm\n", n, first)
+	}
+	if verbose {
+		sh, _ := CheckShape()
+		if remote {
+			sh.TierNodes = RemoteTierNodes
+		}
+		for seed := first; seed < first+int64(n); seed++ {
+			sched := Generate(seed, budget, sh)
+			io.WriteString(w, sched.String())
+		}
+	}
+	checked := 0
+	all := sweep(first, n, budget, workers, reg, func(seed int64, bad []Violation) {
+		checked++
+		status := "ok"
+		if len(bad) > 0 {
+			status = fmt.Sprintf("%d VIOLATION(S)", len(bad))
+		}
+		fmt.Fprintf(w, "  seed %-6d [%d/%d] %s\n", seed, checked, n, status)
+	})
+	if len(all) == 0 {
+		fmt.Fprintf(w, "chaos: all invariants held over %d seed(s) x %d modes\n", n, len(modes))
+		return nil
+	}
+	fmt.Fprintf(w, "\nchaos: %d invariant violation(s):\n", len(all))
+	for _, v := range all {
+		fmt.Fprintf(w, "  %s\n      reproduce: %s\n", v, v.Reproducer())
+	}
+	return all
 }
 
 // sweepSeeds fans the per-seed checks over the shared sweep scheduler.

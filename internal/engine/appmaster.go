@@ -712,13 +712,24 @@ func (am *appMaster) shouldWait(mapIdx int) bool {
 
 // tierChanged fans a shuffle-tier state change (replica gained or lost,
 // tier node crashed or healed, hot flag flipped) to every running reduce
-// executor so serving hosts are re-resolved.
-func (am *appMaster) tierChanged() {
+// executor so serving hosts are re-resolved. The scope is the tier's:
+// map m and partitions parts (nil: all of m's), or every map when m < 0.
+// Testing builds then check every shuffling reducer's index against a
+// full scan, so a change the scope missed fails where it happened.
+func (am *appMaster) tierChanged(m int, parts []int) {
 	if am.jobDone {
 		return
 	}
 	for _, ex := range am.reduceExecs {
-		ex.onTierChanged()
+		ex.onTierChanged(m, parts)
+	}
+	if !invariantsEnabled {
+		return
+	}
+	for _, ex := range am.reduceExecs {
+		if r, ok := ex.(*reduceExec); ok && r.indexLive() {
+			r.checkHostIndex()
+		}
 	}
 }
 

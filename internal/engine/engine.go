@@ -255,6 +255,12 @@ type EventStats struct {
 	// (fairshare.Stats).
 	AllocPasses uint64
 	AllocRounds uint64
+	// IndexUpdates and HostVisits are the reducers' fetch-index work,
+	// summed over every reducer: serving-host re-resolutions of one map
+	// (reindexMap calls), and host buckets pickHost scanned for a
+	// candidate map (non-empty buckets without an open session).
+	IndexUpdates uint64
+	HostVisits   uint64
 }
 
 // localNode is a worker node's local state outside YARN's view: the local
@@ -289,6 +295,10 @@ type Job struct {
 	obs      Observer
 	// tier is the remote shuffle service; nil unless Spec.Shuffle.Remote.
 	tier *shuffletier.Tier
+	// indexUpdates and hostVisits count the reducers' fetch-index work
+	// (EventStats.IndexUpdates and HostVisits).
+	indexUpdates uint64
+	hostVisits   uint64
 
 	// hdfsFlushed holds the real records of ALG-flushed partial reduce
 	// output (the data behind the HDFS flush files, which the DFS models
@@ -356,9 +366,9 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 			HotFactor:   spec.Shuffle.HotFactor,
 		})
 		j.tier.SetMetrics(j.met.reg)
-		j.tier.OnChange = func() {
+		j.tier.OnChange = func(m int, parts []int) {
 			if !j.finished && j.am != nil {
-				j.am.tierChanged()
+				j.am.tierChanged(m, parts)
 			}
 		}
 		j.tier.OnBackpressure = func(ord, depth int) {

@@ -77,8 +77,9 @@ func (f *fcmExec) after(d sim.Time, fn func()) {
 	f.timers = append(f.timers, f.job.Eng.Schedule(d, fn))
 }
 
-// reduceExecs uses a map of mapAvailListener-compatible values; fcmExec
-// also listens for MOF availability while waiting for regeneration.
+// onMapAvailable: fcmExec registers in am.reduceExecs (a slice in
+// registration order) like a reduce attempt, so it also hears MOF
+// availability while waiting for regeneration.
 func (f *fcmExec) onMapAvailable(int) {
 	if !f.dead && !f.started {
 		f.maybeBegin()
@@ -90,8 +91,9 @@ func (f *fcmExec) onMapAvailable(int) {
 func (f *fcmExec) onReachabilityChanged(topology.NodeID, bool) {}
 
 // onTierChanged re-checks pipeline start: a tier repair completing may
-// have just made the last missing segment servable.
-func (f *fcmExec) onTierChanged() {
+// have just made the last missing segment servable. FCM waits on every
+// map, so it ignores the change's scope.
+func (f *fcmExec) onTierChanged(int, []int) {
 	if !f.dead && !f.started {
 		f.maybeBegin()
 	}

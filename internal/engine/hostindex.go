@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 
 	"alm/internal/core"
 	"alm/internal/topology"
@@ -22,12 +23,22 @@ import (
 // reachable (producing node, or an ISS replica), the producing node when
 // the output exists but is unreachable (so the stock retry/strike
 // protocol still targets it), and none while the map has not finished.
-// Every transition of that function is covered by a hook:
+// Under remote shuffle it is the tier replica tier.ServeNode(m, r) picks.
+// Every transition of that function is covered by a hook, and each hook
+// re-resolves only the maps whose answer can have moved:
 //
-//   - markCopied       — the map was delivered (or restored from a log)
-//   - onMapAvailable   — a MOF appeared or regenerated (host/gen change)
+//   - markCopied       — the map was delivered (or restored from a log):
+//     that map
+//   - onMapAvailable   — a MOF appeared or regenerated (host/gen change):
+//     that map
 //   - onReachabilityChanged — a node's network stopped or came back
-//     (cluster.AddReachabilityListener fires the instant it flips)
+//     (cluster.AddReachabilityListener fires the instant it flips):
+//     every pending map
+//   - onTierChanged    — the shuffle tier's serve mapping shifted: the
+//     one map the tier names when the reducer's partition is in the
+//     change's scope (a replica landed or a map committed), every
+//     pending map for the rare global changes (tier crash/restore/heal,
+//     hot flag)
 //   - rebuildHostIndex — wholesale state replacement (checkpoint restore)
 //
 // Determinism: the index stores map indices in bitsets (iterated in
@@ -35,14 +46,19 @@ import (
 // traversal is reproducible; pickHost reconstructs exactly the candidate
 // list the full scan produced (hosts ordered by their smallest eligible
 // pending map index) before consuming the engine's seeded randomness.
+// It walks only the live hosts — a node bitset of non-empty buckets — in
+// ascending node order; an empty bucket could never yield a candidate,
+// so skipping it leaves the list unchanged.
 
-// mapBitset is a fixed-capacity set of map indices.
+// mapBitset is a fixed-capacity set of map indices (of node indices, for
+// hostIndex.live).
 type mapBitset []uint64
 
 func newMapBitset(n int) mapBitset { return make(mapBitset, (n+63)/64) }
 
-func (b mapBitset) set(i int)   { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b mapBitset) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b mapBitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b mapBitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b mapBitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b mapBitset) empty() bool {
 	for _, w := range b {
@@ -78,6 +94,8 @@ func (b mapBitset) appendIndices(dst []int) []int {
 type hostIndex struct {
 	// byHost[n] holds the pending maps currently served by node n.
 	byHost []mapBitset
+	// live holds the nodes whose byHost bucket is non-empty.
+	live mapBitset
 	// serveOf[m] is the node serving pending map m, or -1.
 	serveOf []int32
 	// pending holds every not-yet-copied map (whether or not it currently
@@ -88,6 +106,7 @@ type hostIndex struct {
 func newHostIndex(numNodes, numMaps int) *hostIndex {
 	ix := &hostIndex{
 		byHost:  make([]mapBitset, numNodes),
+		live:    newMapBitset(numNodes),
 		serveOf: make([]int32, numMaps),
 		pending: newMapBitset(numMaps),
 	}
@@ -130,6 +149,7 @@ func (r *reduceExec) reindexMap(m int) {
 	if ix == nil {
 		return
 	}
+	r.job.indexUpdates++
 	old := ix.serveOf[m]
 	nh := int32(-1)
 	if !r.copied[m] {
@@ -142,9 +162,13 @@ func (r *reduceExec) reindexMap(m int) {
 	}
 	if old >= 0 {
 		ix.byHost[old].clear(m)
+		if ix.byHost[old].empty() {
+			ix.live.clear(int(old))
+		}
 	}
 	if nh >= 0 {
 		ix.byHost[nh].set(m)
+		ix.live.set(int(nh))
 	}
 	ix.serveOf[m] = nh
 }
@@ -192,37 +216,54 @@ func (r *reduceExec) rebuildHostIndex() {
 // wake goes through a zero-delay event, not a direct call, so a heal
 // never starts sessions from inside the cluster's notification sweep.
 func (r *reduceExec) onReachabilityChanged(_ topology.NodeID, reachable bool) {
-	if r.dead || r.stage != core.StageShuffle || r.hostIdx == nil {
+	if !r.indexLive() {
 		return
 	}
-	r.hostIdx.pending.each(func(m int) bool {
-		r.reindexMap(m)
-		return true
-	})
+	r.reindexPending()
 	if reachable {
 		r.job.Eng.Schedule(0, r.fillFetchers)
 	}
 }
 
-// onTierChanged re-resolves pending maps' serving tier nodes after any
-// tier state change (replica gained/lost, tier node crash/heal, hot
-// flag). Like a heal, a newly servable replica has no other event that
+// onTierChanged re-resolves serving tier nodes after a tier state change
+// scoped to map m and partitions parts (nil: all of m's): only map m is
+// re-resolved, and only when this reducer's partition is in scope. m < 0
+// (tier node crash/restore/heal, hot flag) re-resolves every pending
+// map. Like a heal, a newly servable replica has no other event that
 // would restart an idle shuffle, so the fetchers are woken through a
-// zero-delay event.
-func (r *reduceExec) onTierChanged() {
-	if r.dead || r.stage != core.StageShuffle || r.hostIdx == nil {
+// zero-delay event — on every notification, in scope or not: the wake
+// draws seeded randomness, so skipping it would change the run.
+func (r *reduceExec) onTierChanged(m int, parts []int) {
+	if !r.indexLive() {
 		return
 	}
+	switch {
+	case m < 0:
+		r.reindexPending()
+	case parts == nil || slices.Contains(parts, r.t.idx):
+		r.reindexMap(m)
+	}
+	r.job.Eng.Schedule(0, r.fillFetchers)
+}
+
+// indexLive reports whether the reducer is shuffling with an index that
+// the change hooks keep current.
+func (r *reduceExec) indexLive() bool {
+	return !r.dead && r.stage == core.StageShuffle && r.hostIdx != nil
+}
+
+// reindexPending re-resolves every pending map.
+func (r *reduceExec) reindexPending() {
 	r.hostIdx.pending.each(func(m int) bool {
 		r.reindexMap(m)
 		return true
 	})
-	r.job.Eng.Schedule(0, r.fillFetchers)
 }
 
 // checkHostIndex verifies the index against a full scan (testing builds
 // only): every pending map must sit in exactly the bucket the live
-// resolution would pick.
+// resolution would pick, and the live host set must hold exactly the
+// non-empty buckets.
 func (r *reduceExec) checkHostIndex() {
 	if !invariantsEnabled || r.hostIdx == nil {
 		return
@@ -237,6 +278,11 @@ func (r *reduceExec) checkHostIndex() {
 		if got := r.hostIdx.serveOf[m]; got != want {
 			panic("engine: host index out of sync for map " + itoa(m) +
 				": indexed host " + itoa(int(got)) + ", live host " + itoa(int(want)))
+		}
+	}
+	for n, b := range r.hostIdx.byHost {
+		if r.hostIdx.live.has(n) == b.empty() {
+			panic("engine: live host set out of sync for node " + itoa(n))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"sort"
 
 	"alm/internal/core"
@@ -20,7 +21,7 @@ import (
 type mapAvailListener interface {
 	onMapAvailable(mapIdx int)
 	onReachabilityChanged(id topology.NodeID, reachable bool)
-	onTierChanged()
+	onTierChanged(m int, parts []int)
 }
 
 // reduceExec runs one regular ReduceTask attempt through the three
@@ -429,35 +430,41 @@ func (r *reduceExec) fillFetchers() {
 // candidate list is ordered exactly as the scan built it: hosts sorted by
 // their smallest pending map index that is not under the SFM wait
 // advisory (first-occurrence order in an ascending map sweep). Only then
-// is the seeded random draw made.
+// is the seeded random draw made. Only live hosts (non-empty buckets) are
+// visited; the advisory is still evaluated per bucket at call time, since
+// shouldWait can change without a reindex.
 func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 	r.checkHostIndex()
 	am := r.job.am
 	hosts := r.candHosts[:0]
 	minIdx := r.candMinIdx[:0]
-	for n := range r.hostIdx.byHost {
-		host := topology.NodeID(n)
-		if r.hostInSession[host] {
-			continue
-		}
-		first := -1
-		r.hostIdx.byHost[n].each(func(m int) bool { //almvet:allow allocflow -- each() does not retain fn, so the closure stays on the stack
-			if am.shouldWait(m) {
-				return true // SFM advisory: regeneration under way
+	for wi, w := range r.hostIdx.live {
+		for ; w != 0; w &= w - 1 {
+			n := wi<<6 + bits.TrailingZeros64(w)
+			host := topology.NodeID(n)
+			if r.hostInSession[host] {
+				continue
 			}
-			first = m
-			return false
-		})
-		if first < 0 {
-			continue
-		}
-		i := len(hosts)
-		hosts = append(hosts, host)
-		minIdx = append(minIdx, first)
-		for i > 0 && minIdx[i-1] > minIdx[i] {
-			hosts[i], hosts[i-1] = hosts[i-1], hosts[i]
-			minIdx[i], minIdx[i-1] = minIdx[i-1], minIdx[i]
-			i--
+			r.job.hostVisits++
+			first := -1
+			r.hostIdx.byHost[n].each(func(m int) bool { //almvet:allow allocflow -- each() does not retain fn, so the closure stays on the stack
+				if am.shouldWait(m) {
+					return true // SFM advisory: regeneration under way
+				}
+				first = m
+				return false
+			})
+			if first < 0 {
+				continue
+			}
+			i := len(hosts)
+			hosts = append(hosts, host)
+			minIdx = append(minIdx, first)
+			for i > 0 && minIdx[i-1] > minIdx[i] {
+				hosts[i], hosts[i-1] = hosts[i-1], hosts[i]
+				minIdx[i], minIdx[i-1] = minIdx[i-1], minIdx[i]
+				i--
+			}
 		}
 	}
 	r.candHosts, r.candMinIdx = hosts, minIdx

@@ -189,11 +189,13 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 	res := job.Result()
 	alloc := cl.Net.System().Stats()
 	res.Events = EventStats{
-		Processed:   eng.Processed(),
-		MaxQueue:    eng.MaxQueueLen(),
-		Stopped:     eng.StoppedEvents(),
-		AllocPasses: alloc.Passes,
-		AllocRounds: alloc.Rounds,
+		Processed:    eng.Processed(),
+		MaxQueue:     eng.MaxQueueLen(),
+		Stopped:      eng.StoppedEvents(),
+		AllocPasses:  alloc.Passes,
+		AllocRounds:  alloc.Rounds,
+		IndexUpdates: job.indexUpdates,
+		HostVisits:   job.hostVisits,
 	}
 	if !job.Finished() {
 		res.Failed = true

@@ -174,3 +174,38 @@ func TestShufflePlanValidation(t *testing.T) {
 		t.Error("ISS+Shuffle.Remote accepted; they are mutually exclusive")
 	}
 }
+
+// TestRemoteShuffleIndexUnderTierFaults drives every kind of shuffle-tier
+// notification through a running shuffle: a tier-service crash and its
+// restore, a hot partition and its heal, and a network partition of a
+// tier node that heals. Invariants are on in tests, so after every
+// notification appMaster.tierChanged checks each shuffling reducer's
+// host index against a full scan: a change its scope missed fails at
+// the notification that missed it.
+func TestRemoteShuffleIndexUnderTierFaults(t *testing.T) {
+	// Reducers shuffle from about 29 s to 39 s, so every fault below
+	// lands mid-shuffle; the crash's re-replications then land on
+	// committed maps, the scoped notifications. Node 7 hosts tier
+	// ordinal 1.
+	plan := faults.CrashTierNodeAtTime(30*time.Second, 0, 4*time.Second)
+	plan.Add(faults.Trigger{Kind: faults.AtTime, Time: 31 * time.Second},
+		faults.Action{Kind: faults.HotPartition, TaskIdx: 1, Factor: 0.5, HealAfter: 4 * time.Second})
+	plan.Add(faults.Trigger{Kind: faults.AtTime, Time: 32 * time.Second},
+		faults.Action{Kind: faults.PartitionNode, Selector: faults.NodeExplicit, Node: 7, HealAfter: 3 * time.Second})
+	var h Handles
+	res, err := Run(remoteSpec(workloads.Terasort(), ModeALM, 8), smallCluster(), WithPlan(plan), WithHandles(&h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("job failed: %s\n%s", res.FailReason, res.Trace.Dump())
+	}
+	for _, k := range []trace.Kind{trace.KindTierNodeLost, trace.KindTierHotPartition, trace.KindNodeHealed} {
+		if res.Trace.Count(k) == 0 {
+			t.Errorf("no %s event: the fault plan missed the shuffle\n%s", k, res.Trace.Dump())
+		}
+	}
+	if pr := h.Job.Tier().PendingRecovery(); pr != 0 {
+		t.Errorf("pending tier recoveries at job end = %d, want 0", pr)
+	}
+}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"testing"
+	"time"
 
+	"alm/internal/faults"
 	"alm/internal/topology"
 	"alm/internal/workloads"
 )
@@ -11,39 +13,75 @@ import (
 // with zero tolerance. They depend only on the seeded run, never on the
 // host, so any drift is a change in what the simulator does: a moved
 // event count, queue high-water mark or stop count means event order
-// changed, and a moved allocator count means the fair-share layer does
-// more or less work per event.
-//
-// The job is the bench scale_1000 geometry (50 racks × 20 nodes, 5:1
-// oversubscription, terasort under SFM, seed 11) cut to 60 maps and 30
-// reducers so it runs in well under a second. Allocating once per event
-// instead of once per flow change took AllocPasses from 8,312 to 3,466
-// and AllocRounds from 173,518 to 81,054 and left the event counts as
-// they were.
+// changed, a moved allocator count means the fair-share layer does more
+// or less work per event, and a moved index count means the reducers'
+// fetch index re-resolves or scans more or less per notification.
 func TestWorkCountersPinned(t *testing.T) {
-	cs := ClusterSpec{Racks: 50, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5}
-	spec := JobSpec{
-		Workload:   workloads.Terasort(),
-		InputBytes: 60 * 128 << 20,
-		NumReduces: 30,
-		Mode:       ModeSFM,
-		Seed:       11,
-	}
-	res, err := Run(spec, cs, WithoutTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed {
-		t.Fatalf("job failed: %s", res.FailReason)
-	}
-	want := EventStats{
-		Processed:   5748,
-		MaxQueue:    3079,
-		Stopped:     7893,
-		AllocPasses: 3466,
-		AllocRounds: 81054,
-	}
-	if res.Events != want {
-		t.Fatalf("work counters %+v, want %+v", res.Events, want)
+	cases := []struct {
+		name string
+		spec JobSpec
+		cs   ClusterSpec
+		opts []RunOption
+		want EventStats
+	}{{
+		// The bench scale_1000 geometry (50 racks × 20 nodes, 5:1
+		// oversubscription, terasort under SFM, seed 11) cut to 60 maps
+		// and 30 reducers so it runs in well under a second. Allocating
+		// once per event instead of once per flow change took AllocPasses
+		// from 8,312 to 3,466 and AllocRounds from 173,518 to 81,054 and
+		// left the event counts as they were. Walking only non-empty host
+		// buckets took HostVisits from 1,942,800 to 54,900.
+		name: "scale_1000",
+		spec: JobSpec{
+			Workload:   workloads.Terasort(),
+			InputBytes: 60 * 128 << 20,
+			NumReduces: 30,
+			Mode:       ModeSFM,
+			Seed:       11,
+		},
+		cs: ClusterSpec{Racks: 50, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5},
+		want: EventStats{
+			Processed:    5748,
+			MaxQueue:     3079,
+			Stopped:      7893,
+			AllocPasses:  3466,
+			AllocRounds:  81054,
+			IndexUpdates: 3600,
+			HostVisits:   54900,
+		},
+	}, {
+		// Remote shuffle with a tier-service crash mid-shuffle and its
+		// restore: the re-replications land on committed maps, so the
+		// scoped tier notifications carry most of the index work.
+		// Re-resolving only the map and partitions a notification names
+		// took IndexUpdates from 10,336 to 560, and the live-host walk
+		// took HostVisits from 4,594 to 8.
+		name: "tier_crash",
+		spec: remoteSpec(workloads.Terasort(), ModeALM, 8),
+		cs:   smallCluster(),
+		opts: []RunOption{WithPlan(faults.CrashTierNodeAtTime(30*time.Second, 0, 4*time.Second))},
+		want: EventStats{
+			Processed:    2085,
+			MaxQueue:     841,
+			Stopped:      1790,
+			AllocPasses:  1270,
+			AllocRounds:  9054,
+			IndexUpdates: 560,
+			HostVisits:   8,
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Run(c.spec, c.cs, append(c.opts, WithoutTrace())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed {
+				t.Fatalf("job failed: %s", res.FailReason)
+			}
+			if res.Events != c.want {
+				t.Fatalf("work counters %+v, want %+v", res.Events, c.want)
+			}
+		})
 	}
 }

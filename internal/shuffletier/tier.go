@@ -144,10 +144,16 @@ type Tier struct {
 	replBytes   int64
 	repushBytes int64
 
-	// OnChange fires when the serve mapping may have shifted (storage
-	// gained/lost, tier node crashed/healed, hot flag flipped) so the
-	// engine can re-index reducer fetch plans.
-	OnChange func()
+	// OnChange fires when the serve mapping may have shifted, with the
+	// scope of the shift: ServeNode(m, r) can have changed only for map m
+	// and partitions r in parts (parts == nil: every partition of m). m < 0
+	// means any map may have moved — the rare global changes (tier node
+	// crashed/restored/healed, hot flag flipped). A storage gain on a
+	// committed map reports exactly its map and partitions, so the engine
+	// re-indexes only the reducer fetch plans it touches. Reachability
+	// down-flips do not fire OnChange: cluster reachability listeners see
+	// those directly.
+	OnChange func(m int, parts []int)
 	// OnBackpressure fires when a tier node's ingest queue reaches
 	// MaxQueue — the engine turns it into a mapper wait advisory.
 	OnBackpressure func(ord, depth int)
@@ -441,9 +447,14 @@ func (t *Tier) flowDone(req *pushReq) {
 		t.mRepush.Add(float64(req.bytes))
 		t.tr.Emit(t.eng.Now(), trace.KindTierRepush, "", tn.name, segDetail("re-pushed", req.m, req.parts[0]))
 	}
+	wasCommitted := ms.committed
 	t.maybeCommit(req.m, ms)
 	if ms.committed && t.OnChange != nil {
-		t.OnChange()
+		if wasCommitted {
+			t.OnChange(req.m, req.parts)
+		} else {
+			t.OnChange(req.m, nil) // the commit made every partition servable
+		}
 	}
 }
 
@@ -518,7 +529,7 @@ func (t *Tier) checkHot(tn *tierNode) {
 		tn.hot = true
 		t.tr.Emit(t.eng.Now(), trace.KindTierHotPartition, "", tn.name, "ingest hot spot detected")
 		if t.OnChange != nil {
-			t.OnChange()
+			t.OnChange(-1, nil)
 		}
 	}
 }
@@ -528,8 +539,10 @@ func (t *Tier) checkHot(tn *tierNode) {
 // ServeNode picks the tier node reducer r should fetch map m's segment
 // from: the first replica in assignment order that is stored, alive and
 // reachable, preferring replicas not flagged hot. Pure in tier state —
-// every mutation that could change the answer fires OnChange so cached
-// fetch indexes stay consistent.
+// every mutation that could change the answer fires OnChange with a
+// scope covering (m, r), except reachability down-flips, which cluster
+// reachability listeners observe directly; cached fetch indexes that
+// follow both stay consistent.
 //
 //alm:hotpath
 func (t *Tier) ServeNode(m, r int) (topology.NodeID, bool) {
@@ -681,7 +694,7 @@ func (t *Tier) CrashOrdinal(o int) {
 	t.tr.Emit(t.eng.Now(), trace.KindTierNodeLost, "", tn.name, segDetail("tier service crashed, segments lost:", lost, t.numParts-1))
 	t.reconcile()
 	if t.OnChange != nil {
-		t.OnChange()
+		t.OnChange(-1, nil)
 	}
 }
 
@@ -699,7 +712,7 @@ func (t *Tier) RestoreOrdinal(o int) {
 	t.tr.Emit(t.eng.Now(), trace.KindNodeHealed, "", tn.name, "tier service restored (empty)")
 	t.reconcile()
 	if t.OnChange != nil {
-		t.OnChange()
+		t.OnChange(-1, nil)
 	}
 }
 
@@ -716,7 +729,7 @@ func (t *Tier) MarkHotPartition(r int, on bool) {
 			segDetail("hot partition injected,", 0, r))
 	}
 	if t.OnChange != nil {
-		t.OnChange()
+		t.OnChange(-1, nil)
 	}
 }
 
@@ -758,7 +771,7 @@ func (t *Tier) onReachability(id topology.NodeID, up bool) {
 	}
 	t.reconcile()
 	if up && t.OnChange != nil {
-		t.OnChange()
+		t.OnChange(-1, nil)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestCrashRereplicatesFromSurvivor(t *testing.T) {
 	e, _, tr := rig(t, Options{TierNodes: 3, Replication: 2})
 	push(e, tr, 0, 0)
 	var changes int
-	tr.OnChange = func() { changes++ }
+	tr.OnChange = func(int, []int) { changes++ }
 	tr.CrashOrdinal(0)
 	drain(e)
 	if tr.ReplicationBytes() == 0 {

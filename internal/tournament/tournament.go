@@ -8,7 +8,7 @@
 // Everything is a pure function of (first seed, seed count, budget,
 // policy set): schedules come from chaos.Generate, the engine is
 // deterministic, and the table formatting is fixed-order, so two runs of
-// the same tournament emit byte-identical tables (make tournament-smoke
+// the same tournament emit byte-identical tables (TestLeagueGolden
 // diffs one against a checked-in golden).
 package tournament
 

@@ -46,7 +46,7 @@ func TestClassifyPrecedence(t *testing.T) {
 }
 
 // TestLeagueGolden pins the deterministic league table for the smoke
-// range (the same seeds `make tournament-smoke` runs): ≥3 fault classes,
+// range (`almrun -tournament -seed 28 -seeds 6`): ≥3 fault classes,
 // all registered policies, with populated regret and backup columns.
 func TestLeagueGolden(t *testing.T) {
 	if testing.Short() {
