@@ -22,10 +22,9 @@
 // Standalone mode can also apply the analyzers' suggested fixes:
 //
 //	almvet -fix ./...        # rewrite files in place (gofmt-clean)
-//	almvet -fix -diff ./...  # dry run: print a unified diff, write nothing
 //
-// -fix -diff exits 2 when the diff is non-empty, so CI can assert that
-// the tree has no outstanding machine-applicable fixes.
+// -fix exits 2 when a diagnostic has no fix. The CI gate is the go vet
+// run, which exits non-zero on every diagnostic, fixable or not.
 package main
 
 import (
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonFlag := fs.Bool("json", false, "accepted for vet compatibility (ignored)")
 	_ = jsonFlag
 	fixFlag := fs.Bool("fix", false, "apply suggested fixes (standalone mode only)")
-	diffFlag := fs.Bool("diff", false, "with -fix, print a unified diff instead of writing files")
 	analyzerFlags := make(map[string]*bool)
 	for _, s := range registry.All() {
 		analyzerFlags[s.Name] = fs.Bool(s.Name, false, "enable only the listed analyzers: "+firstLine(s.Doc))
@@ -99,17 +97,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rest := fs.Args()
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		if *fixFlag || *diffFlag {
-			fmt.Fprintln(stderr, "almvet: -fix/-diff are standalone-mode flags; run almvet directly, not through go vet")
+		if *fixFlag {
+			fmt.Fprintln(stderr, "almvet: -fix is a standalone-mode flag; run almvet directly, not through go vet")
 			return 2
 		}
 		return unitchecker.Main(rest[0], enable, stderr)
 	}
-	if *diffFlag && !*fixFlag {
-		fmt.Fprintln(stderr, "almvet: -diff requires -fix")
-		return 2
-	}
-	return standalone(rest, enable, fixMode{apply: *fixFlag, diff: *diffFlag}, stdout, stderr)
+	return standalone(rest, enable, *fixFlag, stderr)
 }
 
 // selection turns the explicitly-set analyzer flags into an enable set,
@@ -141,20 +135,14 @@ func selection(fs *flag.FlagSet, analyzerFlags map[string]*bool) map[string]bool
 	return enable
 }
 
-// fixMode selects what standalone does with suggested fixes: nothing,
-// rewrite files in place, or print a dry-run unified diff.
-type fixMode struct {
-	apply bool
-	diff  bool
-}
-
 // standalone loads package patterns itself and runs the scoped suite —
 // `almvet ./...` with no go-tool driver, handy for editors and quick
-// runs. Diagnostics from every package are collected first and emitted
-// in one byte-stable global order — (file, line, column, analyzer) —
-// so runs over different pattern spellings of the same package set
-// produce identical output.
-func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout, stderr io.Writer) int {
+// runs; with fix set it rewrites files with the suggested fixes.
+// Diagnostics from every package are collected first and emitted in one
+// byte-stable global order — (file, line, column, analyzer) — so runs
+// over different pattern spellings of the same package set produce
+// identical output.
+func standalone(patterns []string, enable map[string]bool, fix bool, stderr io.Writer) int {
 	l, err := loader.New(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "almvet: %v\n", err)
@@ -217,7 +205,7 @@ func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout,
 		return all[i].Category < all[j].Category
 	})
 
-	if !mode.apply {
+	if !fix {
 		for _, d := range all {
 			fmt.Fprintf(stderr, "%s\n", driver.Format(l.Fset, d))
 		}
@@ -226,13 +214,13 @@ func standalone(patterns []string, enable map[string]bool, mode fixMode, stdout,
 		}
 		return exit
 	}
-	return applyFixes(l, all, mode, stdout, stderr, exit)
+	return applyFixes(l, all, stderr, exit)
 }
 
-// applyFixes rewrites (or, in diff mode, previews) the suggested fixes
-// for the collected diagnostics. Diagnostics without an applied fix are
-// still printed: -fix resolves what it can and reports the rest.
-func applyFixes(l *loader.Loader, all []analysis.Diagnostic, mode fixMode, stdout, stderr io.Writer, exit int) int {
+// applyFixes rewrites files with the suggested fixes for the collected
+// diagnostics. Diagnostics without an applied fix are still printed:
+// -fix resolves what it can and reports the rest.
+func applyFixes(l *loader.Loader, all []analysis.Diagnostic, stderr io.Writer, exit int) int {
 	byFile := make(map[string][]analysis.Diagnostic)
 	var files []string
 	fixable := make(map[string]bool)
@@ -249,7 +237,6 @@ func applyFixes(l *loader.Loader, all []analysis.Diagnostic, mode fixMode, stdou
 	sort.Strings(files)
 
 	cwd, _ := os.Getwd()
-	changed := false
 	for _, name := range files {
 		if !fixable[name] {
 			continue
@@ -269,16 +256,11 @@ func applyFixes(l *loader.Loader, all []analysis.Diagnostic, mode fixMode, stdou
 		if applied == 0 || bytes.Equal(fixed, src) {
 			continue
 		}
-		changed = true
 		display := name
 		if cwd != "" {
 			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
 				display = rel
 			}
-		}
-		if mode.diff {
-			stdout.Write(fixer.Unified(display, src, fixed))
-			continue
 		}
 		if err := os.WriteFile(name, fixed, 0o644); err != nil {
 			fmt.Fprintf(stderr, "almvet: %v\n", err)
@@ -298,7 +280,7 @@ func applyFixes(l *loader.Loader, all []analysis.Diagnostic, mode fixMode, stdou
 			unfixed++
 		}
 	}
-	if exit == 0 && (unfixed > 0 || (mode.diff && changed)) {
+	if exit == 0 && unfixed > 0 {
 		exit = 2
 	}
 	return exit

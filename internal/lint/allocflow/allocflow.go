@@ -1,8 +1,9 @@
 // Package allocflow implements the `allocflow` analyzer: flow-sensitive
 // allocation checks on the //alm:hotpath functions whose budgets
-// BENCH_engine.json enforces. It upgrades hotalloc's call blacklisting
-// (fmt.Sprint family, string concatenation) with the allocation patterns
-// only control flow can see:
+// internal/perf declares and `make bench-alloc` enforces. It upgrades
+// hotalloc's call blacklisting (fmt.Sprint family, string
+// concatenation) with the allocation patterns only control flow can
+// see:
 //
 //   - append in a loop to a slice declared outside the loop without
 //     preallocated capacity — the growth reallocations land on every

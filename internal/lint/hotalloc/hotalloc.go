@@ -1,7 +1,7 @@
 // Package hotalloc implements the `hotalloc` analyzer: functions marked
 // with an `//alm:hotpath` directive sit on the event-engine's per-fetch,
-// per-spill or per-merge paths, where the allocation budgets of
-// BENCH_engine.json are won or lost. Inside such functions the analyzer
+// per-spill or per-merge paths, where the allocation budgets declared in
+// internal/perf (the `make bench-alloc` gate) are won or lost. Inside such functions the analyzer
 // forbids the two allocation patterns the perf work eliminated —
 // fmt.Sprint-family calls (interface boxing plus a fresh string per
 // call) and runtime string concatenation — so they cannot creep back in

@@ -1,8 +1,9 @@
 // Package lint validates Prometheus text exposition output (format
-// 0.0.4) without importing any Prometheus code: the CI metrics-smoke job
-// and the exporters' own tests run every emitted snapshot through Check
-// before it is written anywhere, so a malformed metric name, label
-// escape or bucket layout fails the build instead of a scrape.
+// 0.0.4) without importing any Prometheus code: almrun checks every
+// snapshot before writing it, and the exporters' tests and the
+// engine's metrics golden (TestMetricsByteIdentical) run their exports
+// through Check, so a malformed metric name, label escape or bucket
+// layout fails the build instead of a scrape.
 package lint
 
 import (

@@ -1,19 +1,19 @@
-// Package perf is the engine performance harness behind `make bench` and
-// `almbench -perf`. It runs a curated set of benchmarks — per-figure
-// reproductions plus microbenchmarks targeting the event-engine hot
-// paths (timer churn, fetch-session churn, event-heap footprint under
-// the Fig. 4 spatial-amplification load) — through testing.Benchmark and
-// renders the results as the BENCH_engine.json baseline checked into the
-// repo root.
+// Package perf is the engine allocation-budget harness behind
+// `almbench -perf` and the `make bench-alloc` CI gate. It runs a curated
+// set of benchmarks — per-figure reproductions plus microbenchmarks
+// targeting the event-engine hot paths (timer churn, fetch-session
+// churn, event-heap footprint under the Fig. 4 spatial-amplification
+// load) — through testing.Benchmark and checks each one's allocs/op and
+// B/op against the Budget declared next to it here, the budgets' only
+// source of truth. Host time is measured by the benchmark of record,
+// `bash bench/run.sh`, not here.
 //
 // The workloads run at 1/8 of the paper's dataset sizes, matching the
-// root-package `go test -bench` suite, so numbers from either harness
-// are directly comparable.
+// root-package `go test -bench` suite.
 package perf
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -38,9 +38,9 @@ const Scale = 1.0 / 8
 // per-fetch fmt.Sprintf or losing a free list trips the gate, loose
 // enough that allocator noise does not.
 type Budget struct {
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Tolerance   float64 `json:"tolerance"`
+	AllocsPerOp int64
+	BytesPerOp  int64
+	Tolerance   float64
 }
 
 // Bench is one named entry in the harness.
@@ -315,98 +315,33 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// Result is one harness entry's measurement.
+// Result is one harness entry's allocation measurement.
 type Result struct {
-	Name        string             `json:"name"`
-	Desc        string             `json:"desc"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Budget      *Budget            `json:"budget,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Name        string
+	BytesPerOp  int64
+	AllocsPerOp int64
+	Budget      *Budget
 }
 
-// File is the BENCH_engine.json document.
-type File struct {
-	Schema  string   `json:"schema"`
-	Scale   float64  `json:"bench_scale"`
-	GoOS    string   `json:"goos"`
-	GoArch  string   `json:"goarch"`
-	Results []Result `json:"results"`
-}
-
-// RunAll executes every harness benchmark, streaming one progress line
-// per entry to log (if non-nil).
+// RunAll executes every harness benchmark through testing.Benchmark,
+// streaming one progress line per entry to log (if non-nil).
 func RunAll(log io.Writer) []Result {
 	var out []Result
 	for _, bm := range Benchmarks() {
 		r := testing.Benchmark(bm.Func)
 		res := Result{
 			Name:        bm.Name,
-			Desc:        bm.Desc,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			Budget:      bm.Budget,
-			Metrics:     r.Extra,
 		}
 		if log != nil {
-			fmt.Fprintf(log, "%-32s %8d iter  %14.0f ns/op  %10d B/op  %8d allocs/op\n",
-				bm.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+			fmt.Fprintf(log, "%-32s %12d B/op  %10d allocs/op\n",
+				bm.Name, res.BytesPerOp, res.AllocsPerOp)
 		}
 		out = append(out, res)
 	}
 	return out
-}
-
-// MergeResults overlays extra onto base by benchmark name: matching
-// entries are replaced in place, new names append in extra's order. Used
-// by `almbench -perf-sweep` to fold sweep wall-clock measurements into
-// an existing BENCH_engine.json without re-running the whole harness.
-func MergeResults(base, extra []Result) []Result {
-	out := make([]Result, len(base))
-	copy(out, base)
-	idx := make(map[string]int, len(out))
-	for i, r := range out {
-		idx[r.Name] = i
-	}
-	for _, r := range extra {
-		if i, ok := idx[r.Name]; ok {
-			out[i] = r
-			continue
-		}
-		idx[r.Name] = len(out)
-		out = append(out, r)
-	}
-	return out
-}
-
-// WriteJSON renders results in the BENCH_engine.json format.
-func WriteJSON(w io.Writer, results []Result) error {
-	f := File{
-		Schema:  "alm/bench-engine/v1",
-		Scale:   Scale,
-		GoOS:    runtime.GOOS,
-		GoArch:  runtime.GOARCH,
-		Results: results,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
-
-// ReadJSON parses a BENCH_engine.json document.
-func ReadJSON(r io.Reader) (*File, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("perf: parse bench file: %w", err)
-	}
-	if f.Schema != "alm/bench-engine/v1" {
-		return nil, fmt.Errorf("perf: unknown bench schema %q", f.Schema)
-	}
-	return &f, nil
 }
 
 // CheckBudgets verifies measured results against their budgets and
@@ -438,50 +373,4 @@ func CheckBudgets(results []Result) []string {
 		}
 	}
 	return violations
-}
-
-// WriteComparison renders per-benchmark deltas between two result sets
-// (ns/op, B/op, allocs/op, each with percentage change). Benchmarks
-// present in only one set are listed as added/removed.
-func WriteComparison(w io.Writer, oldRes, newRes []Result) {
-	oldBy := make(map[string]Result, len(oldRes))
-	for _, r := range oldRes {
-		oldBy[r.Name] = r
-	}
-	newBy := make(map[string]Result, len(newRes))
-	for _, r := range newRes {
-		newBy[r.Name] = r
-	}
-	fmt.Fprintf(w, "%-32s %15s %15s %9s   %12s %12s %9s   %10s %10s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta",
-		"old B/op", "new B/op", "delta",
-		"old allocs", "new allocs", "delta")
-	for _, nr := range newRes {
-		or, ok := oldBy[nr.Name]
-		if !ok {
-			fmt.Fprintf(w, "%-32s (added)\n", nr.Name)
-			continue
-		}
-		fmt.Fprintf(w, "%-32s %15.0f %15.0f %9s   %12d %12d %9s   %10d %10d %9s\n",
-			nr.Name,
-			or.NsPerOp, nr.NsPerOp, pctDelta(or.NsPerOp, nr.NsPerOp),
-			or.BytesPerOp, nr.BytesPerOp, pctDelta(float64(or.BytesPerOp), float64(nr.BytesPerOp)),
-			or.AllocsPerOp, nr.AllocsPerOp, pctDelta(float64(or.AllocsPerOp), float64(nr.AllocsPerOp)))
-	}
-	for _, or := range oldRes {
-		if _, ok := newBy[or.Name]; !ok {
-			fmt.Fprintf(w, "%-32s (removed)\n", or.Name)
-		}
-	}
-}
-
-// pctDelta renders the old→new change as a signed percentage.
-func pctDelta(oldV, newV float64) string {
-	if oldV == 0 {
-		if newV == 0 {
-			return "0.0%"
-		}
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", (newV-oldV)/oldV*100)
 }

@@ -1,14 +1,9 @@
 package perf
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// BenchmarkHarness exposes every harness entry to `go test -bench`, so
-// the CI smoke job (-benchtime=1x) executes each one once.
+// BenchmarkHarness exposes every harness entry to `go test -bench`, for
+// profiling one entry (e.g. -bench Harness/fig4_heap_load -cpuprofile).
 func BenchmarkHarness(b *testing.B) {
 	for _, bm := range Benchmarks() {
 		b.Run(bm.Name, bm.Func)
@@ -25,26 +20,5 @@ func TestHarnessNamesUnique(t *testing.T) {
 		if bm.Desc == "" || bm.Func == nil {
 			t.Errorf("harness entry %q incomplete", bm.Name)
 		}
-	}
-}
-
-func TestWriteJSONShape(t *testing.T) {
-	results := []Result{{
-		Name: "x", Desc: "d", Iterations: 2, NsPerOp: 1.5,
-		Metrics: map[string]float64{"max_event_queue": 42},
-	}}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if f.Schema != "alm/bench-engine/v1" || f.Scale != Scale || len(f.Results) != 1 {
-		t.Fatalf("unexpected document: %+v", f)
-	}
-	if !strings.Contains(buf.String(), `"max_event_queue": 42`) {
-		t.Errorf("metrics missing from output:\n%s", buf.String())
 	}
 }

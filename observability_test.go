@@ -3,6 +3,8 @@ package alm
 import (
 	"bytes"
 	"testing"
+
+	"alm/internal/metrics/lint"
 )
 
 func obsSpec() JobSpec {
@@ -15,30 +17,55 @@ func obsSpec() JobSpec {
 	}
 }
 
-// TestMetricsByteIdentical runs the same seeded job twice and demands
+// TestMetricsByteIdentical runs each seeded job twice and demands
 // byte-identical Prometheus-text and JSON exports: metrics must not leak
-// map iteration order, wall-clock time or any other nondeterminism.
+// map iteration order, wall-clock time or any other nondeterminism. The
+// Prometheus text must also pass the exposition-format checker, so an
+// invalid metric name, label or bucket layout in the engine fails here.
+// The fig4 case is the paper's Fig. 4 spatial-amplification run at 1/8
+// scale: Terasort, stock YARN, MOF-node loss at 55% job progress.
 func TestMetricsByteIdentical(t *testing.T) {
-	plan := StopNodeOfTaskAtReduceProgress(ReduceTask, 0, 0.5)
-	run := func() *MetricsSnapshot {
-		res, err := Run(obsSpec(), DefaultClusterSpec(), WithFaults(plan), WithMetrics())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics == nil {
-			t.Fatal("WithMetrics did not populate Result.Metrics")
-		}
-		return res.Metrics
+	cases := []struct {
+		name string
+		spec JobSpec
+		plan *FaultPlan
+	}{
+		{"sfm_node_of_reduce", obsSpec(), StopNodeOfTaskAtReduceProgress(ReduceTask, 0, 0.5)},
+		{"fig4_yarn_mof_node", JobSpec{
+			Workload:   Terasort(),
+			InputBytes: int64(12.5 * (1 << 30)),
+			NumReduces: 20,
+			Mode:       ModeYARN,
+			Seed:       11,
+		}, StopMOFNodeAtJobProgress(0.55)},
 	}
-	a, b := run(), run()
-	if !bytes.Equal(a.Prometheus(), b.Prometheus()) {
-		t.Error("Prometheus exports differ between identical seeded runs")
-	}
-	if !bytes.Equal(a.JSON(), b.JSON()) {
-		t.Error("JSON exports differ between identical seeded runs")
-	}
-	if len(a.Series) == 0 {
-		t.Fatal("snapshot has no series")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() *MetricsSnapshot {
+				res, err := Run(tc.spec, DefaultClusterSpec(), WithFaults(tc.plan), WithMetrics())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Metrics == nil {
+					t.Fatal("WithMetrics did not populate Result.Metrics")
+				}
+				return res.Metrics
+			}
+			a, b := run(), run()
+			if len(a.Series) == 0 {
+				t.Fatal("snapshot has no series")
+			}
+			prom := a.Prometheus()
+			if err := lint.Check(prom); err != nil {
+				t.Errorf("Prometheus export fails the exposition-format check: %v", err)
+			}
+			if !bytes.Equal(prom, b.Prometheus()) {
+				t.Error("Prometheus exports differ between identical seeded runs")
+			}
+			if !bytes.Equal(a.JSON(), b.JSON()) {
+				t.Error("JSON exports differ between identical seeded runs")
+			}
+		})
 	}
 }
 
