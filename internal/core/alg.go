@@ -40,7 +40,9 @@ func DefaultALGOptions() ALGOptions {
 type ReduceView interface {
 	Stage() Stage
 	// FetchedMOFIDs lists map IDs whose partitions have been fully
-	// shuffled in.
+	// shuffled in, in ascending order. The slice may alias the view's
+	// state, so it is valid only until the view changes; Snapshot copies
+	// it.
 	FetchedMOFIDs() []int
 	ShuffledLogicalBytes() int64
 	// SegmentPaths lists on-disk intermediate files. During the reduce

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"time"
 
@@ -299,6 +300,9 @@ type Job struct {
 	// (EventStats.IndexUpdates and HostVisits).
 	indexUpdates uint64
 	hostVisits   uint64
+	// splitRng generates map split inputs: buildPartitions reseeds it for
+	// each map attempt, and Workload.Gen does not retain it.
+	splitRng *rand.Rand
 
 	// hdfsFlushed holds the real records of ALG-flushed partial reduce
 	// output (the data behind the HDFS flush files, which the DFS models
@@ -344,6 +348,7 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 		hdfsFlushed: make([]*flushedOutput, spec.NumReduces),
 		hdfsLogs:    make([]*core.LogRecord, spec.NumReduces),
 		checkpoints: make([]*ckptImage, spec.NumReduces),
+		splitRng:    rand.New(rand.NewSource(spec.Seed)),
 	}
 	for range cl.Topo.Nodes() {
 		j.locals = append(j.locals, &localNode{
@@ -493,8 +498,17 @@ func (j *Job) finish(failed bool, reason string) {
 
 // assembleOutput concatenates per-reduce outputs (the winner's restored
 // ALG-flushed prefix, if any, plus its computed suffix) in partition
-// order.
+// order, into one slice sized for the total.
 func (j *Job) assembleOutput() {
+	n := 0
+	for _, t := range j.am.reduces {
+		if t.winner != nil {
+			n += len(t.winner.prefixOutput) + len(t.winner.output)
+		}
+	}
+	if n > 0 {
+		j.result.Output = make([]mr.Record, 0, n)
+	}
 	for idx := 0; idx < j.Spec.NumReduces; idx++ {
 		t := j.am.reduces[idx]
 		if t.winner == nil {

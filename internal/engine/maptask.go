@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math/rand"
-
 	"alm/internal/dfs"
 	"alm/internal/fairshare"
 	"alm/internal/merge"
@@ -167,7 +165,10 @@ func (m *mapExec) commitISS(parts []*merge.Segment, outBytes int64) {
 func (m *mapExec) buildPartitions(outBytes int64) []*merge.Segment {
 	spec := m.job.Spec
 	w := spec.Workload
-	rng := rand.New(rand.NewSource(spec.Seed*1_000_003 + int64(m.t.idx)))
+	// Seed resets the job's generator to rand.NewSource's state for this
+	// seed, so the draws match a fresh generator without its ~5 KB source.
+	rng := m.job.splitRng
+	rng.Seed(spec.Seed*1_000_003 + int64(m.t.idx))
 	inputs := w.Gen(rng, spec.SamplePerSplit)
 	numR := spec.NumReduces
 	part := w.Part()

@@ -82,6 +82,19 @@ type reduceExec struct {
 	// shufflePort caps this reducer's aggregate ingest rate.
 	shufflePort *fairshare.Port
 
+	// diskMOFs is the sorted multiset of local.segMaps over onDisk, the
+	// list FetchedMOFIDs reports, computed against the node-local store
+	// diskMOFsLocal. Segments that land append their map IDs to
+	// diskMOFsPending, and FetchedMOFIDs merges those in, so a mode that
+	// never snapshots never sorts. Merge passes leave the multiset
+	// unchanged (a merged run's IDs are its inputs' IDs). The first call
+	// computes the list in full, which covers the restore paths that
+	// replace onDisk (they all run in begin, before any snapshot), and so
+	// does the first call after a crash wipe replaces the store.
+	diskMOFs        []int
+	diskMOFsPending []int
+	diskMOFsLocal   *localNode
+
 	// Merge stage.
 	mergeNeeded int64
 	mergeDone   int64
@@ -98,6 +111,10 @@ type reduceExec struct {
 	realBase        int
 	skipReal        int
 	restoredLogical int64
+	// output is append-only: emitFn appends and a checkpoint restore
+	// replaces the whole slice, so no element is ever rewritten. Committed
+	// flushes (snapshotReduce) hold capped views output[:n:n] into it
+	// instead of copies.
 	output          []mr.Record
 	outputLogical   int64
 	outWriter       *dfs.StreamWriter
@@ -114,6 +131,10 @@ type reduceExec struct {
 	// restoredFlush carries the flushed prefix inherited from a previous
 	// attempt (HDFS-side), so this attempt's flushes extend it.
 	restoredFlush *flushedOutput
+	// flushedBuf is a restored attempt's append-only flushed prefix: the
+	// inherited records, copied once, then this attempt's output as it
+	// is flushed. Committed flushes hold capped views of it.
+	flushedBuf []mr.Record
 
 	// Heavyweight checkpoint state (see checkpoint.go).
 	ckptPending        bool
@@ -831,6 +852,7 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 			}
 			cp.Spill(path)
 			r.onDisk = append(r.onDisk, cp)
+			r.diskMOFsPending = append(r.diskMOFsPending, mapIdx)
 			local := r.job.local(r.a.node)
 			local.segments[path] = cp
 			local.segMaps[path] = []int{mapIdx}
@@ -885,6 +907,7 @@ func (r *reduceExec) mergeInMemory(done func()) {
 			}
 			merged.Spill(path)
 			r.onDisk = append(r.onDisk, merged)
+			r.diskMOFsPending = append(r.diskMOFsPending, mapIDs...)
 			local := r.job.local(r.a.node)
 			local.segments[path] = merged
 			local.segMaps[path] = mapIDs
@@ -1184,15 +1207,48 @@ func (r *reduceExec) Stage() core.Stage { return r.stage }
 
 // FetchedMOFIDs reports the maps whose data is durably on local disk —
 // exactly what a restored attempt can reuse. Data still in memory (or
-// mid-spill) is deliberately excluded: it dies with the attempt.
+// mid-spill) is deliberately excluded: it dies with the attempt. The
+// list is sorted and aliases the exec's state (see core.ReduceView).
 func (r *reduceExec) FetchedMOFIDs() []int {
-	local := r.job.local(r.a.node)
-	var out []int
-	for _, sg := range r.onDisk {
-		out = append(out, local.segMaps[sg.Path]...)
+	if local := r.job.local(r.a.node); local != r.diskMOFsLocal {
+		r.diskMOFs = r.appendDiskMOFs(r.diskMOFs[:0])
+		sort.Ints(r.diskMOFs)
+		r.diskMOFsPending = r.diskMOFsPending[:0]
+		r.diskMOFsLocal = local
+	} else if len(r.diskMOFsPending) > 0 {
+		r.diskMOFs = mergeSorted(r.diskMOFs, r.diskMOFsPending)
+		r.diskMOFsPending = r.diskMOFsPending[:0]
 	}
-	sort.Ints(out)
-	return out
+	r.assertDiskMOFs()
+	return r.diskMOFs
+}
+
+// appendDiskMOFs appends the map IDs of every on-disk segment to dst,
+// in onDisk order.
+func (r *reduceExec) appendDiskMOFs(dst []int) []int {
+	local := r.job.local(r.a.node)
+	for _, sg := range r.onDisk {
+		dst = append(dst, local.segMaps[sg.Path]...)
+	}
+	return dst
+}
+
+// mergeSorted merges add (any order; sorted in place) into the sorted
+// dst, in place from the back, and returns the grown dst.
+func mergeSorted(dst, add []int) []int {
+	sort.Ints(add)
+	i, j := len(dst)-1, len(add)-1
+	dst = append(dst, add...)
+	for k := len(dst) - 1; j >= 0; k-- {
+		if i >= 0 && dst[i] > add[j] {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = add[j]
+			j--
+		}
+	}
+	return dst
 }
 
 // ShuffledLogicalBytes counts the durably spilled portion of the shuffle.
@@ -1295,10 +1351,7 @@ func (r *reduceExec) snapshotReduce() {
 	taskIdx := r.t.idx
 	name := core.LogPathHDFS(r.job.Spec.Name, taskIdx, r.algSeq)
 	recCopy := rec
-	flushRecs := append([]mr.Record{}, r.output[:r.lastFlushedRecords]...)
-	if r.restoredFlush != nil {
-		flushRecs = append(append([]mr.Record{}, r.restoredFlush.records...), flushRecs...)
-	}
+	flushRecs := r.flushedRecords()
 	flushLogical := r.FlushedOutputLogical()
 	upTo := r.ProcessedRealRecords()
 	_, err := r.job.Cluster.DFS.Write(name, r.a.node, rec.EstimateSizeBytes(),
@@ -1326,6 +1379,24 @@ func (r *reduceExec) snapshotReduce() {
 	if err == nil {
 		r.job.result.Counters.Add("alg.hdfs.log.writes", 1)
 	}
+}
+
+// flushedRecords returns the whole flushed prefix — the inherited
+// records, if any, then output[:lastFlushedRecords] — as a capped view
+// that later appends cannot change. Without an inherited prefix it is a
+// view of output; otherwise flushedBuf copies the inherited records once
+// per attempt and each output record once, as it is first flushed.
+func (r *reduceExec) flushedRecords() []mr.Record {
+	n := r.lastFlushedRecords
+	if r.restoredFlush == nil {
+		return r.output[:n:n]
+	}
+	if r.flushedBuf == nil {
+		r.flushedBuf = append(make([]mr.Record, 0, len(r.restoredFlush.records)+n), r.restoredFlush.records...)
+	}
+	done := len(r.flushedBuf) - len(r.restoredFlush.records)
+	r.flushedBuf = append(r.flushedBuf, r.output[done:n]...)
+	return r.flushedBuf[:len(r.flushedBuf):len(r.flushedBuf)]
 }
 
 // ---- ALG restore paths ----

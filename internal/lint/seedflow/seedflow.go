@@ -1,5 +1,6 @@
 // Package seedflow implements the `seedflow` analyzer: every
-// rand.NewSource seed must flow from a Seed/config parameter.
+// rand.NewSource seed, and every reseed through a Seed method, must flow
+// from a Seed/config parameter.
 //
 // The experiment harness threads Options.Seed through JobSpec.Seed into
 // sim.NewEngine and the per-split generators (maptask.go derives
@@ -7,9 +8,11 @@
 // function silently decouples that leaf from the harness — two runs with
 // different --seed flags would still agree in that leaf, masking
 // seed-sensitivity bugs; a time-derived seed destroys reproducibility
-// outright. seedflow requires each seed expression to (a) not consult
-// the clock and (b) reference at least one seed-ish identifier (name
-// containing "seed") so the provenance is visible at the call site.
+// outright. A generator reused across streams and reseeded through
+// (*rand.Rand).Seed is a seed like any other. seedflow requires each seed
+// expression to (a) not consult the clock and (b) reference at least one
+// seed-ish identifier (name containing "seed") so the provenance is
+// visible at the call site.
 package seedflow
 
 import (
@@ -23,8 +26,8 @@ import (
 // Analyzer is the seedflow analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "seedflow",
-	Doc: "require rand.NewSource seeds to derive from a Seed/config parameter, " +
-		"not literals or wall-clock time",
+	Doc: "require rand.NewSource and (*rand.Rand).Seed seeds to derive from a " +
+		"Seed/config parameter, not literals or wall-clock time",
 	Run: run,
 }
 
@@ -35,7 +38,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if !isRandNewSource(pass, call) || len(call.Args) == 0 {
+			if !isSeeding(pass, call) || len(call.Args) == 0 {
 				return true
 			}
 			checkSeedExpr(pass, call.Args[0])
@@ -45,7 +48,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func isRandNewSource(pass *analysis.Pass, call *ast.CallExpr) bool {
+// isSeeding reports whether call seeds a math/rand generator: a source
+// constructor, or a Seed method such as (*rand.Rand).Seed.
+func isSeeding(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -61,6 +66,8 @@ func isRandNewSource(pass *analysis.Pass, call *ast.CallExpr) bool {
 	switch fn.Name() {
 	case "NewSource", "NewPCG", "NewChaCha8":
 		return true
+	case "Seed":
+		return fn.Type().(*types.Signature).Recv() != nil
 	}
 	return false
 }

@@ -16,3 +16,9 @@ func fromParameter(seed int64, stream int) *rand.Rand {
 func fromConfig(o options) *rand.Rand {
 	return rand.New(rand.NewSource(o.Seed))
 }
+
+// reseedPerStream reuses one generator and reseeds it per stream with the
+// same derivation a fresh source would get.
+func reseedPerStream(rng *rand.Rand, seed int64, stream int) {
+	rng.Seed(seed*1_000_003 + int64(stream))
+}

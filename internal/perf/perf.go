@@ -114,6 +114,15 @@ func Benchmarks() []Bench {
 			Budget: &Budget{AllocsPerOp: 87_000, BytesPerOp: 7_200_000, Tolerance: 0.20},
 		},
 		{
+			Name: "alg_reduce_snapshots",
+			Desc: "ALM terasort (32 GiB, 4 reducers), no faults: ALG snapshots through long reduce stages",
+			Func: benchALGReduceSnapshots,
+			// Snapshots cost what changed since the last one: the
+			// committed flushed prefix is a view of the output, not a
+			// copy per snapshot.
+			Budget: &Budget{AllocsPerOp: 66_000, BytesPerOp: 7_100_000, Tolerance: 0.20},
+		},
+		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at NumCPU workers",
 			Func:   benchSweepParallel,
@@ -231,6 +240,20 @@ func benchRemoteShuffleCrash(b *testing.B) {
 		Seed:       11,
 		Shuffle:    engine.ShuffleOptions{Remote: true},
 	}, func() *faults.Plan { return faults.CrashMOFNodeAtJobProgress(0.55) })
+}
+
+// benchALGReduceSnapshots runs few reducers over a large input, so each
+// reduce stage takes many ALG snapshots while its output grows; a
+// snapshot whose cost grows with the output produced so far dominates
+// the profile.
+func benchALGReduceSnapshots(b *testing.B) {
+	benchJob(b, engine.JobSpec{
+		Workload:   workloads.Terasort(),
+		InputBytes: 32 << 30,
+		NumReduces: 4,
+		Mode:       engine.ModeALM,
+		Seed:       11,
+	}, nil)
 }
 
 // benchSweepParallel measures the sweep scheduler itself: a fan of small

@@ -42,7 +42,9 @@ type Workload struct {
 	Grouper     mr.GroupComparator
 	Partitioner mr.Partitioner
 
-	// Gen materialises n deterministic sample input records.
+	// Gen materialises n deterministic sample input records. It must not
+	// keep rng past the call: the engine reseeds the same *rand.Rand for
+	// the next split.
 	Gen func(rng *rand.Rand, n int) []mr.Record
 }
 
