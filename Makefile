@@ -48,11 +48,14 @@ lint-test:
 # fuzz-smoke searches FuzzAllocate for 10 s: random scripts of ports,
 # flows, capacity changes, rate caps and cancels, each step checked
 # against the map-based oracle allocator and a max-min fairness
-# certificate (DESIGN.md §10). Plain `go test` replays only the
-# checked-in corpus (internal/fairshare/testdata/fuzz/FuzzAllocate); a
-# crasher found here belongs in that corpus.
+# certificate (DESIGN.md §10). FuzzAllocateBatched then searches 10 s
+# more with some of those changes batched inside one engine event, so
+# several changes share one deferred allocation. Plain `go test` replays
+# only the checked-in corpora (internal/fairshare/testdata/fuzz/); a
+# crasher found here belongs in its target's corpus.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 10s ./internal/fairshare
+	$(GO) test -run '^$$' -fuzz '^FuzzAllocate$$' -fuzztime 10s ./internal/fairshare
+	$(GO) test -run '^$$' -fuzz '^FuzzAllocateBatched$$' -fuzztime 10s ./internal/fairshare
 
 # bench-alloc is the allocation-budget CI gate: runs every entry of the
 # engine harness (internal/perf) through testing.Benchmark and fails if
@@ -64,6 +67,7 @@ bench-alloc:
 	$(GO) run ./cmd/almbench -perf
 
 # bench-smoke compiles and runs every sim and fair-share benchmark
+# (BenchmarkAllocateWide and BenchmarkAllocateComponents among them)
 # exactly once — the CI guard that keeps them from bit-rotting without
 # paying full measurement cost. The harness entries run in bench-alloc.
 bench-smoke:

@@ -194,6 +194,7 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 		Stopped:      eng.StoppedEvents(),
 		AllocPasses:  alloc.Passes,
 		AllocRounds:  alloc.Rounds,
+		AllocFlows:   alloc.Flows,
 		IndexUpdates: job.indexUpdates,
 		HostVisits:   job.hostVisits,
 	}

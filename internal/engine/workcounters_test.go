@@ -30,7 +30,10 @@ func TestWorkCountersPinned(t *testing.T) {
 		// once per event instead of once per flow change took AllocPasses
 		// from 8,312 to 3,466 and AllocRounds from 173,518 to 81,054 and
 		// left the event counts as they were. Walking only non-empty host
-		// buckets took HostVisits from 1,942,800 to 54,900.
+		// buckets took HostVisits from 1,942,800 to 54,900. Allocating
+		// only the components that hold a changed port took AllocRounds
+		// from 81,054 to 25,091 and the flows allocated from 111,786 to
+		// AllocFlows 55,806, with the same passes.
 		name: "scale_1000",
 		spec: JobSpec{
 			Workload:   workloads.Terasort(),
@@ -45,7 +48,8 @@ func TestWorkCountersPinned(t *testing.T) {
 			MaxQueue:     3079,
 			Stopped:      7893,
 			AllocPasses:  3466,
-			AllocRounds:  81054,
+			AllocRounds:  25091,
+			AllocFlows:   55806,
 			IndexUpdates: 3600,
 			HostVisits:   54900,
 		},
@@ -55,7 +59,9 @@ func TestWorkCountersPinned(t *testing.T) {
 		// scoped tier notifications carry most of the index work.
 		// Re-resolving only the map and partitions a notification names
 		// took IndexUpdates from 10,336 to 560, and the live-host walk
-		// took HostVisits from 4,594 to 8.
+		// took HostVisits from 4,594 to 8. Per-component allocation took
+		// AllocRounds from 9,054 to 2,145 and the flows allocated from
+		// 10,299 to AllocFlows 2,896.
 		name: "tier_crash",
 		spec: remoteSpec(workloads.Terasort(), ModeALM, 8),
 		cs:   smallCluster(),
@@ -65,7 +71,8 @@ func TestWorkCountersPinned(t *testing.T) {
 			MaxQueue:     841,
 			Stopped:      1790,
 			AllocPasses:  1270,
-			AllocRounds:  9054,
+			AllocRounds:  2145,
+			AllocFlows:   2896,
 			IndexUpdates: 560,
 			HostVisits:   8,
 		},

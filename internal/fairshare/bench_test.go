@@ -28,8 +28,16 @@ func BenchmarkManyFlows(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocate measures one max-min fair allocation pass with 100
-// active flows.
+// touchAll marks every port changed, so the next allocate is a pass over
+// the whole system.
+func touchAll(s *System, ports []*Port) {
+	for _, p := range ports {
+		s.touch(p)
+	}
+}
+
+// BenchmarkAllocate measures one whole-system max-min fair allocation
+// pass with 100 active flows.
 func BenchmarkAllocate(b *testing.B) {
 	e := sim.NewEngine(1)
 	s := NewSystem(e)
@@ -42,14 +50,15 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		touchAll(s, ports)
 		s.allocate()
 	}
 }
 
-// BenchmarkAllocateWide measures one allocation pass shaped like a
-// 1000-node run's: 580 live ports — NIC, disk and rack-uplink ports with
-// a spread of capacities, many of them equal — and 270 flows over 2–4
-// ports each.
+// BenchmarkAllocateWide measures one whole-system allocation pass shaped
+// like a 1000-node run's: 580 live ports — NIC, disk and rack-uplink
+// ports with a spread of capacities, many of them equal — and 270 flows
+// over 2–4 ports each.
 func BenchmarkAllocateWide(b *testing.B) {
 	e := sim.NewEngine(1)
 	s := NewSystem(e)
@@ -81,8 +90,57 @@ func BenchmarkAllocateWide(b *testing.B) {
 	before := s.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		touchAll(s, ports)
 		s.allocate()
 	}
-	after := s.Stats()
-	b.ReportMetric(float64(after.Rounds-before.Rounds)/float64(after.Passes-before.Passes), "rounds/pass")
+	reportPerPass(b, before, s.Stats())
+}
+
+// reportPerPass reports the rounds and flows an average pass allocated
+// between two Stats readings.
+func reportPerPass(b *testing.B, before, after Stats) {
+	passes := float64(after.Passes - before.Passes)
+	b.ReportMetric(float64(after.Rounds-before.Rounds)/passes, "rounds/pass")
+	b.ReportMetric(float64(after.Flows-before.Flows)/passes, "flows/pass")
+}
+
+// BenchmarkAllocateComponents measures the per-event work of many
+// independent transfers: 500 disjoint NIC pairs, each carrying a
+// long-lived bulk flow and a chain of fetches, where every completion
+// starts the pair's next fetch. Each op is one engine event that finishes
+// one flow and starts one, so its pass allocates only that pair's
+// component, whatever the number of pairs.
+func BenchmarkAllocateComponents(b *testing.B) {
+	const pairs = 500
+	e := sim.NewEngine(1)
+	s := NewSystem(e)
+	started := 0
+	type pair struct {
+		ports []*Port
+		bytes int64
+		next  func()
+	}
+	ps := make([]pair, pairs)
+	for i := range ps {
+		p := &ps[i]
+		p.ports = []*Port{
+			s.NewPort(fmt.Sprintf("node-%03d/out", i), 1.25e9),
+			s.NewPort(fmt.Sprintf("node-%03d/in", pairs+i), 1.25e9),
+		}
+		// Distinct sizes keep completions in separate events.
+		p.bytes = int64(64<<20 + 4099*i)
+		p.next = func() {
+			started++
+			s.StartFlow("fetch", p.bytes, p.ports, 0, p.next)
+		}
+		s.StartFlow("bulk", 1e18, p.ports, 0, nil)
+		p.next()
+	}
+	before := s.Stats()
+	b.ResetTimer()
+	for started < pairs+b.N {
+		e.Step()
+	}
+	b.StopTimer()
+	reportPerPass(b, before, s.Stats())
 }

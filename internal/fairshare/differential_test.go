@@ -25,8 +25,8 @@ const (
 	opCancel
 	opRun
 	numOpKinds
-	// opBatch applies its steps inside one engine event. The fuzz
-	// decoder and randomScript never emit it.
+	// opBatch applies its steps inside one engine event. decodeScript
+	// and randomScript never emit it; decodeBatchedScript does.
 	opBatch = numOpKinds
 )
 
@@ -98,6 +98,30 @@ func decodeScript(data []byte) []op {
 	var ops []op
 	for len(src.data) > 0 && len(ops) < 200 {
 		ops = append(ops, decodeOp(src.next, opKind(src.next()%int(numOpKinds))))
+	}
+	return ops
+}
+
+// batchKinds are the steps a decoded batch draws from: every change,
+// none of the runs.
+var batchKinds = []opKind{opNewPort, opStartFlow, opSetCapacity, opSetPriorityCap, opCancel}
+
+// decodeBatchedScript is decodeScript with batches: one more kind,
+// opBatch, holds two to six changes that run inside one engine event.
+func decodeBatchedScript(data []byte) []op {
+	src := &byteSource{data: data}
+	var ops []op
+	for len(src.data) > 0 && len(ops) < 200 {
+		kind := opKind(src.next() % int(numOpKinds+1))
+		if kind != opBatch {
+			ops = append(ops, decodeOp(src.next, kind))
+			continue
+		}
+		b := op{kind: opBatch}
+		for n := 2 + src.next()%5; n > 0; n-- {
+			b.batch = append(b.batch, decodeOp(src.next, batchKinds[src.next()%len(batchKinds)]))
+		}
+		ops = append(ops, b)
 	}
 	return ops
 }

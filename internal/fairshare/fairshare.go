@@ -9,7 +9,10 @@
 // or a capacity changes, rates are recomputed and the next completion
 // event is rescheduled — at most once per engine event: changes made
 // inside one event handler share a single allocation, run when the
-// handler returns (DESIGN.md §10).
+// handler returns. An allocation recomputes only the connected components
+// (flows joined by shared ports) that hold a port changed since the last
+// one; every other flow keeps its rate, which is bit-identical to what a
+// whole-system pass would give it (DESIGN.md §10).
 //
 // This is the standard flow-level abstraction used by cluster simulators:
 // it captures bandwidth contention (the dominant effect in bulk MapReduce
@@ -47,6 +50,10 @@ type Port struct {
 	residual   float64
 	unfrozen   int
 	id         int32 // pass-local id: index into sys.heap.ports and .pos
+
+	// touchEpoch is sys.allocEpoch+1 while the port is listed in
+	// sys.touched, the ports changed since the last pass.
+	touchEpoch uint64
 }
 
 // crossing is a port's record of one flow crossing it.
@@ -93,6 +100,7 @@ func (p *Port) setCapacity(c float64) {
 		}
 	}
 	p.capacity = c
+	p.sys.touch(p)
 }
 
 // minCarry is the smallest capacity that counts as carrying traffic.
@@ -140,9 +148,13 @@ type Flow struct {
 	sys  *System
 	// links lists the ports the flow crosses; the private cap port, when
 	// there is one, is always last.
-	links     []link
-	capPort   *Port // non-nil when the flow has a private rate cap
-	idx       int   // position in sys.flows while the flow is active
+	links   []link
+	capPort *Port // non-nil when the flow has a private rate cap
+	idx     int32 // position in sys.flows while the flow is active
+	// epoch is allocate() scratch: the low 32 bits of the pass that last
+	// gathered the flow. It packs beside idx, so the struct keeps its
+	// size class.
+	epoch     uint32
 	remaining float64
 	rate      float64
 	done      func()
@@ -154,7 +166,7 @@ type Flow struct {
 	// dead counts the flow's links to ports that do not carry (see
 	// carries); the flow is stalled while it is positive. It packs into
 	// the word the flags above leave open, so the struct keeps its size
-	// class.
+	// class (112 B; TestFlowSizeClass).
 	dead int32
 }
 
@@ -215,6 +227,15 @@ func (f *Flow) SetPriorityCap(rate float64) {
 			}
 			f.sys.capPortFree = append(f.sys.capPortFree, f.capPort)
 			f.capPort = nil
+			// The cap port no longer reaches the flow; its other ports do.
+			for _, l := range f.links {
+				f.sys.touch(l.port)
+			}
+			if len(f.links) == 0 {
+				// No pass reaches a flow without ports: it runs
+				// unconstrained, completing "instantly" at a huge rate.
+				f.rate = math.MaxFloat64 / 4
+			}
 		}
 	} else if f.capPort != nil {
 		f.capPort.setCapacity(rate)
@@ -233,6 +254,7 @@ func (f *Flow) attach(p *Port) {
 	if !carries(p.capacity) {
 		f.addDead(1)
 	}
+	f.sys.touch(p)
 }
 
 // addDead moves the live flow's count of non-carrying links by d and
@@ -259,8 +281,8 @@ func (f *Flow) firstLink(p *Port) int {
 	return -1
 }
 
-// Stats counts allocator work. Both counts depend only on the sequence of
-// flow and capacity changes, never on the host.
+// Stats counts allocator work. Every count depends only on the sequence
+// of flow and capacity changes, never on the host.
 type Stats struct {
 	// Passes is the number of max-min allocations over a non-empty flow
 	// set: at most one per event that changes flows, plus one per change
@@ -268,8 +290,12 @@ type Stats struct {
 	// Flow.Rate call that finds an allocation pending.
 	Passes uint64
 	// Rounds is the number of bottleneck ports frozen, summed over all
-	// passes.
+	// passes. A pass freezes ports only in the components it allocates.
 	Rounds uint64
+	// Flows is the number of flows allocated, summed over all passes: the
+	// flows of the components that hold a port changed since the previous
+	// pass.
+	Flows uint64
 }
 
 // System ties ports and flows to a simulation engine.
@@ -297,6 +323,11 @@ type System struct {
 	// dirty is set while an allocation deferred by reschedule waits for
 	// flush, which runs after the current event's handler returns.
 	dirty bool
+
+	// touched lists the ports changed since the last allocation pass,
+	// each once (Port.touchEpoch): the next pass allocates the components
+	// that hold them.
+	touched []*Port
 
 	// allocate() scratch, reused across calls: the pass epoch and the
 	// bottleneck heap.
@@ -377,7 +408,7 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 	}
 	// The flow joins s.flows before it attaches, so attach can count it
 	// as stalled.
-	f.idx = len(s.flows)
+	f.idx = int32(len(s.flows))
 	s.flows = append(s.flows, f)
 	f.links = make([]link, 0, len(ports)+1)
 	for _, p := range ports {
@@ -417,6 +448,7 @@ func (s *System) remove(f *Flow) {
 	for k := range f.links {
 		l := f.links[k]
 		l.port.drop(l.slot)
+		s.touch(l.port)
 	}
 	if f.capPort != nil {
 		// The private cap port is reachable only through this flow;
@@ -561,55 +593,99 @@ func sortFlows(fs []*Flow) {
 	}
 }
 
+// touch records that p changed since the last allocation pass, so the
+// next pass allocates p's component.
+func (s *System) touch(p *Port) {
+	if p.touchEpoch != s.allocEpoch+1 {
+		p.touchEpoch = s.allocEpoch + 1
+		s.touched = append(s.touched, p)
+	}
+}
+
+// gather adds p to the current pass with its full capacity. Every flow
+// crossing p is in p's component, so all of them join the pass.
+func (s *System) gather(p *Port) {
+	p.allocEpoch = s.allocEpoch
+	p.residual = p.capacity
+	p.unfrozen = len(p.flows)
+	p.id = s.heap.add(p)
+}
+
 // allocate computes max-min fair rates via progressive filling: repeatedly
 // take the port with the smallest per-flow fair share, freeze its flows at
 // that rate, subtract their consumption everywhere, and continue.
 //
-// The ports of the live flows sit in an indexed min-heap keyed on
-// (share, name, seq), where share is residual/float64(unfrozen), so a
-// pass costs O((ports + flow·port incidences) · log ports). The ports a
-// frozen flow crosses are re-keyed lazily. In exact arithmetic a freeze
-// at s <= r/u only raises (r-s)/(u-1); a raised key is re-sifted only
-// once it reaches the top, so every stored key is at most the true one
-// and the top is the true minimum whenever its key is current. Rounding
-// at s == r/u and the residual clamp at 0 can lower a key instead; that
-// one is re-sifted at once, and fix moves it either way. A port whose
-// flows have all frozen is dropped when it surfaces, and the pass ends
-// when no flow is left to freeze.
+// It allocates only the connected components that hold a touched port,
+// gathered by walking outward from those ports (port → its flows → their
+// ports). Every other flow keeps its rate, and that rate is the one a
+// whole-system pass would give it: a port's residual moves only when a
+// flow of its own component freezes, and the key order below is total, so
+// each component freezes the same bottlenecks in the same order, with the
+// same float operations, whether it is allocated alone or beside others.
+// An untouched component has not changed since the pass that last
+// allocated it.
 //
-// Every step is independent of the order of s.flows and port.flows: the
-// key order is total, and a port's residual takes the same share k times
-// within a round whichever of its flows freezes first.
+// The gathered ports sit in an indexed min-heap keyed on (share, name,
+// seq), where share is residual/float64(unfrozen), so a pass costs
+// O((ports + flow·port incidences) · log ports) over the components it
+// allocates. The ports a frozen flow crosses are re-keyed lazily. In
+// exact arithmetic a freeze at s <= r/u only raises (r-s)/(u-1); a raised
+// key is re-sifted only once it reaches the top, so every stored key is
+// at most the true one and the top is the true minimum whenever its key
+// is current. Rounding at s == r/u and the residual clamp at 0 can lower
+// a key instead; that one is re-sifted at once, and fix moves it either
+// way. A port whose flows have all frozen is dropped when it surfaces,
+// and the pass ends when no flow is left to freeze.
+//
+// Every step is independent of the order of s.flows, s.touched and
+// port.flows: the key order is total, and a port's residual takes the
+// same share k times within a round whichever of its flows freezes first.
 func (s *System) allocate() {
+	s.allocEpoch++
+	touched := s.touched
+	s.touched = touched[:0]
 	if len(s.flows) == 0 {
 		return
 	}
 	s.stats.Passes++
-	s.allocEpoch++
+	if uint32(s.allocEpoch) == 0 {
+		// The flows' 32-bit pass tags wrapped: clear them and skip tag 0,
+		// which a new flow carries.
+		for _, f := range s.flows {
+			f.epoch = 0
+		}
+		s.allocEpoch++
+	}
+	epoch := uint32(s.allocEpoch)
 	h := &s.heap
 	h.reset()
 	remaining := 0
-	for _, f := range s.flows {
-		f.rate = 0
-		for _, l := range f.links {
-			p := l.port
-			if p.allocEpoch != s.allocEpoch {
-				p.allocEpoch = s.allocEpoch
-				p.residual = p.capacity
-				p.unfrozen = 0
-				p.id = h.add(p)
-			}
-			p.unfrozen++
+	for _, t := range touched {
+		if t.allocEpoch == s.allocEpoch || len(t.flows) == 0 {
+			continue
 		}
-		if len(f.links) == 0 {
-			// Unconstrained flow: complete "instantly" at a huge rate.
-			f.rate = math.MaxFloat64 / 4
-			f.frozen = true
-		} else {
-			f.frozen = false
-			remaining++
+		// h.ports doubles as the walk's queue.
+		next := len(h.ports)
+		s.gather(t)
+		for ; next < len(h.ports); next++ {
+			for _, c := range h.ports[next].flows {
+				f := c.f
+				if f.epoch == epoch {
+					continue
+				}
+				f.epoch = epoch
+				f.rate = 0
+				f.frozen = false
+				remaining++
+				for _, l := range f.links {
+					if l.port.allocEpoch != s.allocEpoch {
+						s.gather(l.port)
+					}
+				}
+			}
 		}
 	}
+	s.stats.Flows += uint64(remaining)
 	h.init()
 	for remaining > 0 {
 		top := &h.entries[0]

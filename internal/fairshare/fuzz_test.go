@@ -17,6 +17,17 @@ func FuzzAllocate(f *testing.F) {
 	})
 }
 
+// FuzzAllocateBatched is FuzzAllocate over decodeBatchedScript, whose
+// batches run several changes inside one event: the ports they touch
+// build up across the changes and one allocation, when the handler
+// returns, must reach every component they changed. Its corpus is
+// testdata/fuzz/FuzzAllocateBatched.
+func FuzzAllocateBatched(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runDifferential(t, decodeBatchedScript(data), certifyMaxMin)
+	})
+}
+
 // certifyMaxMin checks the allocation of every active flow:
 //   - no rate is NaN, Inf or negative;
 //   - no port carries more than its capacity, 1e-9 relative;

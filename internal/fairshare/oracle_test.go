@@ -17,6 +17,12 @@ import (
 // to defer in-event allocations, so its timer accounting is the
 // reference the deferral must reproduce. coalesced models the work
 // System reports instead (see reschedule).
+//
+// Its rates always come from a whole-system pass, but its Stats count
+// the work of the components System allocates: each pass labels the
+// connected components and counts bottleneck rounds and flows per
+// component, and a pass's work is the sum over the components that hold
+// a port changed since the pass it is counted after (work).
 type oracleSystem struct {
 	eng        *sim.Engine
 	flows      map[*oracleFlow]struct{}
@@ -24,16 +30,26 @@ type oracleSystem struct {
 	completion *sim.Timer
 	nextSeq    uint64
 	nextPort   uint64
-	stats      Stats
+	// stats is the work of the eager passes, each counted over the ports
+	// in touched: those changed since the previous eager pass.
+	stats   Stats
+	touched map[*oraclePort]struct{}
 
 	// coalesced is the work System should report for the same changes:
 	// every pass made outside an event or while every flow is stalled,
 	// plus, for each event that defers, the last deferred pass (System
 	// runs it once, when the handler returns). deferred holds that pass
-	// while pending is set.
+	// while pending is set. Both count over the ports in untallied: those
+	// changed since the last pass coalesced counted.
 	coalesced Stats
 	deferred  Stats
 	pending   bool
+	untallied map[*oraclePort]struct{}
+
+	// The latest pass's components: oraclePort.comp indexes compRounds
+	// and compFlows while the port's allocEpoch is current.
+	compRounds []uint64
+	compFlows  []uint64
 
 	onCompletionFn func()
 
@@ -54,6 +70,7 @@ type oraclePort struct {
 	allocEpoch uint64
 	residual   float64
 	unfrozen   int
+	comp       int
 }
 
 func (p *oraclePort) SetCapacity(c float64) {
@@ -64,6 +81,7 @@ func (p *oraclePort) SetCapacity(c float64) {
 		return
 	}
 	p.capacity = c
+	p.sys.touch(p)
 	p.sys.reschedule()
 }
 
@@ -109,14 +127,19 @@ func (f *oracleFlow) SetPriorityCap(rate float64) {
 			f.ports = oracleRemovePort(f.ports, f.capPort)
 			f.sys.capPortFree = append(f.sys.capPortFree, f.capPort)
 			f.capPort = nil
+			for _, p := range f.ports {
+				f.sys.touch(p)
+			}
 		}
 	} else if f.capPort != nil {
 		f.capPort.capacity = rate
+		f.sys.touch(f.capPort)
 	} else {
 		p := f.sys.newCapPort(f.name, rate)
 		f.capPort = p
 		f.ports = append(f.ports, p)
 		p.flows[f] = struct{}{}
+		f.sys.touch(p)
 	}
 	f.sys.reschedule()
 }
@@ -132,7 +155,8 @@ func oracleRemovePort(ports []*oraclePort, p *oraclePort) []*oraclePort {
 }
 
 func newOracleSystem(e *sim.Engine) *oracleSystem {
-	s := &oracleSystem{eng: e, flows: make(map[*oracleFlow]struct{})}
+	s := &oracleSystem{eng: e, flows: make(map[*oracleFlow]struct{}),
+		touched: make(map[*oraclePort]struct{}), untallied: make(map[*oraclePort]struct{})}
 	s.onCompletionFn = s.onCompletion
 	return s
 }
@@ -181,12 +205,14 @@ func (s *oracleSystem) StartFlow(name string, bytes int64, ports []*oraclePort, 
 	for _, p := range ports {
 		f.ports = append(f.ports, p)
 		p.flows[f] = struct{}{}
+		s.touch(p)
 	}
 	if maxRate > 0 {
 		cp := s.newCapPort(name, maxRate)
 		f.capPort = cp
 		f.ports = append(f.ports, cp)
 		cp.flows[f] = struct{}{}
+		s.touch(cp)
 	}
 	s.flows[f] = struct{}{}
 	s.reschedule()
@@ -198,6 +224,7 @@ func (s *oracleSystem) remove(f *oracleFlow) {
 	f.rate = 0
 	for _, p := range f.ports {
 		delete(p.flows, f)
+		s.touch(p)
 	}
 	if f.capPort != nil {
 		s.capPortFree = append(s.capPortFree, f.capPort)
@@ -221,11 +248,18 @@ func (s *oracleSystem) advance() {
 	}
 }
 
+// touch records a change to p for both work models.
+func (s *oracleSystem) touch(p *oraclePort) {
+	s.touched[p] = struct{}{}
+	s.untallied[p] = struct{}{}
+}
+
 func (s *oracleSystem) reschedule() {
 	s.advance()
-	before := s.stats
 	s.allocate()
-	pass := Stats{Passes: s.stats.Passes - before.Passes, Rounds: s.stats.Rounds - before.Rounds}
+	s.stats.add(s.work(s.touched))
+	clear(s.touched)
+	pass := s.work(s.untallied)
 	if s.eng.InEvent() && len(s.flows) > s.stalledFlows() {
 		s.deferred = pass
 		if !s.pending {
@@ -235,6 +269,7 @@ func (s *oracleSystem) reschedule() {
 	} else {
 		s.pending = false
 		s.coalesced.add(pass)
+		clear(s.untallied)
 	}
 	first := math.Inf(1)
 	for f := range s.flows {
@@ -280,12 +315,34 @@ func (s *oracleSystem) settle() {
 	if s.pending {
 		s.pending = false
 		s.coalesced.add(s.deferred)
+		clear(s.untallied)
 	}
+}
+
+// work is the latest pass's work restricted to the components that hold
+// a port in changed: what System's pass does after those changes. A pass
+// over no flows is no pass.
+func (s *oracleSystem) work(changed map[*oraclePort]struct{}) Stats {
+	if len(s.flows) == 0 {
+		return Stats{}
+	}
+	st := Stats{Passes: 1}
+	counted := make(map[int]bool)
+	for p := range changed {
+		if p.allocEpoch != s.allocEpoch || len(p.flows) == 0 || counted[p.comp] {
+			continue
+		}
+		counted[p.comp] = true
+		st.Rounds += s.compRounds[p.comp]
+		st.Flows += s.compFlows[p.comp]
+	}
+	return st
 }
 
 func (st *Stats) add(o Stats) {
 	st.Passes += o.Passes
 	st.Rounds += o.Rounds
+	st.Flows += o.Flows
 }
 
 func (s *oracleSystem) onCompletion() {
@@ -318,12 +375,12 @@ func (s *oracleSystem) onCompletion() {
 }
 
 // allocate is the original scan: each round finds the bottleneck among
-// all ports gathered for the pass, by (share, name, seq).
+// all ports gathered for the pass, by (share, name, seq). It also labels
+// the pass's connected components and counts each one's rounds and flows.
 func (s *oracleSystem) allocate() {
 	if len(s.flows) == 0 {
 		return
 	}
-	s.stats.Passes++
 	s.allocEpoch++
 	ports := s.portsScratch[:0]
 	remaining := 0
@@ -347,6 +404,12 @@ func (s *oracleSystem) allocate() {
 		}
 	}
 	s.portsScratch = ports
+	s.labelComponents(ports)
+	for f := range s.flows {
+		if len(f.ports) > 0 {
+			s.compFlows[f.ports[0].comp]++
+		}
+	}
 	for remaining > 0 {
 		var bottleneck *oraclePort
 		share := math.Inf(1)
@@ -364,7 +427,7 @@ func (s *oracleSystem) allocate() {
 		if bottleneck == nil {
 			break
 		}
-		s.stats.Rounds++
+		s.compRounds[bottleneck.comp]++
 		if share < 0 {
 			share = 0
 		}
@@ -384,4 +447,36 @@ func (s *oracleSystem) allocate() {
 			}
 		}
 	}
+}
+
+// labelComponents numbers the connected components of the pass's ports
+// (ports joined by a flow crossing both) and zeroes their counts.
+func (s *oracleSystem) labelComponents(ports []*oraclePort) {
+	for _, p := range ports {
+		p.comp = -1
+	}
+	n := 0
+	var stack []*oraclePort
+	for _, root := range ports {
+		if root.comp >= 0 {
+			continue
+		}
+		root.comp = n
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for f := range p.flows {
+				for _, q := range f.ports {
+					if q.comp < 0 {
+						q.comp = n
+						stack = append(stack, q)
+					}
+				}
+			}
+		}
+		n++
+	}
+	s.compRounds = append(s.compRounds[:0], make([]uint64, n)...)
+	s.compFlows = append(s.compFlows[:0], make([]uint64, n)...)
 }
