@@ -66,6 +66,12 @@ type (
 	// CostModel holds per-task processing rates.
 	CostModel = mr.CostModel
 	// Workload bundles a benchmark's map/reduce functions and size model.
+	// Its Gen, Map, Combine, partitioner and comparators must be pure,
+	// and it must not be modified after its first Run: a workload builds
+	// each input split's map output once and shares it with every later
+	// map attempt, of any job, with the same seed, SamplePerSplit and
+	// NumReduces. It keeps the splits of the last such geometry alive
+	// while it lives.
 	Workload = workloads.Workload
 	// Record is one key/value pair.
 	Record = mr.Record

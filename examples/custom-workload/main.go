@@ -51,7 +51,8 @@ func invertedIndex() *alm.Workload {
 			recs := make([]alm.Record, n)
 			for i := range recs {
 				var b strings.Builder
-				for j := 0; j < rng.Intn(8)+4; j++ {
+				words := rng.Intn(8) + 4
+				for j := 0; j < words; j++ {
 					if j > 0 {
 						b.WriteByte(' ')
 					}

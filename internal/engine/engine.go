@@ -8,7 +8,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -303,9 +302,6 @@ type Job struct {
 	// (EventStats.IndexUpdates and HostVisits).
 	indexUpdates uint64
 	hostVisits   uint64
-	// splitRng generates map split inputs: buildPartitions reseeds it for
-	// each map attempt, and Workload.Gen does not retain it.
-	splitRng *rand.Rand
 
 	// hdfsFlushed holds the real records of ALG-flushed partial reduce
 	// output (the data behind the HDFS flush files, which the DFS models
@@ -351,7 +347,6 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 		hdfsFlushed: make([]*flushedOutput, spec.NumReduces),
 		hdfsLogs:    make([]*core.LogRecord, spec.NumReduces),
 		checkpoints: make([]*ckptImage, spec.NumReduces),
-		splitRng:    rand.New(rand.NewSource(spec.Seed)),
 	}
 	for range cl.Topo.Nodes() {
 		j.locals = append(j.locals, &localNode{

@@ -7,7 +7,6 @@ import (
 	"alm/internal/mr"
 	"alm/internal/sim"
 	"alm/internal/topology"
-	"alm/internal/workloads"
 )
 
 // mapExec runs one MapTask attempt: read the split from DFS, apply the
@@ -158,34 +157,16 @@ func (m *mapExec) commitISS(parts []*merge.Segment, outBytes int64) {
 	m.job.am.mapFinishedISS(m.t, m.a, parts, m.issReplicas)
 }
 
-// buildPartitions materialises the MOF: the deterministic sample records
-// for this split are generated, mapped, partitioned and sorted. The same
-// split index always yields the same records, so a re-executed map
-// regenerates an identical MOF — the property ALG's log replay relies on.
+// buildPartitions materialises the MOF: one segment per partition over
+// the split's sorted sample records. The workload builds those records
+// once per geometry and shares them with every attempt of every job that
+// asks again, so a re-executed map gets an identical MOF — the property
+// ALG's log replay relies on. The segments are capped views: nothing
+// writes or appends to Segment.Records.
 func (m *mapExec) buildPartitions(outBytes int64) []*merge.Segment {
 	spec := m.job.Spec
-	w := spec.Workload
-	// Seed resets the job's generator to rand.NewSource's state for this
-	// seed, so the draws match a fresh generator without its ~5 KB source.
-	rng := m.job.splitRng
-	rng.Seed(spec.Seed*1_000_003 + int64(m.t.idx))
-	inputs := w.Gen(rng, spec.SamplePerSplit)
-	numR := spec.NumReduces
-	part := w.Part()
-	buckets := make([][]mr.Record, numR)
-	emit := func(k, v string) {
-		p := part(k, numR)
-		buckets[p] = append(buckets[p], mr.Record{Key: k, Value: v})
-	}
-	for _, rec := range inputs {
-		w.Map(rec.Key, rec.Value, emit)
-	}
-	if w.Combine != nil {
-		for r := range buckets {
-			buckets[r] = combineBucket(w, buckets[r])
-		}
-	}
-	perPartBytes := outBytes / int64(numR)
+	parts := spec.Workload.MapOutput(spec.Seed, m.t.idx, spec.SamplePerSplit, spec.NumReduces)
+	perPartBytes := outBytes / int64(spec.NumReduces)
 	if perPartBytes < 1 {
 		perPartBytes = 1
 	}
@@ -193,40 +174,18 @@ func (m *mapExec) buildPartitions(outBytes int64) []*merge.Segment {
 	if perPartRecords < 1 {
 		perPartRecords = 1
 	}
-	segs := make([]*merge.Segment, numR)
+	segs := make([]*merge.Segment, len(parts))
 	partID := m.a.id + "/part" // a.id == attemptID(typ, idx, attemptNo), set at launch
-	for r := 0; r < numR; r++ {
-		segs[r] = merge.NewSegment(partID, w.Cmp(), buckets[r], perPartBytes, perPartRecords)
+	for r, recs := range parts {
+		segs[r] = &merge.Segment{
+			ID:             partID,
+			InMemory:       true,
+			LogicalBytes:   perPartBytes,
+			LogicalRecords: perPartRecords,
+			Records:        recs[:len(recs):len(recs)],
+		}
 	}
 	return segs
-}
-
-// combineBucket applies the workload's combiner per exact key, like a
-// Hadoop map-side combiner running over the sorted spill.
-func combineBucket(w *workloads.Workload, recs []mr.Record) []mr.Record {
-	if len(recs) == 0 {
-		return recs
-	}
-	merge.SortRecordsStable(w.Cmp(), recs)
-	out := recs[:0:0]
-	emit := func(k, v string) {
-		out = append(out, mr.Record{Key: k, Value: v})
-	}
-	var values []string
-	i := 0
-	for i < len(recs) {
-		j := i + 1
-		for j < len(recs) && recs[j].Key == recs[i].Key {
-			j++
-		}
-		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, recs[k].Value)
-		}
-		w.Combine(recs[i].Key, values, emit)
-		i = j
-	}
-	return out
 }
 
 // secondsDur converts seconds to a sim duration.

@@ -14,6 +14,7 @@ import (
 // failure at 60% of the reduce phase) and the spatial scenario of
 // Table II (Terasort).
 func Ablations(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	nodeFail := func() *faults.Plan {
 		return faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.6)
 	}

@@ -35,6 +35,28 @@ type Options struct {
 	// snapshot keyed by case key ("<experiment>/<case>"). Delivery is
 	// serialised and, within one experiment, in sorted case-key order.
 	MetricsSink func(caseKey string, snap *metrics.Snapshot)
+
+	// wl are the paper benchmarks every case of one experiment runs, set
+	// by withWorkloads on entry to each experiment.
+	wl *benchmarks
+}
+
+// benchmarks holds one workload of each paper benchmark. An experiment's
+// cases share them, so each split is generated and mapped once per
+// experiment rather than once per map attempt (Workload.MapOutput); the
+// built splits die with the experiment.
+type benchmarks struct {
+	terasort, wordcount, secondarysort *workloads.Workload
+}
+
+// withWorkloads returns o carrying fresh benchmark workloads.
+func (o Options) withWorkloads() Options {
+	o.wl = &benchmarks{
+		terasort:      workloads.Terasort(),
+		wordcount:     workloads.Wordcount(),
+		secondarysort: workloads.Secondarysort(),
+	}
+	return o
 }
 
 func (o Options) scale() float64 {

@@ -7,22 +7,21 @@ import (
 	"alm/internal/engine"
 	"alm/internal/faults"
 	"alm/internal/trace"
-	"alm/internal/workloads"
 )
 
 // Paper benchmark configurations (Section V-A/V-B): Terasort 100 GB with
 // 20 ReduceTasks, Wordcount 10 GB with a single ReduceTask (Figs. 3, 10),
 // Secondarysort 10 GB.
 func terasort(mode engine.Mode, opt Options) engine.JobSpec {
-	return job(workloads.Terasort(), 100*gb, 20, mode, opt)
+	return job(opt.wl.terasort, 100*gb, 20, mode, opt)
 }
 
 func wordcount(mode engine.Mode, opt Options) engine.JobSpec {
-	return job(workloads.Wordcount(), 10*gb, 1, mode, opt)
+	return job(opt.wl.wordcount, 10*gb, 1, mode, opt)
 }
 
 func secondarysort(mode engine.Mode, opt Options) engine.JobSpec {
-	return job(workloads.Secondarysort(), 10*gb, 10, mode, opt)
+	return job(opt.wl.secondarysort, 10*gb, 10, mode, opt)
 }
 
 func benchmarkSpec(name string, mode engine.Mode, opt Options) engine.JobSpec {
@@ -41,6 +40,7 @@ var benchmarkNames = []string{"terasort", "wordcount", "secondarysort"}
 // Fig1 reproduces Fig. 1: the recovery time of a single ReduceTask
 // failure dwarfs that of even 200 MapTask failures.
 func Fig1(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	cases := []runCase{
 		{key: "free", spec: terasort(engine.ModeYARN, opt)},
 		{key: "reduce-1", spec: terasort(engine.ModeYARN, opt),
@@ -82,6 +82,7 @@ func Fig1(opt Options) (*Table, error) {
 // single ReduceTask failure delays Terasort and Wordcount substantially,
 // and more so the later it strikes.
 func Fig2(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	points := []float64{0.25, 0.5, 0.75}
 	var cases []runCase
 	for _, b := range []string{"terasort", "wordcount"} {
@@ -159,6 +160,7 @@ func timelineTable(id, title string, res engine.Result, step time.Duration) *Tab
 // Fig3 reproduces Fig. 3: the temporal repetition of a ReduceTask failure
 // under stock YARN — crash, ~70 s detection, recovery, second failure.
 func Fig3(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	res, err := runOne("fig3/yarn", wordcountSpecWithPlan(opt),
 		faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), opt)
 	if err != nil {
@@ -173,6 +175,7 @@ func wordcountSpecWithPlan(opt Options) engine.JobSpec { return wordcount(engine
 // Fig4 reproduces Fig. 4: a single node failure (hosting MOFs only)
 // infects healthy ReduceTasks under stock YARN.
 func Fig4(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	res, err := runOne("fig4/yarn", terasort(engine.ModeYARN, opt),
 		faults.StopMOFNodeAtJobProgress(0.55), opt)
 	if err != nil {

@@ -7,17 +7,17 @@ import (
 	"alm/internal/core"
 	"alm/internal/engine"
 	"alm/internal/mr"
-	"alm/internal/workloads"
 )
 
 // terasortSized builds a Terasort job with the given input size.
 func terasortSized(sizeGB int64, mode engine.Mode, opt Options) engine.JobSpec {
-	return job(workloads.Terasort(), sizeGB*gb, 20, mode, opt)
+	return job(opt.wl.terasort, sizeGB*gb, 20, mode, opt)
 }
 
 // Fig11 reproduces Fig. 11: ALG's overhead on failure-free Terasort runs
 // from 10 to 320 GB is negligible.
 func Fig11(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	sizes := []int64{10, 20, 40, 80, 160, 320}
 	var cases []runCase
 	for _, sz := range sizes {
@@ -49,6 +49,7 @@ func Fig11(opt Options) (*Table, error) {
 
 // Fig12 reproduces Fig. 12: ALG is insensitive to the logging frequency.
 func Fig12(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	intervals := []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second,
 		20 * time.Second, 30 * time.Second, 60 * time.Second}
 	var cases []runCase
@@ -86,6 +87,7 @@ func Fig12(opt Options) (*Table, error) {
 // small cost; cluster-level replication (crossing the oversubscribed
 // uplink) slows the reduce stage substantially at large sizes.
 func Fig13(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	sizes := []int64{40, 80, 160, 320}
 	levels := []mr.ReplicationLevel{mr.ReplicateNode, mr.ReplicateRack, mr.ReplicateCluster}
 	var cases []runCase

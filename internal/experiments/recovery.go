@@ -7,13 +7,13 @@ import (
 
 	"alm/internal/engine"
 	"alm/internal/faults"
-	"alm/internal/workloads"
 )
 
 // Fig8 reproduces Fig. 8: job execution time under a single ReduceTask
 // failure injected at 10-90% of the ReduceTask's progress, YARN vs ALG,
 // for all three benchmarks.
 func Fig8(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	points := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	var cases []runCase
 	for _, b := range benchmarkNames {
@@ -60,6 +60,7 @@ func Fig8(opt Options) (*Table, error) {
 // Fig9 reproduces Fig. 9: node failure during the reduce phase; SFM
 // shortens migration and recovery vs stock YARN.
 func Fig9(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	points := []float64{0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	var cases []runCase
 	for _, b := range benchmarkNames {
@@ -107,6 +108,7 @@ func Fig9(opt Options) (*Table, error) {
 // under SFM — map regeneration is prioritised, the recovery launch is
 // slightly delayed, and no second failure occurs.
 func Fig10(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	res, err := runOne("fig10/sfm", wordcount(engine.ModeSFM, opt),
 		faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), opt)
 	if err != nil {
@@ -120,6 +122,7 @@ func Fig10(opt Options) (*Table, error) {
 // ReduceTask) at three points of the reduce phase; additional failures
 // and execution time, YARN vs SFM.
 func Table2(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	points := []float64{0.1, 0.2, 0.3}
 	var cases []runCase
 	for _, mode := range []engine.Mode{engine.ModeYARN, engine.ModeSFM} {
@@ -161,13 +164,14 @@ func Table2(opt Options) (*Table, error) {
 // Fig14 reproduces Fig. 14: recovery under 1/5/10 concurrent ReduceTask
 // failures with 1-32 GB of intermediate data per reducer, YARN vs SFM.
 func Fig14(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	perReducerGB := []int64{1, 2, 4, 8, 16, 32}
 	failures := []int{1, 5, 10}
 	const reduces = 10
 	var cases []runCase
 	for _, sz := range perReducerGB {
 		spec := func(mode engine.Mode) engine.JobSpec {
-			return job(workloads.Terasort(), sz*gb*reduces, reduces, mode, opt)
+			return job(opt.wl.terasort, sz*gb*reduces, reduces, mode, opt)
 		}
 		for _, mode := range []engine.Mode{engine.ModeYARN, engine.ModeSFM} {
 			for _, n := range failures {
@@ -260,6 +264,7 @@ func meanTaskRecovery(res engine.Result) float64 {
 // Fig15 reproduces Fig. 15: enabling ALG on top of SFM accelerates
 // recovery further by replaying logged analytics.
 func Fig15(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	var cases []runCase
 	point := 0.75
 	for _, b := range benchmarkNames {

@@ -18,6 +18,7 @@ import (
 // Each approach runs failure-free (overhead) and under the Fig. 3 node
 // failure (recovery quality) on Wordcount 10 GB.
 func RelatedWork(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	base := func() engine.JobSpec { return wordcount(engine.ModeYARN, opt) }
 	withISS := func() engine.JobSpec {
 		s := base()

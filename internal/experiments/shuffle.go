@@ -30,6 +30,7 @@ var shuffleConfigs = []struct {
 // push, re-replication and re-push traffic the tier added in the crash
 // scenario.
 func Shuffle(opt Options) (*Table, error) {
+	opt = opt.withWorkloads()
 	var cases []runCase
 	for _, cfg := range shuffleConfigs {
 		spec := terasort(cfg.Mode, opt)

@@ -3,7 +3,7 @@
 // from a Seed/config parameter.
 //
 // The experiment harness threads Options.Seed through JobSpec.Seed into
-// sim.NewEngine and the per-split generators (maptask.go derives
+// sim.NewEngine and the per-split generators (Workload.MapOutput derives
 // `spec.Seed*1_000_003 + splitIdx`). A literal seed hidden in a leaf
 // function silently decouples that leaf from the harness — two runs with
 // different --seed flags would still agree in that leaf, masking

@@ -27,8 +27,8 @@ type Segment struct {
 
 // recordsByKey adapts a record slice to sort.Interface. The typed
 // implementation matters: sort.SliceStable reflects over the slice to
-// build a swapper, and segment construction runs once per partition per
-// map attempt.
+// build a swapper, and a workload sorts every partition of every split
+// it builds.
 type recordsByKey struct {
 	recs []mr.Record
 	cmp  mr.KeyComparator
@@ -43,8 +43,9 @@ func SortRecordsStable(cmp mr.KeyComparator, recs []mr.Record) {
 	sort.Stable(recordsByKey{recs: recs, cmp: cmp})
 }
 
-// NewSegment builds a segment after sorting records by cmp. It is the
-// canonical constructor: every segment in the system is sorted.
+// NewSegment builds a segment over a copy of records sorted by cmp.
+// Every segment in the system is sorted; a map's segments are views of
+// records its workload already sorted (Workload.MapOutput).
 func NewSegment(id string, cmp mr.KeyComparator, records []mr.Record, logicalBytes, logicalRecords int64) *Segment {
 	rs := make([]mr.Record, len(records))
 	copy(rs, records)

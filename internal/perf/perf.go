@@ -81,37 +81,37 @@ func Benchmarks() []Bench {
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: &Budget{AllocsPerOp: 65_000, BytesPerOp: 5_800_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 52_500, BytesPerOp: 5_800_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: &Budget{AllocsPerOp: 71_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 57_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: &Budget{AllocsPerOp: 8_000, BytesPerOp: 1_050_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 7_500, BytesPerOp: 1_050_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: &Budget{AllocsPerOp: 71_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 57_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: &Budget{AllocsPerOp: 400_000, BytesPerOp: 36_000_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 285_000, BytesPerOp: 26_500_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "remote_shuffle_crash",
 			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
 			Func:   benchRemoteShuffleCrash,
-			Budget: &Budget{AllocsPerOp: 87_000, BytesPerOp: 7_200_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 75_000, BytesPerOp: 7_200_000, Tolerance: 0.20},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -120,19 +120,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: &Budget{AllocsPerOp: 66_000, BytesPerOp: 7_100_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 39_000, BytesPerOp: 7_100_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at NumCPU workers",
 			Func:   benchSweepParallel,
-			Budget: &Budget{AllocsPerOp: 70_000, BytesPerOp: 5_200_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 62_000, BytesPerOp: 5_200_000, Tolerance: 0.20},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: &Budget{AllocsPerOp: 2_100_000, BytesPerOp: 300_000_000, Tolerance: 0.20},
+			Budget: &Budget{AllocsPerOp: 1_820_000, BytesPerOp: 300_000_000, Tolerance: 0.20},
 		},
 	}
 }
@@ -183,6 +183,19 @@ func benchQueueCascade(b *testing.B) {
 
 func scaled(bytes int64) int64 { return int64(float64(bytes) * Scale) }
 
+// cold returns spec on a fresh workload of the same name. A workload
+// keeps the splits it built (Workload.MapOutput), so one reused across
+// b.N would serve every op after the first from memory and make
+// allocs/op depend on b.N; on a fresh one each op is one cold job.
+func cold(b *testing.B, spec engine.JobSpec) engine.JobSpec {
+	w, err := workloads.ByName(spec.Workload.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Workload = w
+	return spec
+}
+
 func benchJob(b *testing.B, spec engine.JobSpec, plan func() *faults.Plan) {
 	b.Helper()
 	var res engine.Result
@@ -192,7 +205,7 @@ func benchJob(b *testing.B, spec engine.JobSpec, plan func() *faults.Plan) {
 			p = plan()
 		}
 		var err error
-		res, err = engine.Run(spec, engine.DefaultClusterSpec(), engine.WithPlan(p))
+		res, err = engine.Run(cold(b, spec), engine.DefaultClusterSpec(), engine.WithPlan(p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,9 +284,13 @@ func benchSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		specs := make([]engine.JobSpec, units)
+		for u := range specs {
+			specs[u] = cold(b, base)
+			specs[u].Seed = int64(11 + u)
+		}
 		err := sweep.Do(context.Background(), units, runtime.NumCPU(), func(u int) error {
-			spec := base
-			spec.Seed = int64(11 + u)
+			spec := specs[u]
 			res, err := engine.Run(spec, engine.DefaultClusterSpec(), engine.WithoutTrace())
 			if err != nil {
 				return err
@@ -312,7 +329,7 @@ func benchEngine1000Nodes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = engine.Run(spec, cs, engine.WithoutTrace())
+		res, err = engine.Run(cold(b, spec), cs, engine.WithoutTrace())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,8 @@
 // Each workload supplies a deterministic sample-record generator: a split
 // of logical size S materialises a bounded number of real records that
 // flow through the full sort/shuffle/merge/reduce pipeline, while S
-// drives the virtual-time charges.
+// drives the virtual-time charges. MapOutput turns a split into those
+// records, once per geometry, for every job that runs the workload.
 package workloads
 
 import (
@@ -13,11 +14,30 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
+	"alm/internal/merge"
 	"alm/internal/mr"
 )
 
 // Workload bundles a benchmark's user code and size model.
+//
+// A split's map output is a pure function of the workload, the seed, the
+// split index, the sample size and the reducer count, so MapOutput builds
+// it once and every later map attempt of any job with the same geometry
+// shares it. That makes two demands of the code a workload carries:
+//
+//   - Gen, Map, Combine, the partitioner and the comparators must be
+//     pure: their results may depend on their arguments only (Gen's on
+//     the draws it takes from its rng), never on state that changes
+//     between calls.
+//   - A workload must not be modified after its first Run: a changed
+//     function would not reach the splits already built.
+//
+// A workload may be shared by any number of jobs, concurrently too. It
+// keeps the splits of one geometry (seed, sample size, reducer count)
+// alive for as long as it lives; a job with another geometry replaces
+// them.
 type Workload struct {
 	Name string
 
@@ -42,10 +62,133 @@ type Workload struct {
 	Grouper     mr.GroupComparator
 	Partitioner mr.Partitioner
 
-	// Gen materialises n deterministic sample input records. It must not
-	// keep rng past the call: the engine reseeds the same *rand.Rand for
-	// the next split.
+	// Gen materialises n deterministic sample input records from rng's
+	// draws. It must not keep rng past the call: MapOutput reseeds the
+	// same *rand.Rand for the next split it builds.
 	Gen func(rng *rand.Rand, n int) []mr.Record
+
+	mu sync.Mutex
+	// splits is allocated by the first MapOutput, so a workload that is
+	// built but never run costs only these two fields.
+	splits *splitMemo // guarded by mu
+}
+
+// splitMemo is a workload's built map output for one geometry.
+type splitMemo struct {
+	geo geometry
+	// parts[split][r] is the split's sorted partition r; a nil entry is
+	// a split not built yet.
+	parts [][][]mr.Record
+	// rng is reseeded for every split built, so the draws match a fresh
+	// generator without its ~5 KB source.
+	rng *rand.Rand
+}
+
+// geometry is what a split's map output depends on besides the workload
+// and the split index.
+type geometry struct {
+	seed       int64
+	sample     int
+	numReduces int
+}
+
+// MapOutput returns the map output of input split split for a job with
+// the given seed, SamplePerSplit and NumReduces: the split's sample
+// records from Gen, mapped, partitioned over numReduces, combined per key
+// when the workload has a combiner, and stably sorted by Cmp within each
+// partition. Element r holds partition r.
+//
+// The same arguments always yield the same records — the property ALG's
+// log replay and map re-execution rely on. They are built on the first
+// call and shared with every later caller of the same geometry, so
+// callers must neither write to them nor append to them uncapped. A
+// build runs under the workload's lock, so concurrent callers share one
+// generator and wait for a split another caller is building; the
+// workload's own functions must therefore not call MapOutput.
+func (w *Workload) MapOutput(seed int64, split, sample, numReduces int) [][]mr.Record {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.splits == nil {
+		w.splits = &splitMemo{rng: rand.New(rand.NewSource(seed))}
+	}
+	m := w.splits
+	if g := (geometry{seed, sample, numReduces}); m.geo != g {
+		m.geo = g
+		clear(m.parts)
+		m.parts = m.parts[:0]
+	}
+	for len(m.parts) <= split {
+		m.parts = append(m.parts, nil)
+	}
+	if out := m.parts[split]; out != nil {
+		return out
+	}
+	m.rng.Seed(seed*1_000_003 + int64(split))
+	out := w.buildSplit(m.rng, sample, numReduces)
+	m.parts[split] = out
+	return out
+}
+
+// buildSplit generates one split's sample records from rng and runs them
+// through Map, the partitioner, the combiner and a stable sort.
+func (w *Workload) buildSplit(rng *rand.Rand, sample, numReduces int) [][]mr.Record {
+	inputs := w.Gen(rng, sample)
+	part := w.Part()
+	buckets := make([][]mr.Record, numReduces)
+	emit := func(k, v string) {
+		p := part(k, numReduces)
+		buckets[p] = append(buckets[p], mr.Record{Key: k, Value: v})
+	}
+	for _, rec := range inputs {
+		w.Map(rec.Key, rec.Value, emit)
+	}
+	cmp := w.Cmp()
+	total := 0
+	for r, recs := range buckets {
+		merge.SortRecordsStable(cmp, recs)
+		if w.Combine != nil && len(recs) > 0 {
+			// The combiner may emit keys of its own, so its output is
+			// sorted again, like a Hadoop spill after the combiner.
+			recs = w.combine(recs)
+			merge.SortRecordsStable(cmp, recs)
+		}
+		buckets[r] = recs
+		total += len(recs)
+	}
+	// The split outlives the job that built it, so its partitions are
+	// packed into one exactly sized slice rather than keeping each
+	// bucket's append slack alive.
+	packed := make([]mr.Record, 0, total)
+	for r, recs := range buckets {
+		lo := len(packed)
+		packed = append(packed, recs...)
+		buckets[r] = packed[lo:len(packed):len(packed)]
+	}
+	return buckets
+}
+
+// combine applies the workload's combiner per exact key over one sorted
+// bucket, like a Hadoop map-side combiner running over the sorted spill.
+func (w *Workload) combine(recs []mr.Record) []mr.Record {
+	var out []mr.Record
+	emit := func(k, v string) {
+		out = append(out, mr.Record{Key: k, Value: v})
+	}
+	var values []string
+	i := 0
+	for i < len(recs) {
+		j := i + 1
+		for j < len(recs) && recs[j].Key == recs[i].Key {
+			j++
+		}
+		values = values[:0]
+		for k := i; k < j; k++ {
+			values = append(values, recs[k].Value)
+		}
+		w.Combine(recs[i].Key, values, emit)
+		i = j
+	}
+	return out
 }
 
 // Comparators with defaults applied.
@@ -106,24 +249,33 @@ func Terasort() *Workload {
 		},
 		Partitioner: RangePartitioner(keyAlphabet),
 		Gen: func(rng *rand.Rand, n int) []mr.Record {
-			recs := make([]mr.Record, n)
-			// Renders match the original fmt.Sprintf("payload-%08d", ...)
-			// byte-for-byte, and the rng draw sequence (10 key draws then
-			// one payload draw per record) is unchanged — generated inputs,
-			// and with them whole runs, stay bit-identical.
+			const keyLen, recLen = 10, 26 // a 10-byte key, a 16-byte value
+			// Every record's key and value are slices of one string, so a
+			// split costs one allocation for its bytes, not two per
+			// record. Renders match the original fmt.Sprintf("payload-%08d",
+			// ...) byte-for-byte, and the rng draw sequence (10 key draws
+			// then one payload draw per record) is unchanged — generated
+			// inputs, and with them whole runs, stay bit-identical.
+			var b strings.Builder
+			b.Grow(n * recLen)
 			var val [16]byte
 			copy(val[:], "payload-")
-			for i := range recs {
-				var key [10]byte
-				for j := range key {
-					key[j] = keyAlphabet[rng.Intn(len(keyAlphabet))]
+			for i := 0; i < n; i++ {
+				for j := 0; j < keyLen; j++ {
+					b.WriteByte(keyAlphabet[rng.Intn(len(keyAlphabet))])
 				}
 				v := rng.Intn(1e8)
 				for j := 15; j >= 8; j-- {
 					val[j] = byte('0' + v%10)
 					v /= 10
 				}
-				recs[i] = mr.Record{Key: string(key[:]), Value: string(val[:])}
+				b.Write(val[:])
+			}
+			all := b.String()
+			recs := make([]mr.Record, n)
+			for i := range recs {
+				rec := all[i*recLen : (i+1)*recLen]
+				recs[i] = mr.Record{Key: rec[:keyLen], Value: rec[keyLen:]}
 			}
 			return recs
 		},

@@ -194,3 +194,61 @@ func TestSizeModelsSane(t *testing.T) {
 		}
 	}
 }
+
+// TestMapOutputMemo checks MapOutput against a direct build of the same
+// split (Gen, Map, partition, stable sort, and for Wordcount a per-key
+// sum), that a repeated call returns the memoised slices, and that a new
+// geometry replaces them.
+func TestMapOutputMemo(t *testing.T) {
+	const seed, sample, reduces = 11, 48, 5
+	for _, w := range []*Workload{Terasort(), Wordcount(), Secondarysort()} {
+		for split := 0; split < 3; split++ {
+			got := w.MapOutput(seed, split, sample, reduces)
+			want := make([][]mr.Record, reduces)
+			for _, in := range w.Gen(rand.New(rand.NewSource(seed*1_000_003+int64(split))), sample) {
+				w.Map(in.Key, in.Value, func(k, v string) {
+					p := w.Part()(k, reduces)
+					want[p] = append(want[p], mr.Record{Key: k, Value: v})
+				})
+			}
+			for r := range want {
+				sort.SliceStable(want[r], func(i, j int) bool { return w.Cmp()(want[r][i].Key, want[r][j].Key) < 0 })
+				if w.Combine != nil {
+					want[r] = sumRuns(want[r])
+				}
+				if len(got[r]) != len(want[r]) || cap(got[r]) != len(got[r]) {
+					t.Fatalf("%s split %d part %d: len %d cap %d, want len %d, capped", w.Name, split, r, len(got[r]), cap(got[r]), len(want[r]))
+				}
+				for i := range want[r] {
+					if got[r][i] != want[r][i] {
+						t.Fatalf("%s split %d part %d record %d: %v, want %v", w.Name, split, r, i, got[r][i], want[r][i])
+					}
+				}
+			}
+			if again := w.MapOutput(seed, split, sample, reduces); &again[0] != &got[0] {
+				t.Fatalf("%s split %d: repeated call rebuilt the split", w.Name, split)
+			}
+		}
+		first := w.MapOutput(seed, 0, sample, reduces)
+		w.MapOutput(seed+1, 0, sample, reduces)
+		if again := w.MapOutput(seed, 0, sample, reduces); &again[0] == &first[0] {
+			t.Fatalf("%s: a new geometry did not replace the memo", w.Name)
+		}
+	}
+}
+
+// sumRuns collapses runs of equal keys in sorted records into one record
+// carrying the sum of their counts.
+func sumRuns(recs []mr.Record) []mr.Record {
+	var out []mr.Record
+	for i := 0; i < len(recs); {
+		j, sum := i, 0
+		for ; j < len(recs) && recs[j].Key == recs[i].Key; j++ {
+			n, _ := strconv.Atoi(recs[j].Value)
+			sum += n
+		}
+		out = append(out, mr.Record{Key: recs[i].Key, Value: strconv.Itoa(sum)})
+		i = j
+	}
+	return out
+}
