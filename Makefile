@@ -26,14 +26,15 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# vet builds the repo's own vettool and runs the full almvet suite —
-# the syntax-level analyzers (detnow, droppederr, hotalloc, locksafe,
-# seedflow) and the flow-sensitive ones (maporder, timerflow,
-# allocflow) — through `go vet`, which caches verdicts per package
-# against the tool binary's content hash. It fails on every finding,
-# fixable or not; `bin/almvet -fix ./...` applies the suggested fixes.
+# vet builds the repo's own analyzer suite, almvet, and runs it over the
+# packages `go list ./...` lists (nested modules such as bench/ are
+# skipped): the syntax-level analyzers (detnow, droppederr, hotalloc,
+# locksafe, seedflow) and the flow-sensitive ones (timerflow,
+# allocflow). almvet loads and type-checks the packages itself, with no
+# build cache. It fails on every finding, fixable or not;
+# `bin/almvet -fix ./...` applies the suggested fixes.
 vet: $(ALMVET)
-	$(GO) vet -vettool=$(CURDIR)/$(ALMVET) ./...
+	$(ALMVET) ./...
 
 $(ALMVET): FORCE
 	$(GO) build -o $(ALMVET) ./cmd/almvet
@@ -60,9 +61,13 @@ fuzz-smoke:
 # bench-alloc is the allocation-budget CI gate: runs every entry of the
 # engine harness (internal/perf) through testing.Benchmark and fails if
 # any exceeds its budget (budget × (1+tolerance), declared in
-# internal/perf). Catches a reintroduced per-fetch Sprintf or a lost
-# free list, not allocator noise. Host time is measured by the
-# benchmark of record, `bash bench/run.sh`.
+# internal/perf). It catches a regression larger than its entry's
+# tolerance: one extra allocation per op on the zero-tolerance
+# timer_churn entry, or a whole-history copy such as the per-snapshot
+# ALG output copy (2× alg_reduce_snapshots' budget). A per-fetch
+# Sprintf or a dropped preallocation stays under the 20% tolerance;
+# hotalloc and allocflow in `make vet` catch those. Host time is
+# measured by the benchmark of record, `bash bench/run.sh`.
 bench-alloc:
 	$(GO) run ./cmd/almbench -perf
 

@@ -1,36 +1,21 @@
 // Command almvet is the repo's vet tool: the analyzer suite (detnow,
 // droppederr, hotalloc, locksafe, seedflow, and the flow-sensitive
-// maporder, timerflow, allocflow) that enforces the simulator's
-// determinism contract, the ALG no-silent-log-loss rule, lock
-// discipline, and hot-path allocation budgets. See DESIGN.md "Static
-// analysis gates".
+// timerflow and allocflow) that enforces the simulator's determinism
+// contract, the ALG no-silent-log-loss rule, lock discipline, and
+// hot-path allocation budgets. See DESIGN.md "Static analysis gates".
 //
-// Two modes:
+//	almvet ./...        # report every finding; exit 2 if there are any
+//	almvet -fix ./...   # rewrite files in place with the suggested fixes
 //
-//	go vet -vettool=$(pwd)/bin/almvet ./...   # driven by cmd/go (CI mode)
-//	almvet ./...                              # standalone, no go tool needed
-//
-// Under cmd/go, almvet speaks the vettool protocol (-V=full handshake,
-// -flags JSON, then one vet.cfg per package unit); standalone mode loads
-// and type-checks packages itself through internal/lint/loader, printing
-// diagnostics in a byte-stable global order (file, line, column,
-// analyzer).
-//
-// Analyzer selection mirrors vet: `almvet -detnow ./...` runs only
-// detnow; `almvet -detnow=false ./...` runs everything else.
-//
-// Standalone mode can also apply the analyzers' suggested fixes:
-//
-//	almvet -fix ./...        # rewrite files in place (gofmt-clean)
-//
-// -fix exits 2 when a diagnostic has no fix. The CI gate is the go vet
-// run, which exits non-zero on every diagnostic, fixable or not.
+// almvet loads and type-checks packages itself through
+// internal/lint/loader, so it needs no go tool, and prints diagnostics in
+// a byte-stable global order (file, line, column, analyzer). `make vet`
+// runs it over the module and fails on every finding, fixable or not;
+// -fix still exits 2 when a diagnostic has no fix.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,105 +29,29 @@ import (
 	"alm/internal/lint/fixer"
 	"alm/internal/lint/loader"
 	"alm/internal/lint/registry"
-	"alm/internal/lint/unitchecker"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("almvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	vFlag := fs.String("V", "", "print version and exit (cmd/go handshake)")
-	flagsFlag := fs.Bool("flags", false, "print JSON flag descriptions and exit (cmd/go handshake)")
-	jsonFlag := fs.Bool("json", false, "accepted for vet compatibility (ignored)")
-	_ = jsonFlag
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes (standalone mode only)")
-	analyzerFlags := make(map[string]*bool)
-	for _, s := range registry.All() {
-		analyzerFlags[s.Name] = fs.Bool(s.Name, false, "enable only the listed analyzers: "+firstLine(s.Doc))
-	}
+	fix := fs.Bool("fix", false, "apply suggested fixes in place")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *vFlag != "" {
-		// cmd/go folds this whole line into the build-cache key for vet
-		// results, so it must change whenever the tool's behavior can:
-		// hash the binary itself. (A literal like "devel" is rejected.)
-		fmt.Fprintf(stdout, "almvet version almvet-%s\n", selfHash())
-		return 0
-	}
-	if *flagsFlag {
-		type jsonFlagDesc struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var descs []jsonFlagDesc
-		for _, s := range registry.All() {
-			descs = append(descs, jsonFlagDesc{Name: s.Name, Bool: true, Usage: firstLine(s.Doc)})
-		}
-		data, err := json.MarshalIndent(descs, "", "\t")
-		if err != nil {
-			fmt.Fprintf(stderr, "almvet: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%s\n", data)
-		return 0
-	}
-
-	enable := selection(fs, analyzerFlags)
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		if *fixFlag {
-			fmt.Fprintln(stderr, "almvet: -fix is a standalone-mode flag; run almvet directly, not through go vet")
-			return 2
-		}
-		return unitchecker.Main(rest[0], enable, stderr)
-	}
-	return standalone(rest, enable, *fixFlag, stderr)
+	return vet(fs.Args(), *fix, stderr)
 }
 
-// selection turns the explicitly-set analyzer flags into an enable set,
-// with vet's semantics: naming any analyzer runs only those named true;
-// naming only =false exclusions runs everything else; nil means all.
-func selection(fs *flag.FlagSet, analyzerFlags map[string]*bool) map[string]bool {
-	explicit := make(map[string]bool)
-	anyTrue := false
-	fs.Visit(func(f *flag.Flag) {
-		if v, ok := analyzerFlags[f.Name]; ok {
-			explicit[f.Name] = *v
-			if *v {
-				anyTrue = true
-			}
-		}
-	})
-	if len(explicit) == 0 {
-		return nil
-	}
-	enable := make(map[string]bool)
-	for _, s := range registry.All() {
-		if anyTrue {
-			enable[s.Name] = explicit[s.Name]
-		} else {
-			v, set := explicit[s.Name]
-			enable[s.Name] = !set || v
-		}
-	}
-	return enable
-}
-
-// standalone loads package patterns itself and runs the scoped suite —
-// `almvet ./...` with no go-tool driver, handy for editors and quick
-// runs; with fix set it rewrites files with the suggested fixes.
+// vet loads the packages the patterns name and runs the scoped suite
+// over each; with fix set it rewrites files with the suggested fixes.
 // Diagnostics from every package are collected first and emitted in one
 // byte-stable global order — (file, line, column, analyzer) — so runs
 // over different pattern spellings of the same package set produce
 // identical output.
-func standalone(patterns []string, enable map[string]bool, fix bool, stderr io.Writer) int {
+func vet(patterns []string, fix bool, stderr io.Writer) int {
 	l, err := loader.New(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "almvet: %v\n", err)
@@ -158,9 +67,6 @@ func standalone(patterns []string, enable map[string]bool, fix bool, stderr io.W
 	for _, path := range paths {
 		var analyzers []*analysis.Analyzer
 		for _, s := range registry.All() {
-			if enable != nil && !enable[s.Name] {
-				continue
-			}
 			if s.AppliesTo(path) {
 				analyzers = append(analyzers, s.Analyzer)
 			}
@@ -181,8 +87,7 @@ func standalone(patterns []string, enable map[string]bool, fix bool, stderr io.W
 			exit = 1
 			continue
 		}
-		diags, err := driver.Run(driver.Target{Fset: l.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info},
-			analyzers, driver.Options{})
+		diags, err := driver.Run(driver.Target{Fset: l.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "almvet: %v\n", err)
 			exit = 1
@@ -324,6 +229,11 @@ func expandPatterns(l *loader.Loader, patterns []string) ([]string, error) {
 					name == "testdata" || name == "vendor" || name == "bin") {
 					return filepath.SkipDir
 				}
+				// A nested go.mod starts another module (bench/ has one),
+				// which `go list ./...` leaves out too.
+				if p != l.ModuleRoot && fileExists(filepath.Join(p, "go.mod")) {
+					return filepath.SkipDir
+				}
 				return add(p)
 			})
 			if err != nil {
@@ -383,26 +293,12 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
+func fileExists(p string) bool {
+	fi, err := os.Stat(p)
+	return err == nil && !fi.IsDir()
+}
+
 func dirExists(p string) bool {
 	fi, err := os.Stat(p)
 	return err == nil && fi.IsDir()
-}
-
-// selfHash content-hashes the running binary for the -V=full tool ID.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			return fmt.Sprintf("%x", sum[:6])
-		}
-	}
-	return "unhashed"
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

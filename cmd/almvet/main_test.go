@@ -2,19 +2,78 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"alm/internal/lint/loader"
 )
 
-// TestDiffFlagUndefined: -fix has no dry-run mode (go vet is the gate
-// for outstanding findings), so `-fix -diff` is a usage error rather
-// than an in-place rewrite.
+// TestDiffFlagUndefined: -fix has no dry-run mode (`make vet` is the
+// gate for outstanding findings), so `-fix -diff` is a usage error
+// rather than an in-place rewrite.
 func TestDiffFlagUndefined(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fix", "-diff", "./..."}, &stdout, &stderr); code != 2 {
+	var stderr bytes.Buffer
+	if code := run([]string{"-fix", "-diff", "./..."}, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "flag provided but not defined: -diff") {
 		t.Errorf("stderr:\n%s", stderr.String())
+	}
+}
+
+// literalSeed is flagged by seedflow wherever it is linted.
+const literalSeed = `package %s
+
+import "math/rand"
+
+func R() *rand.Rand { return rand.New(rand.NewSource(7)) }
+`
+
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNestedModuleSkipped: `./...` stops at a directory holding its own
+// go.mod, as `go list ./...` does, so a finding planted in a nested
+// module is not reported while the same plant in the main module is.
+func TestNestedModuleSkipped(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, filepath.Join(root, "go.mod"), "module alm\n\ngo 1.24\n")
+	writeFile(t, filepath.Join(root, "a.go"), "package alm\n")
+	writeFile(t, filepath.Join(root, "sub", "b.go"), "package sub\n")
+	writeFile(t, filepath.Join(root, "nested", "go.mod"), "module alm/nested\n\ngo 1.24\n")
+	writeFile(t, filepath.Join(root, "nested", "deep", "d.go"), fmt.Sprintf(literalSeed, "deep"))
+	t.Chdir(root)
+
+	l, err := loader.New(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := expandPatterns(l, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"alm", "alm/sub"}; !reflect.DeepEqual(paths, want) {
+		t.Errorf("expandPatterns(./...) = %v, want %v", paths, want)
+	}
+
+	var stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stderr); code != 0 {
+		t.Fatalf("nested-module plant: exit %d, want 0; stderr:\n%s", code, stderr.String())
+	}
+	writeFile(t, filepath.Join(root, "sub", "c.go"), fmt.Sprintf(literalSeed, "sub"))
+	stderr.Reset()
+	if code := run([]string{"./..."}, &stderr); code != 2 || !strings.Contains(stderr.String(), "[seedflow]") {
+		t.Fatalf("main-module plant: exit %d, want 2 with a seedflow finding; stderr:\n%s", code, stderr.String())
 	}
 }

@@ -24,9 +24,9 @@
 // package: a function statically called from a marked function is hot
 // too, and its diagnostics name the marked root so the reader can trace
 // why the budget applies. (Cross-package propagation would need analysis
-// facts, which the vettool protocol of this in-tree framework does not
-// carry; marking the callee package's entry points directly keeps the
-// contract visible at the declaration anyway.)
+// facts, which this in-tree framework does not pass between packages;
+// marking the callee package's entry points directly keeps the contract
+// visible at the declaration anyway.)
 package allocflow
 
 import (

@@ -19,7 +19,7 @@ type Analyzer struct {
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer enforces
-	// and why (shown by `almvet help`).
+	// and why.
 	Doc string
 
 	// Run applies the analyzer to one package.
@@ -51,8 +51,8 @@ type Diagnostic struct {
 	Category string // analyzer name; set by the driver
 
 	// SuggestedFixes are machine-applicable edits that resolve the
-	// finding. almvet -fix applies them (or, with -diff, prints them as
-	// a unified diff); analysistest checks them against .fixed goldens.
+	// finding. almvet -fix applies them; analysistest checks them
+	// against .fixed goldens.
 	SuggestedFixes []SuggestedFix
 }
 

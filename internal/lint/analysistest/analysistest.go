@@ -64,7 +64,7 @@ func RunWithSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer,
 		Files: p.Files,
 		Pkg:   p.Types,
 		Info:  p.Info,
-	}, analyzers, driver.Options{})
+	}, analyzers)
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}

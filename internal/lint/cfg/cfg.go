@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs over go/ast, the
-// flow-sensitive substrate the almvet suite's maporder, timerflow, and
-// allocflow analyzers stand on. Like the rest of internal/lint it is
+// flow-sensitive substrate the almvet suite's timerflow and allocflow
+// analyzers stand on. Like the rest of internal/lint it is
 // stdlib-only (the repo builds offline), mirroring the shape of
 // golang.org/x/tools/go/cfg closely enough that analyzers could be
 // ported by changing one import.

@@ -8,6 +8,12 @@
 // bit-for-bit reproducible". Any of the three banned constructs breaks
 // that promise silently — the figures still render, they just stop being
 // comparable. detnow turns the promise into a build failure.
+//
+// A map-range body passes only when every statement in it commutes. That
+// excludes `+=` and `*=` on float, complex and string targets: rounding
+// and concatenation depend on operand order, which is how the fig14 bug
+// (a float `sum += x` in map order) changed meanTaskRecovery's last bits
+// between runs.
 package detnow
 
 import (
@@ -190,9 +196,13 @@ func safeStmt(pass *analysis.Pass, s ast.Stmt, appendTargets *[]types.Object) bo
 
 // safeAssign classifies one assignment inside a map-range body.
 func safeAssign(pass *analysis.Pass, a *ast.AssignStmt, appendTargets *[]types.Object) bool {
-	// Commutative compound assignments accumulate order-independently.
+	// Commutative compound assignments accumulate order-independently;
+	// float and complex arithmetic round and string + concatenates, so
+	// there the result depends on the visit order.
 	switch a.Tok {
-	case token.ADD_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN, token.MUL_ASSIGN:
+	case token.ADD_ASSIGN, token.MUL_ASSIGN:
+		return !roundsOrConcats(pass.TypesInfo.TypeOf(a.Lhs[0]))
+	case token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		return true
 	}
 	// := inside the loop body always introduces fresh locals (the body is
@@ -288,6 +298,13 @@ func isMapType(pass *analysis.Pass, e ast.Expr) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
+}
+
+// roundsOrConcats reports whether t is a float, complex or string type,
+// whose += and *= do not commute.
+func roundsOrConcats(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex|types.IsString) != 0
 }
 
 func containsCall(e ast.Expr) bool {

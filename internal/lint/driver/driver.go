@@ -1,8 +1,7 @@
 // Package driver runs a set of analyzers over one type-checked package,
 // applies //almvet:allow suppression directives, and returns the surviving
-// diagnostics in a stable order. Both almvet entry points (the vettool
-// protocol and standalone mode) and the analysistest harness funnel
-// through here, so suppression semantics are identical everywhere.
+// diagnostics in a stable order. almvet and the analysistest harness both
+// funnel through here, so suppression semantics are identical everywhere.
 package driver
 
 import (
@@ -11,7 +10,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"alm/internal/lint/analysis"
 )
@@ -24,34 +22,16 @@ type Target struct {
 	Info  *types.Info
 }
 
-// Options tunes a driver run.
-type Options struct {
-	// IncludeTests analyzes _test.go files too. The suite defaults to
-	// skipping them: the determinism and log-durability invariants bind
-	// the simulator, not its test scaffolding.
-	IncludeTests bool
-}
-
 // Run executes the analyzers and returns directive-filtered diagnostics
-// sorted by position. Diagnostics in _test.go files are dropped unless
-// opts.IncludeTests is set.
-func Run(t Target, analyzers []*analysis.Analyzer, opts Options) ([]analysis.Diagnostic, error) {
-	files := t.Files
-	if !opts.IncludeTests {
-		files = nil
-		for _, f := range t.Files {
-			if !strings.HasSuffix(t.Fset.Position(f.Pos()).Filename, "_test.go") {
-				files = append(files, f)
-			}
-		}
-	}
-	allows := collectAllows(t.Fset, files)
+// sorted by position.
+func Run(t Target, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	allows := collectAllows(t.Fset, t.Files)
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      t.Fset,
-			Files:     files,
+			Files:     t.Files,
 			Pkg:       t.Pkg,
 			TypesInfo: t.Info,
 		}

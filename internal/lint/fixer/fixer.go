@@ -1,9 +1,9 @@
 // Package fixer applies analysis.SuggestedFix text edits to source files
 // and renders unified diffs, with no dependencies outside the standard
-// library. It backs `almvet -fix` (and its dry-run `-diff` mode) and the
-// analysistest `.fixed` golden comparison, so both paths share one
-// definition of how edits compose: per-fix atomicity, overlap rejection,
-// and a mandatory gofmt pass on the result.
+// library. It backs `almvet -fix` and the analysistest `.fixed` golden
+// comparison, so both paths share one definition of how edits compose:
+// per-fix atomicity, overlap rejection, and a mandatory gofmt pass on the
+// result.
 package fixer
 
 import (
@@ -26,9 +26,7 @@ type edit struct {
 // filename and returns the gofmt-formatted result plus the number of
 // fixes applied. Fixes are atomic: a fix whose edits overlap an already
 // accepted edit (or fall outside filename) is skipped whole, never half
-// applied. Identical edits from different fixes — e.g. two diagnostics
-// both inserting the same import — coalesce instead of conflicting.
-// When no fix applies, src is returned unchanged (and unformatted).
+// applied. When no fix applies, src is returned unchanged (and unformatted).
 func Apply(fset *token.FileSet, filename string, src []byte, diags []analysis.Diagnostic) ([]byte, int, error) {
 	var accepted []edit
 	applied := 0
@@ -44,7 +42,7 @@ func Apply(fset *token.FileSet, filename string, src []byte, diags []analysis.Di
 		if conflicts(accepted, resolved) {
 			continue
 		}
-		accepted = appendNew(accepted, resolved)
+		accepted = append(accepted, resolved...)
 		applied++
 	}
 	if applied == 0 {
@@ -103,15 +101,8 @@ func resolve(fset *token.FileSet, filename string, edits []analysis.TextEdit) ([
 }
 
 // conflicts reports whether any candidate edit overlaps an accepted one.
-// A candidate identical to SOME accepted edit coalesces and is exempt
-// from the check entirely — two maporder fixes in one file both insert
-// the same import at the same point, and the second fix must not be
-// rejected for it.
 func conflicts(accepted, candidate []edit) bool {
 	for _, c := range candidate {
-		if existsIdentical(accepted, c) {
-			continue
-		}
 		for _, a := range accepted {
 			// Two ranges overlap unless one ends before the other starts.
 			// Pure insertions (start == end) at the same point are treated
@@ -125,28 +116,4 @@ func conflicts(accepted, candidate []edit) bool {
 		}
 	}
 	return false
-}
-
-func existsIdentical(accepted []edit, c edit) bool {
-	for _, a := range accepted {
-		if identical(a, c) {
-			return true
-		}
-	}
-	return false
-}
-
-// appendNew adds candidate edits, dropping ones identical to an
-// already-accepted edit.
-func appendNew(accepted, candidate []edit) []edit {
-	for _, c := range candidate {
-		if !existsIdentical(accepted, c) {
-			accepted = append(accepted, c)
-		}
-	}
-	return accepted
-}
-
-func identical(a, b edit) bool {
-	return a.start == b.start && a.end == b.end && bytes.Equal(a.text, b.text)
 }

@@ -1,8 +1,8 @@
 // Package registry enumerates the almvet analyzer suite and the package
 // scope each analyzer applies to. Scoping is a driver policy, not an
 // analyzer property: the analyzers check whatever package they are handed
-// (which is what analysistest exploits), while the vettool consults
-// AppliesTo before spending work on a package.
+// (which is what analysistest exploits), while almvet consults AppliesTo
+// before spending work on a package.
 package registry
 
 import (
@@ -14,7 +14,6 @@ import (
 	"alm/internal/lint/droppederr"
 	"alm/internal/lint/hotalloc"
 	"alm/internal/lint/locksafe"
-	"alm/internal/lint/maporder"
 	"alm/internal/lint/seedflow"
 	"alm/internal/lint/timerflow"
 )
@@ -52,9 +51,6 @@ func All() []Scoped {
 		{Analyzer: droppederr.Analyzer, AppliesTo: inModule},
 		{Analyzer: hotalloc.Analyzer, AppliesTo: inModule},
 		{Analyzer: locksafe.Analyzer, AppliesTo: inModule},
-		// maporder shares detnow's scope: it polices the same determinism
-		// contract, one control-flow step deeper.
-		{Analyzer: maporder.Analyzer, AppliesTo: underAny(detnowScope)},
 		{Analyzer: seedflow.Analyzer, AppliesTo: inModule},
 		// timerflow applies wherever sim.Timer is used, which inModule
 		// over-approximates cheaply: checkFunc bails unless the function

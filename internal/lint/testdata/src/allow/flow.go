@@ -1,19 +1,19 @@
-// The flow-sensitive analyzers (maporder, timerflow, allocflow) honour
-// the same //almvet:allow single-line scoping as the syntax-level suite:
-// each pair below silences one violation and reports its twin one line
-// down.
+// The flow-sensitive analyzers (timerflow, allocflow) and detnow's
+// float-accumulation rule honour the same //almvet:allow single-line
+// scoping as the rest of the suite: each pair below silences one
+// violation and reports its twin one line down.
 package allow
 
 import (
 	"alm/internal/sim"
 )
 
-func maporderPair(m map[string]float64) (float64, float64) {
+func floatSumPair(m map[string]float64) (float64, float64) {
 	var a, b float64
-	for _, v := range m { //almvet:allow maporder -- fixture: proves same-line suppression
+	for _, v := range m { //almvet:allow detnow -- fixture: proves same-line suppression
 		a += v
 	}
-	for _, v := range m { // want `float accumulation into b \(float addition is order-sensitive\)`
+	for _, v := range m { // want `map iteration with order-dependent body`
 		b += v
 	}
 	return a, b

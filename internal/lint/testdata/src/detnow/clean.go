@@ -38,16 +38,26 @@ func commutativeBodies(m map[string]int) int {
 	return total + count
 }
 
-// commaOkJoin shows that := locals (comma-ok map reads included) inside a
-// range body are order-independent when the right-hand side has no calls.
-func commaOkJoin(a, b map[string]float64) float64 {
-	var sum float64
+// commaOkCount shows that := locals (comma-ok map reads included) inside
+// a range body are order-independent when the right-hand side has no
+// calls.
+func commaOkCount(a, b map[string]float64) int {
+	n := 0
 	for k, av := range a {
 		if bv, ok := b[k]; ok && bv > av {
-			sum += bv - av
+			n++
 		}
 	}
-	return sum
+	return n
+}
+
+// integerProduct: *= on integers commutes (wraparound included).
+func integerProduct(m map[string]int) int {
+	p := 1
+	for _, v := range m {
+		p *= v
+	}
+	return p
 }
 
 // sortedKeys is the canonical deterministic map walk: collect, sort,

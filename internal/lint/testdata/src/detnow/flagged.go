@@ -2,8 +2,11 @@ package detnow
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
+
+	"alm/internal/trace"
 )
 
 func wallClock() time.Duration {
@@ -47,4 +50,85 @@ func lastWriterWins(m map[string]int) string {
 		last = k
 	}
 	return last
+}
+
+// commaOkJoin sums floats in map order: float addition rounds, so the
+// last bits of sum depend on the visit order (the fig14 bug).
+func commaOkJoin(a, b map[string]float64) float64 {
+	var sum float64
+	for k, av := range a { // want `map iteration with order-dependent body`
+		if bv, ok := b[k]; ok && bv > av {
+			sum += bv - av
+		}
+	}
+	return sum
+}
+
+func explicitAdd(durations map[string]float64) float64 {
+	var sum float64
+	for _, d := range durations { // want `map iteration with order-dependent body`
+		sum = sum + d
+	}
+	return sum
+}
+
+func complexSum(m map[string]complex128) complex128 {
+	var z complex128
+	for _, v := range m { // want `map iteration with order-dependent body`
+		z += v
+	}
+	return z
+}
+
+func concatKeys(m map[string]int) string {
+	var s string
+	for k := range m { // want `map iteration with order-dependent body`
+		s += k
+	}
+	return s
+}
+
+// emitPerHost leaks map order into the event trace: the events land in
+// iteration order.
+func emitPerHost(c *trace.Collector, hosts map[string]string) {
+	for h, n := range hosts { // want `map iteration with order-dependent body`
+		c.Emit(0, trace.KindFetchFailure, h, n, "down")
+	}
+}
+
+func collectNames(tasks map[int]string) []string {
+	var out []string
+	for _, name := range tasks { // want `map iteration appends to "out" without sorting it afterwards`
+		out = append(out, name)
+	}
+	return out
+}
+
+//alm:hotpath
+func render(b []byte, v string) []byte {
+	return append(b, v...)
+}
+
+func dumpValues(m map[string]string) []byte {
+	var b []byte
+	for _, v := range m { // want `map iteration with order-dependent body`
+		b = render(b, v)
+	}
+	return b
+}
+
+func logLine(w io.Writer, s string) {
+	fmt.Fprintln(w, s)
+}
+
+func flushPending(w io.Writer, pending map[string]string) {
+	for h, p := range pending { // want `map iteration with order-dependent body`
+		logLine(w, h+p)
+	}
+}
+
+func dumpKeys(w io.Writer, m map[string]int) {
+	for k := range m { // want `map iteration with order-dependent body`
+		fmt.Fprintln(w, k)
+	}
 }
