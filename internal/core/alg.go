@@ -6,8 +6,7 @@ import (
 	"alm/internal/mr"
 )
 
-// ALGOptions are the tunables of Analytics LogGing. The booleans exist
-// for ablations; the paper's system has both enabled.
+// ALGOptions are the tunables of Analytics LogGing.
 type ALGOptions struct {
 	// Interval between periodic snapshots (paper Fig. 12 sweeps this).
 	Interval time.Duration
@@ -16,22 +15,14 @@ type ALGOptions struct {
 	Replication mr.ReplicationLevel
 	// HDFSReplicas is the replica count for logs and flushed output.
 	HDFSReplicas int
-	// FlushReduceOutput asynchronously replicates completed reduce output
-	// during the reduce stage so a migrated attempt can skip it.
-	FlushReduceOutput bool
-	// LogToHDFS stores reduce-stage log records on HDFS (in addition to
-	// the local FS) so migration across nodes can use them.
-	LogToHDFS bool
 }
 
 // DefaultALGOptions returns the paper's settings.
 func DefaultALGOptions() ALGOptions {
 	return ALGOptions{
-		Interval:          10 * time.Second,
-		Replication:       mr.ReplicateRack,
-		HDFSReplicas:      2,
-		FlushReduceOutput: true,
-		LogToHDFS:         true,
+		Interval:     10 * time.Second,
+		Replication:  mr.ReplicateRack,
+		HDFSReplicas: 2,
 	}
 }
 

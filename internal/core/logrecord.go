@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution, the ALM framework:
 //
-//   - ALG (Analytics LogGing): the per-stage log-record formats of Fig. 6,
-//     their serialization, and snapshot/replay helpers;
+//   - ALG (Analytics LogGing): the per-stage log-record formats of Fig. 6
+//     and snapshot/replay helpers;
 //   - SFM (Speculative Fast Migration): the enhanced failure-recovery
 //     scheduling policy of Algorithm 1, expressed as a pure decision
 //     function over a scheduler view;
@@ -14,7 +14,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"alm/internal/merge"
@@ -51,43 +50,31 @@ func (s Stage) String() string {
 // intermediate file paths; merge-stage records carry paths only; reduce-
 // stage records carry the MPQ structure (paths + per-file offsets of the
 // next unprocessed pair) plus the safely-flushed output watermark.
+// A record is immutable once Snapshot builds it: the local store and the
+// HDFS commit table hold the same pointer.
 type LogRecord struct {
-	TaskIdx   int    `json:"task"`
-	AttemptID string `json:"attempt"`
-	Seq       int    `json:"seq"`
-	Stage     Stage  `json:"stage"`
+	TaskIdx   int
+	AttemptID string
+	Seq       int
+	Stage     Stage
 
 	// Shuffle-stage statistics (Fig. 6, left column).
-	FetchedMOFs          []int `json:"fetched_mofs,omitempty"`
-	ShuffledLogicalBytes int64 `json:"shuffled_bytes,omitempty"`
+	FetchedMOFs          []int
+	ShuffledLogicalBytes int64
 
 	// Intermediate file paths (all stages).
-	SegmentPaths []string `json:"segment_paths,omitempty"`
+	SegmentPaths []string
 
 	// Reduce-stage MPQ structure (Fig. 6, right column). Positions[i] is
 	// the offset of the next <k',v'> pair in SegmentPaths[i].
-	Positions             merge.Positions `json:"positions,omitempty"`
-	ProcessedLogicalBytes int64           `json:"processed_bytes,omitempty"`
-	ProcessedRealRecords  int             `json:"processed_records,omitempty"`
-	ProcessedGroups       int             `json:"processed_groups,omitempty"`
+	Positions             merge.Positions
+	ProcessedLogicalBytes int64
+	ProcessedRealRecords  int
+	ProcessedGroups       int
 
 	// Output safely flushed to HDFS as of this snapshot.
-	FlushedOutputLogical int64  `json:"flushed_output_bytes,omitempty"`
-	FlushedOutputRecords int    `json:"flushed_output_records,omitempty"`
-	HDFSOutputPath       string `json:"hdfs_output_path,omitempty"`
-}
-
-// Marshal serializes the record (the bytes ALG writes to the local FS or
-// HDFS).
-func (r *LogRecord) Marshal() ([]byte, error) { return json.Marshal(r) }
-
-// UnmarshalRecord parses a serialized log record.
-func UnmarshalRecord(data []byte) (*LogRecord, error) {
-	var r LogRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("core: corrupt log record: %w", err)
-	}
-	return &r, nil
+	FlushedOutputLogical int64
+	FlushedOutputRecords int
 }
 
 // Validate checks internal consistency of a record.
@@ -120,26 +107,13 @@ func (r *LogRecord) Newer(other *LogRecord) bool {
 	return r.Seq > other.Seq
 }
 
-// LogPathLocal returns the conventional local-FS path for a task's ALG
-// log.
-func LogPathLocal(taskIdx int, seq int) string {
-	return fmt.Sprintf("alg/r%03d/log-%05d", taskIdx, seq)
-}
-
 // LogPathHDFS returns the conventional HDFS path for a reduce-stage ALG
 // log record.
 func LogPathHDFS(jobID string, taskIdx, seq int) string {
 	return fmt.Sprintf("hdfs://%s/alg/r%03d/log-%05d", jobID, taskIdx, seq)
 }
 
-// FlushPathHDFS returns the conventional HDFS path for the flushed
-// partial reduce output as of snapshot seq.
-func FlushPathHDFS(jobID string, taskIdx, seq int) string {
-	return fmt.Sprintf("hdfs://%s/alg/r%03d/out-%05d", jobID, taskIdx, seq)
-}
-
-// EstimateSizeBytes returns the logical serialized size of a record as
-// stored; log records are small (the paper's "light-weight" property) —
+// EstimateSizeBytes returns the simulated size of a record as stored; log records are small (the paper's "light-weight" property) —
 // a few bytes per referenced file plus a fixed header.
 func (r *LogRecord) EstimateSizeBytes() int64 {
 	return int64(256 + 16*len(r.FetchedMOFs) + 64*len(r.SegmentPaths) + 8*len(r.Positions))

@@ -40,50 +40,6 @@ func TestFailureDuringFCMRecovery(t *testing.T) {
 	t.Logf("recovered through %d reduce failures in %v", res.ReduceAttemptFailures, res.Duration)
 }
 
-// TestALGWithoutOutputFlush: with FlushReduceOutput disabled, reduce-stage
-// replay is impossible; recovery must fall back to redoing the reduce
-// stage while still producing correct output.
-func TestALGWithoutOutputFlush(t *testing.T) {
-	spec := JobSpec{Workload: workloads.Wordcount(), InputBytes: 4 << 30, NumReduces: 1, Mode: ModeALG, Seed: 15}
-	alg := core.DefaultALGOptions()
-	alg.FlushReduceOutput = false
-	spec.ALG = alg
-	want := canonical(directOutput(spec))
-	res, err := Run(spec, DefaultClusterSpec(), WithPlan(faults.FailTaskAtProgress(faults.Reduce, 0, 0.85)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("job failed: %s", res.FailReason)
-	}
-	if canonical(res.Output) != want {
-		t.Fatal("output diverged with FlushReduceOutput disabled")
-	}
-}
-
-// TestALGWithoutHDFSLogs: LogToHDFS off means migration cannot replay,
-// but same-node restarts still use local logs for shuffle/merge state.
-func TestALGWithoutHDFSLogs(t *testing.T) {
-	spec := JobSpec{Workload: workloads.Wordcount(), InputBytes: 4 << 30, NumReduces: 1, Mode: ModeALG, Seed: 16}
-	alg := core.DefaultALGOptions()
-	alg.LogToHDFS = false
-	spec.ALG = alg
-	want := canonical(directOutput(spec))
-	res, err := Run(spec, DefaultClusterSpec(), WithPlan(faults.FailTaskAtProgress(faults.Reduce, 0, 0.5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("job failed: %s", res.FailReason)
-	}
-	if canonical(res.Output) != want {
-		t.Fatal("output diverged with LogToHDFS disabled")
-	}
-	if res.Counters["alg.hdfs.log.writes"] != 0 {
-		t.Fatalf("HDFS log writes happened despite LogToHDFS=false: %d", res.Counters["alg.hdfs.log.writes"])
-	}
-}
-
 // TestWaitAdvisoryEmitted: the SFM wait advisory must appear in the trace
 // for the spatial scenario.
 func TestWaitAdvisoryEmitted(t *testing.T) {

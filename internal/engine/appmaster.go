@@ -60,14 +60,13 @@ type attempt struct {
 	launchedAt sim.Time
 	launched   bool
 
-	// Reduce results, filled by the executor on success. prefixOutput is
-	// the ALG-flushed prefix this attempt resumed from (already durable
-	// on HDFS when the attempt started); output is what it computed.
-	output            []mr.Record
-	outputLogical     int64
-	prefixOutput      []mr.Record
-	prefixLogical     int64
-	usedFlushedPrefix bool
+	// Reduce results, filled by the executor on success. restored is
+	// the committed ALG snapshot this attempt resumed from (zero if
+	// none): its flushed records were already durable on HDFS when the
+	// attempt started. output is what the attempt computed after them.
+	output        []mr.Record
+	outputLogical int64
+	restored      algCommit
 }
 
 func (a *attempt) nodeName(j *Job) string {
@@ -433,9 +432,7 @@ func (am *appMaster) mapFinishedISS(t *taskState, a *attempt, parts []*merge.Seg
 type reduceOutcome struct {
 	output        []mr.Record
 	outputLogical int64
-	prefix        []mr.Record
-	prefixLogical int64
-	usedFlushed   bool
+	restored      algCommit
 }
 
 func (am *appMaster) reduceFinished(t *taskState, a *attempt, out reduceOutcome) {
@@ -453,9 +450,7 @@ func (am *appMaster) reduceFinished(t *taskState, a *attempt, out reduceOutcome)
 	a.launchedAt = 0
 	a.output = out.output
 	a.outputLogical = out.outputLogical
-	a.prefixOutput = out.prefix
-	a.prefixLogical = out.prefixLogical
-	a.usedFlushedPrefix = out.usedFlushed
+	a.restored = out.restored
 	if a.fcm {
 		am.fcmRunning--
 	}

@@ -13,6 +13,7 @@ import (
 
 	"alm/internal/cluster"
 	"alm/internal/core"
+	"alm/internal/dfs"
 	"alm/internal/faults"
 	"alm/internal/merge"
 	"alm/internal/metrics"
@@ -275,10 +276,10 @@ type localNode struct {
 	// node-local metadata a restored attempt reads alongside the segment
 	// (so an ALG log never claims data that only lived in lost memory).
 	segMaps map[string][]int
-	// algLogs holds the latest serialized local log record per reduce
-	// task, indexed densely by task idx (nil = no log); flat SoA layout
-	// so thousand-node runs pay a slice header per node, not a map.
-	algLogs [][]byte
+	// algLogs holds the latest local log record per reduce task, indexed
+	// densely by task idx (nil = no log); flat SoA layout so thousand-node
+	// runs pay a slice header per node, not a map.
+	algLogs []*core.LogRecord
 }
 
 // Job is one running MapReduce job.
@@ -303,14 +304,10 @@ type Job struct {
 	indexUpdates uint64
 	hostVisits   uint64
 
-	// hdfsFlushed holds the real records of ALG-flushed partial reduce
-	// output (the data behind the HDFS flush files, which the DFS models
-	// only as bytes). Like hdfsLogs and checkpoints below it is a dense
-	// slice indexed by reduce task idx — the nil entry is "no flush yet".
-	hdfsFlushed []*flushedOutput
-	// hdfsLogs is the latest reduce-stage log record stored on HDFS per
-	// reduce task.
-	hdfsLogs []*core.LogRecord
+	// algCommits is the latest reduce-stage ALG snapshot committed to
+	// HDFS per reduce task. Like checkpoints below it is a dense slice
+	// indexed by reduce task idx; the zero entry is "no commit yet".
+	algCommits []algCommit
 	// checkpoints is the newest committed heavyweight snapshot per reduce
 	// task (checkpoint.go).
 	checkpoints []*ckptImage
@@ -318,12 +315,35 @@ type Job struct {
 	onFinish func()
 }
 
-type flushedOutput struct {
-	records      []mr.Record
-	logicalBytes int64
-	// upToRealRecords is the cursor watermark the flush corresponds to.
-	upToRealRecords int
-	path            string
+// algCommit is one reduce-stage snapshot committed to HDFS: the log
+// record and the real records of the output flushed as of it (the data
+// behind the HDFS flush files, which the DFS models only as bytes).
+// records are the rec.FlushedOutputRecords output records reduced from
+// the first rec.ProcessedRealRecords input records; neither the record
+// nor the slice changes after the commit.
+type algCommit struct {
+	rec     *core.LogRecord
+	records []mr.Record
+}
+
+// flushedLogical is the committed output watermark in logical bytes, 0
+// for the zero commit.
+func (c algCommit) flushedLogical() int64 {
+	if c.rec == nil {
+		return 0
+	}
+	return c.rec.FlushedOutputLogical
+}
+
+// reduceWriteOptions places a reduce attempt's HDFS writes. ALG modes
+// write the output stream, log records and flushes with ALG's scope and
+// replica count (paper Fig. 13); the others write the output as plain
+// HDFS does.
+func (j *Job) reduceWriteOptions() dfs.WriteOptions {
+	if j.Spec.Mode.ALGEnabled() {
+		return dfs.WriteOptions{Replication: j.Spec.ALG.HDFSReplicas, Scope: j.Spec.ALG.Replication}
+	}
+	return dfs.WriteOptions{Replication: j.Spec.Conf.DFSReplication, Scope: mr.ReplicateCluster}
 }
 
 // NewJob builds a job over an existing cluster. The cluster must have at
@@ -344,15 +364,14 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 		Cluster:     cl,
 		Tracer:      trace.New(),
 		plan:        plan,
-		hdfsFlushed: make([]*flushedOutput, spec.NumReduces),
-		hdfsLogs:    make([]*core.LogRecord, spec.NumReduces),
+		algCommits:  make([]algCommit, spec.NumReduces),
 		checkpoints: make([]*ckptImage, spec.NumReduces),
 	}
 	for range cl.Topo.Nodes() {
 		j.locals = append(j.locals, &localNode{
 			segments: make(map[string]*merge.Segment),
 			segMaps:  make(map[string][]int),
-			algLogs:  make([][]byte, spec.NumReduces),
+			algLogs:  make([]*core.LogRecord, spec.NumReduces),
 		})
 	}
 	j.result.Counters = mr.Counters{}
@@ -463,7 +482,7 @@ func (j *Job) crashWipe(id topology.NodeID) {
 	j.locals[id] = &localNode{
 		segments: make(map[string]*merge.Segment),
 		segMaps:  make(map[string][]int),
-		algLogs:  make([][]byte, j.Spec.NumReduces),
+		algLogs:  make([]*core.LogRecord, j.Spec.NumReduces),
 	}
 }
 
@@ -501,7 +520,7 @@ func (j *Job) assembleOutput() {
 	n := 0
 	for _, t := range j.am.reduces {
 		if t.winner != nil {
-			n += len(t.winner.prefixOutput) + len(t.winner.output)
+			n += len(t.winner.restored.records) + len(t.winner.output)
 		}
 	}
 	if n > 0 {
@@ -512,8 +531,8 @@ func (j *Job) assembleOutput() {
 		if t.winner == nil {
 			continue
 		}
-		j.result.Output = append(j.result.Output, t.winner.prefixOutput...)
-		j.result.OutputLogicalBytes += t.winner.prefixLogical
+		j.result.Output = append(j.result.Output, t.winner.restored.records...)
+		j.result.OutputLogicalBytes += t.winner.restored.flushedLogical()
 		j.result.Output = append(j.result.Output, t.winner.output...)
 		j.result.OutputLogicalBytes += t.winner.outputLogical
 	}

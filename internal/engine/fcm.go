@@ -38,8 +38,7 @@ type fcmExec struct {
 
 	skipReal        int
 	restoredLogical int64
-	restoredFlush   *flushedOutput
-	usedFlushed     bool
+	restored        algCommit
 
 	output        []mr.Record
 	outputLogical int64
@@ -110,25 +109,15 @@ func (f *fcmExec) begin() {
 	f.job.am.registerExec(f)
 	f.livenessPing()
 	if f.job.Spec.Mode.ALGEnabled() {
-		if rec, fl := f.committedPair(); rec != nil {
-			f.skipReal = fl.upToRealRecords
-			f.restoredLogical = rec.ProcessedLogicalBytes
-			f.restoredFlush = fl
-			f.usedFlushed = true
+		if c := f.job.algCommits[f.t.idx]; c.rec != nil {
+			f.skipReal = c.rec.ProcessedRealRecords
+			f.restoredLogical = c.rec.ProcessedLogicalBytes
+			f.restored = c
 			f.job.Tracer.Emit(f.job.Eng.Now(), trace.KindLogRestored, f.a.id, f.a.nodeName(f.job), "hdfs:reduce(fcm)")
 			f.job.result.Counters.Add("alg.restores.fcm", 1)
 		}
 	}
 	f.maybeBegin()
-}
-
-func (f *fcmExec) committedPair() (*core.LogRecord, *flushedOutput) {
-	rec := f.job.hdfsLogs[f.t.idx]
-	fl := f.job.hdfsFlushed[f.t.idx]
-	if rec == nil || rec.Stage != core.StageReduce || fl == nil || fl.upToRealRecords != rec.ProcessedRealRecords {
-		return nil, nil
-	}
-	return rec, fl
 }
 
 func (f *fcmExec) livenessPing() {
@@ -207,15 +196,7 @@ func (f *fcmExec) maybeBegin() {
 	// Open the output stream now: in the pipeline the reduce output is
 	// written concurrently with the incoming supply, so the HDFS write
 	// overlaps rather than following the merge.
-	scope := mr.ReplicateCluster
-	replicas := f.job.Spec.Conf.DFSReplication
-	if f.job.Spec.Mode.ALGEnabled() {
-		scope = f.job.Spec.ALG.Replication
-		replicas = f.job.Spec.ALG.HDFSReplicas
-	}
-	w, err := f.job.Cluster.DFS.OpenWrite(
-		"out/"+f.job.Spec.Name+"/"+f.a.id, f.a.node,
-		dfs.WriteOptions{Replication: replicas, Scope: scope})
+	w, err := f.job.Cluster.DFS.OpenWrite("out/"+f.job.Spec.Name+"/"+f.a.id, f.a.node, f.job.reduceWriteOptions())
 	if err != nil {
 		if !f.job.Cluster.NodeReachable(f.a.node) {
 			f.kill("stranded: node unreachable")
@@ -327,11 +308,6 @@ func (f *fcmExec) pipelineDone() {
 			return
 		}
 		f.job.result.Counters.Add("reduce.output.bytes", f.outputLogical)
-		out := reduceOutcome{output: f.output, outputLogical: f.outputLogical, usedFlushed: f.usedFlushed}
-		if f.restoredFlush != nil {
-			out.prefix = f.restoredFlush.records
-			out.prefixLogical = f.restoredFlush.logicalBytes
-		}
-		f.job.am.reduceFinished(f.t, f.a, out)
+		f.job.am.reduceFinished(f.t, f.a, reduceOutcome{output: f.output, outputLogical: f.outputLogical, restored: f.restored})
 	})
 }

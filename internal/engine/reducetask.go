@@ -118,7 +118,6 @@ type reduceExec struct {
 	output          []mr.Record
 	outputLogical   int64
 	outWriter       *dfs.StreamWriter
-	usedFlushed     bool
 	processedGroups int
 
 	// ALG state.
@@ -128,9 +127,10 @@ type reduceExec struct {
 	// HDFS (records of *this* attempt's output slice).
 	lastFlushedRecords int
 	lastFlushedLogical int64
-	// restoredFlush carries the flushed prefix inherited from a previous
-	// attempt (HDFS-side), so this attempt's flushes extend it.
-	restoredFlush *flushedOutput
+	// restored is the committed snapshot inherited from a previous
+	// attempt (zero if none), so this attempt's flushes extend its
+	// flushed prefix.
+	restored algCommit
 	// flushedBuf is a restored attempt's append-only flushed prefix: the
 	// inherited records, copied once, then this attempt's output as it
 	// is flushed. Committed flushes hold capped views of it.
@@ -1042,15 +1042,7 @@ func (r *reduceExec) enterReduceLoop() {
 			break
 		}
 	}
-	scope := mr.ReplicateCluster
-	replicas := r.conf.DFSReplication
-	if r.job.Spec.Mode.ALGEnabled() {
-		scope = r.job.Spec.ALG.Replication
-		replicas = r.job.Spec.ALG.HDFSReplicas
-	}
-	w, err := r.job.Cluster.DFS.OpenWrite(
-		"out/"+r.job.Spec.Name+"/"+r.a.id, r.a.node,
-		dfs.WriteOptions{Replication: replicas, Scope: scope})
+	w, err := r.job.Cluster.DFS.OpenWrite("out/"+r.job.Spec.Name+"/"+r.a.id, r.a.node, r.job.reduceWriteOptions())
 	if err != nil {
 		r.selfFail("cannot open output stream: " + err.Error())
 		return
@@ -1162,12 +1154,7 @@ func (r *reduceExec) finishReduce() {
 			return
 		}
 		r.job.result.Counters.Add("reduce.output.bytes", r.outputLogical)
-		out := reduceOutcome{output: r.output, outputLogical: r.outputLogical, usedFlushed: r.usedFlushed}
-		if r.restoredFlush != nil {
-			out.prefix = r.restoredFlush.records
-			out.prefixLogical = r.restoredFlush.logicalBytes
-		}
-		r.job.am.reduceFinished(r.t, r.a, out)
+		r.job.am.reduceFinished(r.t, r.a, reduceOutcome{output: r.output, outputLogical: r.outputLogical, restored: r.restored})
 	})
 }
 
@@ -1273,20 +1260,11 @@ func (r *reduceExec) ReducePositions() []int {
 func (r *reduceExec) ProcessedLogicalBytes() int64 { return r.processed }
 func (r *reduceExec) ProcessedRealRecords() int    { return r.consumedReal() }
 func (r *reduceExec) ProcessedGroups() int         { return r.processedGroups }
-func (r *reduceExec) FlushedOutputLogical() int64  { return r.flushBaseLogical() + r.lastFlushedLogical }
-func (r *reduceExec) FlushedOutputRecords() int {
-	base := 0
-	if r.restoredFlush != nil {
-		base = len(r.restoredFlush.records)
-	}
-	return base + r.lastFlushedRecords
+func (r *reduceExec) FlushedOutputLogical() int64 {
+	return r.restored.flushedLogical() + r.lastFlushedLogical
 }
-
-func (r *reduceExec) flushBaseLogical() int64 {
-	if r.restoredFlush == nil {
-		return 0
-	}
-	return r.restoredFlush.logicalBytes
+func (r *reduceExec) FlushedOutputRecords() int {
+	return len(r.restored.records) + r.lastFlushedRecords
 }
 
 // snapshotShuffle implements ALG's shuffle-stage logging: a temporary
@@ -1305,23 +1283,16 @@ func (r *reduceExec) snapshotMerge() {
 	r.writeLocalLog()
 }
 
-// writeLocalLog serializes the current snapshot and charges a small local
-// write; the serialized bytes are kept in the node-local store (they
-// survive a network stop but not a crash).
+// writeLocalLog snapshots the attempt and charges a small local write;
+// the record lands in the node-local store when the write does (it
+// survives a network stop but not a crash).
 func (r *reduceExec) writeLocalLog() *core.LogRecord {
 	r.algSeq++
 	rec := core.Snapshot(r, r.t.idx, r.a.id, r.algSeq)
-	data, err := rec.Marshal()
-	if err != nil {
-		// A snapshot that cannot serialize must not vanish silently; the
-		// counter keeps the loss visible in the run's results.
-		r.job.result.Counters.Add("alg.marshal_errors", 1)
-		return nil
-	}
 	node := r.a.node
 	taskIdx := r.t.idx
 	f := r.job.Cluster.Disks.Write(node, rec.EstimateSizeBytes(), func() {
-		r.job.local(node).algLogs[taskIdx] = data
+		r.job.local(node).algLogs[taskIdx] = rec
 	})
 	r.addFlow(f)
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindLogSnapshot, r.a.id, r.a.nodeName(r.job), rec.Stage.String())
@@ -1329,33 +1300,19 @@ func (r *reduceExec) writeLocalLog() *core.LogRecord {
 	return rec
 }
 
-// snapshotReduce runs at a chunk boundary: the local log is written, the
-// output watermark is flushed (the HDFS stream is already replicated per
-// the ALG scope; the flush marks the watermark durable), and the log
+// snapshotReduce runs at a chunk boundary: the output watermark is
+// flushed (the HDFS stream is already replicated per the ALG scope; the
+// flush marks the watermark durable), the local log is written, and the
 // record also goes to HDFS so a migrated attempt can use it.
 func (r *reduceExec) snapshotReduce() {
 	r.algPending = false
+	r.lastFlushedRecords = len(r.output)
+	r.lastFlushedLogical = r.outputLogical
 	rec := r.writeLocalLog()
-	if rec == nil {
-		return
-	}
-	if r.job.Spec.ALG.FlushReduceOutput {
-		r.lastFlushedRecords = len(r.output)
-		r.lastFlushedLogical = r.outputLogical
-		rec.FlushedOutputLogical = r.FlushedOutputLogical()
-		rec.FlushedOutputRecords = r.FlushedOutputRecords()
-	}
-	if !r.job.Spec.ALG.LogToHDFS {
-		return
-	}
 	taskIdx := r.t.idx
-	name := core.LogPathHDFS(r.job.Spec.Name, taskIdx, r.algSeq)
-	recCopy := rec
-	flushRecs := r.flushedRecords()
-	flushLogical := r.FlushedOutputLogical()
-	upTo := r.ProcessedRealRecords()
-	_, err := r.job.Cluster.DFS.Write(name, r.a.node, rec.EstimateSizeBytes(),
-		dfs.WriteOptions{Replication: r.job.Spec.ALG.HDFSReplicas, Scope: r.job.Spec.ALG.Replication},
+	c := algCommit{rec: rec, records: r.flushedRecords()}
+	_, err := r.job.Cluster.DFS.Write(core.LogPathHDFS(r.job.Spec.Name, taskIdx, r.algSeq), r.a.node,
+		rec.EstimateSizeBytes(), r.job.reduceWriteOptions(),
 		func(werr error) {
 			if werr != nil {
 				// The log record never landed on HDFS: a migrated attempt
@@ -1364,16 +1321,8 @@ func (r *reduceExec) snapshotReduce() {
 				r.job.result.Counters.Add("alg.hdfs.log.write_errors", 1)
 				return
 			}
-			if old := r.job.hdfsLogs[taskIdx]; recCopy.Newer(old) {
-				r.job.hdfsLogs[taskIdx] = recCopy
-				if r.job.Spec.ALG.FlushReduceOutput {
-					r.job.hdfsFlushed[taskIdx] = &flushedOutput{
-						records:         flushRecs,
-						logicalBytes:    flushLogical,
-						upToRealRecords: upTo,
-						path:            name,
-					}
-				}
+			if rec.Newer(r.job.algCommits[taskIdx].rec) {
+				r.job.algCommits[taskIdx] = c
 			}
 		})
 	if err == nil {
@@ -1388,47 +1337,28 @@ func (r *reduceExec) snapshotReduce() {
 // per attempt and each output record once, as it is first flushed.
 func (r *reduceExec) flushedRecords() []mr.Record {
 	n := r.lastFlushedRecords
-	if r.restoredFlush == nil {
+	inherited := r.restored.records
+	if r.restored.rec == nil {
 		return r.output[:n:n]
 	}
 	if r.flushedBuf == nil {
-		r.flushedBuf = append(make([]mr.Record, 0, len(r.restoredFlush.records)+n), r.restoredFlush.records...)
+		r.flushedBuf = append(make([]mr.Record, 0, len(inherited)+n), inherited...)
 	}
-	done := len(r.flushedBuf) - len(r.restoredFlush.records)
+	done := len(r.flushedBuf) - len(inherited)
 	r.flushedBuf = append(r.flushedBuf, r.output[done:n]...)
 	return r.flushedBuf[:len(r.flushedBuf):len(r.flushedBuf)]
 }
 
 // ---- ALG restore paths ----
 
-// committedReducePair returns the latest reduce-stage log record and its
-// matching flushed-output watermark, both committed to HDFS, or nils.
-// Using the committed pair (rather than a local record whose HDFS flush
-// may not have landed) keeps resumed output exactly consistent.
-func (r *reduceExec) committedReducePair() (*core.LogRecord, *flushedOutput) {
-	rec := r.job.hdfsLogs[r.t.idx]
-	fl := r.job.hdfsFlushed[r.t.idx]
-	if rec == nil || rec.Stage != core.StageReduce || fl == nil {
-		return nil, nil
-	}
-	if fl.upToRealRecords != rec.ProcessedRealRecords {
-		return nil, nil
-	}
-	return rec, fl
-}
-
 // tryLocalRestore replays the latest local log record when this attempt
 // runs on the node that wrote it and the referenced segments survive.
 func (r *reduceExec) tryLocalRestore() bool {
-	data := r.job.local(r.a.node).algLogs[r.t.idx]
-	if data == nil {
-		return false
-	}
-	rec, err := core.UnmarshalRecord(data)
-	if err != nil || rec.Validate() != nil {
-		return false
-	}
 	local := r.job.local(r.a.node)
+	rec := local.algLogs[r.t.idx]
+	if rec == nil || rec.Validate() != nil {
+		return false
+	}
 	lookup := func(paths []string) ([]*merge.Segment, bool) {
 		segs := make([]*merge.Segment, 0, len(paths))
 		for _, p := range paths {
@@ -1458,8 +1388,8 @@ func (r *reduceExec) tryLocalRestore() bool {
 	case core.StageReduce:
 		// Resume the MPQ from the committed snapshot so the flushed
 		// output prefix and the cursor position agree exactly.
-		crec, fl := r.committedReducePair()
-		if crec == nil {
+		c := r.job.algCommits[r.t.idx]
+		if c.rec == nil {
 			// No committed reduce snapshot: fall back to reusing the
 			// shuffled segments and redoing the reduce stage from zero.
 			segs, ok := lookup(rec.SegmentPaths)
@@ -1473,18 +1403,17 @@ func (r *reduceExec) tryLocalRestore() bool {
 			restored = true
 			break
 		}
-		segs, ok := lookup(crec.SegmentPaths)
+		segs, ok := lookup(c.rec.SegmentPaths)
 		if !ok {
 			return false
 		}
 		r.finalSegs = segs
 		r.totalLogical = merge.TotalLogicalBytes(segs)
 		r.totalReal = merge.TotalRealRecords(segs)
-		r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), segs, merge.Positions(crec.Positions))
-		r.processed = crec.ProcessedLogicalBytes
-		r.realBase = crec.ProcessedRealRecords
-		r.restoredFlush = fl
-		r.usedFlushed = true
+		r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), segs, c.rec.Positions)
+		r.processed = c.rec.ProcessedLogicalBytes
+		r.realBase = c.rec.ProcessedRealRecords
+		r.restored = c
 		r.stage = core.StageReduce
 		restored = true
 	}
@@ -1503,14 +1432,13 @@ func (r *reduceExec) tryLocalRestore() bool {
 // whose output is safely flushed — is skipped, avoiding its
 // deserialization and reduce computation.
 func (r *reduceExec) tryHDFSRestore() bool {
-	rec, fl := r.committedReducePair()
-	if rec == nil {
+	c := r.job.algCommits[r.t.idx]
+	if c.rec == nil {
 		return false
 	}
-	r.skipReal = fl.upToRealRecords
-	r.restoredLogical = rec.ProcessedLogicalBytes
-	r.restoredFlush = fl
-	r.usedFlushed = true
+	r.skipReal = c.rec.ProcessedRealRecords
+	r.restoredLogical = c.rec.ProcessedLogicalBytes
+	r.restored = c
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindLogRestored, r.a.id, r.a.nodeName(r.job), "hdfs:reduce")
 	r.job.result.Counters.Add("alg.restores.hdfs", 1)
 	return true

@@ -1,6 +1,6 @@
 // Package droppederr implements the `droppederr` analyzer: errors
 // produced by the ALG persistence surface (internal/dfs writes and
-// internal/core log-record serialization) must not be silently discarded.
+// internal/core log-record validation) must not be silently discarded.
 //
 // The paper's recovery guarantee assumes the newest ALG log record is
 // durable: SFM migrates a failed ReduceTask and replays from the logged
@@ -23,7 +23,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "droppederr",
 	Doc: "flag discarded, unread, or callback-swallowed errors from the ALG " +
-		"persistence surface (internal/dfs, internal/core)",
+		"persistence surface (internal/dfs writes, internal/core log-record validation)",
 	Run: run,
 }
 

@@ -6,11 +6,10 @@ import (
 )
 
 func handled(d *dfs.DFS, rec *core.LogRecord) error {
-	data, err := rec.Marshal()
-	if err != nil {
+	if err := rec.Validate(); err != nil {
 		return err
 	}
-	if _, err := d.Write("x", 0, int64(len(data)), dfs.WriteOptions{}, func(err error) {
+	if _, err := d.Write("x", 0, rec.EstimateSizeBytes(), dfs.WriteOptions{}, func(err error) {
 		if err != nil {
 			println("alg write failed:", err.Error())
 		}

@@ -3,16 +3,18 @@ package droppederr
 import (
 	"alm/internal/core"
 	"alm/internal/dfs"
+	"alm/internal/topology"
 )
 
-func discardedResult(rec *core.LogRecord) {
-	rec.Marshal() // want `result error of .*Marshal is discarded`
+func discardedResult(d *dfs.DFS, rec *core.LogRecord) {
+	d.Write("e", 0, 1, dfs.WriteOptions{}, nil) // want `result error of .*Write is discarded`
 	rec.Validate() // want `result error of .*Validate is discarded`
 }
 
-func blankError(rec *core.LogRecord) []byte {
-	data, _ := rec.Marshal() // want `error from .*Marshal assigned to _`
-	return data
+func blankError(d *dfs.DFS, rec *core.LogRecord) []topology.NodeID {
+	_ = rec.Validate() // want `error from .*Validate assigned to _`
+	replicas, _ := d.Write("f", 0, 1, dfs.WriteOptions{}, nil) // want `error from .*Write assigned to _`
+	return replicas
 }
 
 func clobberedError(d *dfs.DFS) error {
