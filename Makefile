@@ -72,9 +72,10 @@ bench-alloc:
 	$(GO) run ./cmd/almbench -perf
 
 # bench-smoke compiles and runs every sim and fair-share benchmark
-# (BenchmarkAllocateWide and BenchmarkAllocateComponents among them)
-# exactly once — the CI guard that keeps them from bit-rotting without
-# paying full measurement cost. The harness entries run in bench-alloc.
+# (BenchmarkAllocateWide, BenchmarkAllocateComponents and
+# BenchmarkAllocateFetchMesh among them) exactly once — the CI guard
+# that keeps them from bit-rotting without paying full measurement cost.
+# The harness entries run in bench-alloc.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fairshare
 

@@ -251,14 +251,15 @@ type EventStats struct {
 	// Stopped counts events removed from the heap by Timer.Stop before
 	// their deadline.
 	Stopped uint64
-	// AllocPasses, AllocRounds and AllocFlows are the fair-share
-	// allocator's work (fairshare.Stats): max-min allocations run, and
-	// bottleneck ports frozen and flows allocated across them. A pass
-	// allocates only the components that hold a port changed since the
-	// previous one.
+	// AllocPasses, AllocRounds, AllocFlows and AllocPorts are the
+	// fair-share allocator's work (fairshare.Stats): max-min allocations
+	// run, and bottleneck ports frozen, flows allocated and ports keyed
+	// into the bottleneck heap across them. A pass allocates only the
+	// components that hold a port changed since the previous one.
 	AllocPasses uint64
 	AllocRounds uint64
 	AllocFlows  uint64
+	AllocPorts  uint64
 	// IndexUpdates and HostVisits are the reducers' fetch-index work,
 	// summed over every reducer: serving-host re-resolutions of one map
 	// (reindexMap calls), and host buckets pickHost scanned for a

@@ -195,6 +195,7 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 		AllocPasses:  alloc.Passes,
 		AllocRounds:  alloc.Rounds,
 		AllocFlows:   alloc.Flows,
+		AllocPorts:   alloc.Ports,
 		IndexUpdates: job.indexUpdates,
 		HostVisits:   job.hostVisits,
 	}

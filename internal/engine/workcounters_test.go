@@ -33,7 +33,9 @@ func TestWorkCountersPinned(t *testing.T) {
 		// buckets took HostVisits from 1,942,800 to 54,900. Allocating
 		// only the components that hold a changed port took AllocRounds
 		// from 81,054 to 25,091 and the flows allocated from 111,786 to
-		// AllocFlows 55,806, with the same passes.
+		// AllocFlows 55,806, with the same passes. Keying each flow's
+		// least solo port instead of all of them took AllocPorts from
+		// 239,361 to 78,437 and moved no other count.
 		name: "scale_1000",
 		spec: JobSpec{
 			Workload:   workloads.Terasort(),
@@ -50,6 +52,7 @@ func TestWorkCountersPinned(t *testing.T) {
 			AllocPasses:  3466,
 			AllocRounds:  25091,
 			AllocFlows:   55806,
+			AllocPorts:   78437,
 			IndexUpdates: 3600,
 			HostVisits:   54900,
 		},
@@ -61,7 +64,8 @@ func TestWorkCountersPinned(t *testing.T) {
 		// took IndexUpdates from 10,336 to 560, and the live-host walk
 		// took HostVisits from 4,594 to 8. Per-component allocation took
 		// AllocRounds from 9,054 to 2,145 and the flows allocated from
-		// 10,299 to AllocFlows 2,896.
+		// 10,299 to AllocFlows 2,896. The solo fold took AllocPorts
+		// from 7,219 to 4,060.
 		name: "tier_crash",
 		spec: remoteSpec(workloads.Terasort(), ModeALM, 8),
 		cs:   smallCluster(),
@@ -73,6 +77,7 @@ func TestWorkCountersPinned(t *testing.T) {
 			AllocPasses:  1270,
 			AllocRounds:  2145,
 			AllocFlows:   2896,
+			AllocPorts:   4060,
 			IndexUpdates: 560,
 			HostVisits:   8,
 		},

@@ -96,12 +96,68 @@ func BenchmarkAllocateWide(b *testing.B) {
 	reportPerPass(b, before, s.Stats())
 }
 
-// reportPerPass reports the rounds and flows an average pass allocated
-// between two Stats readings.
+// reportPerPass reports the rounds, flows and keyed ports an average
+// pass allocated between two Stats readings.
 func reportPerPass(b *testing.B, before, after Stats) {
 	passes := float64(after.Passes - before.Passes)
 	b.ReportMetric(float64(after.Rounds-before.Rounds)/passes, "rounds/pass")
 	b.ReportMetric(float64(after.Flows-before.Flows)/passes, "flows/pass")
+	b.ReportMetric(float64(after.Ports-before.Ports)/passes, "ports/pass")
+}
+
+// BenchmarkAllocateFetchMesh measures one whole-system allocation pass
+// over a shuffle's fetch mesh on the 1000-node geometry (50 racks of 20
+// nodes, 5:1 oversubscribed uplinks, default hardware): 100 reducers,
+// each with 5 parallel fetches from map hosts in other racks. A fetch
+// crosses its source's disk-read and NIC-out ports, the reducer's
+// shuffle-CPU port, the reducer node's NIC-in port and both rack
+// uplinks. 450 map hosts serve the 500 fetches, so most sources serve
+// one and both their ports are solo: only the lesser is keyed.
+func BenchmarkAllocateFetchMesh(b *testing.B) {
+	const (
+		racks, perRack = 50, 20
+		reducers       = 100
+		fetches        = 5
+		sources        = 450
+	)
+	e := sim.NewEngine(1)
+	s := NewSystem(e)
+	var ports []*Port
+	port := func(name string, capacity float64) *Port {
+		p := s.NewPort(name, capacity)
+		ports = append(ports, p)
+		return p
+	}
+	uplinks := make([]*Port, racks)
+	for r := range uplinks {
+		uplinks[r] = port(fmt.Sprintf("rack-%d/uplink", r), 1.25e9*perRack/5)
+	}
+	// Map hosts are the even nodes from 100 up (racks 5–49); reducers
+	// run on nodes 0–99 (racks 0–4).
+	type host struct {
+		node      int
+		disk, out *Port
+	}
+	hosts := make([]host, sources)
+	for i := range hosts {
+		n := 100 + 2*i
+		hosts[i] = host{n, port(fmt.Sprintf("node-%02d/disk-r", n), 450e6), port(fmt.Sprintf("node-%02d/out", n), 1.25e9)}
+	}
+	for r := 0; r < reducers; r++ {
+		shuffle := port(fmt.Sprintf("r_%03d_0/shuffle-cpu", r), 60e6)
+		in := port(fmt.Sprintf("node-%02d/in", r), 1.25e9)
+		for k := 0; k < fetches; k++ {
+			h := hosts[(r*fetches+k)%sources]
+			s.StartFlow("fetch", 1e15, []*Port{h.disk, shuffle, h.out, in, uplinks[h.node/perRack], uplinks[r/perRack]}, 0, nil)
+		}
+	}
+	before := s.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		touchAll(s, ports)
+		s.allocate()
+	}
+	reportPerPass(b, before, s.Stats())
 }
 
 // BenchmarkAllocateComponents measures the per-event work of many

@@ -1,6 +1,8 @@
 package fairshare
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +51,38 @@ func TestNewPortPanicsOnNegative(t *testing.T) {
 	}()
 	e := sim.NewEngine(1)
 	NewSystem(e).NewPort("bad", -1)
+}
+
+// TestNaNCapacityPanics: a NaN capacity or rate cap would break the
+// total key order of the bottleneck heap, so each entry point that sets
+// one panics, names the port, and leaves the system as it was.
+func TestNaNCapacityPanics(t *testing.T) {
+	s := NewSystem(sim.NewEngine(1))
+	p := s.NewPort("node-01/in", 100)
+	f := s.StartFlow("xfer", 1000, []*Port{p}, 10, nil)
+	for _, c := range []struct {
+		name, port string
+		call       func()
+	}{
+		{"NewPort", "bad", func() { s.NewPort("bad", math.NaN()) }},
+		{"SetCapacity", "node-01/in", func() { p.SetCapacity(math.NaN()) }},
+		{"SetPriorityCap", "xfer/cap", func() { f.SetPriorityCap(math.NaN()) }},
+		{"StartFlow", "dmerge:3/cap", func() { s.StartFlow("dmerge:3", 1000, []*Port{p}, math.NaN(), nil) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "NaN capacity for port "+c.port) {
+					t.Errorf("%s(NaN): panic %q, want one naming port %s", c.name, msg, c.port)
+				}
+			}()
+			c.call()
+		}()
+	}
+	if p.Capacity() != 100 || f.capPort.Capacity() != 10 || f.Rate() != 10 || s.ActiveFlows() != 1 {
+		t.Fatalf("capacity %v, cap %v, rate %v, %d flows after the panics, want 100, 10, 10, 1",
+			p.Capacity(), f.capPort.Capacity(), f.Rate(), s.ActiveFlows())
+	}
 }
 
 func TestStartFlowPanicsOnNilPort(t *testing.T) {

@@ -75,8 +75,10 @@ func (p *Port) Name() string { return p.name }
 func (p *Port) Capacity() float64 { return p.capacity }
 
 // SetCapacity changes the port capacity and reallocates flow rates.
-// Setting capacity to zero stalls all flows crossing the port.
+// Setting capacity to zero stalls all flows crossing the port. A NaN
+// capacity panics.
 func (p *Port) SetCapacity(c float64) {
+	checkCapacity(c, p.name, "")
 	if c < 0 {
 		c = 0
 	}
@@ -209,8 +211,9 @@ func (f *Flow) Cancel() {
 }
 
 // SetPriorityCap changes the flow's private rate cap (bytes/second).
-// A cap <= 0 removes the cap.
+// A cap <= 0 removes the cap; a NaN cap panics.
 func (f *Flow) SetPriorityCap(rate float64) {
+	checkCapacity(rate, f.name, "/cap")
 	if f.finished || f.canceled {
 		return
 	}
@@ -296,6 +299,10 @@ type Stats struct {
 	// flows of the components that hold a port changed since the previous
 	// pass.
 	Flows uint64
+	// Ports is the number of ports keyed into the bottleneck heap, summed
+	// over all passes: in the components a pass allocates, every port two
+	// or more crossings share and, per flow, the least of its solo ports.
+	Ports uint64
 }
 
 // System ties ports and flows to a simulation engine.
@@ -355,12 +362,24 @@ func NewSystem(e *sim.Engine) *System {
 // Stats returns the allocator work done so far.
 func (s *System) Stats() Stats { return s.stats }
 
-// NewPort creates a port with the given capacity in bytes/second.
+// NewPort creates a port with the given capacity in bytes/second. A
+// negative or NaN capacity panics.
 func (s *System) NewPort(name string, capacity float64) *Port {
 	if capacity < 0 {
 		panic(fmt.Sprintf("fairshare: negative capacity for port %s", name))
 	}
+	checkCapacity(capacity, name, "")
 	return s.newPortInternal(name, capacity)
+}
+
+// checkCapacity panics on a NaN capacity c for the port named
+// name+suffix: a NaN key would break the total order the bottleneck heap
+// and the solo fold in allocate rely on. The name is joined only to
+// panic, so the check allocates nothing on the StartFlow path.
+func checkCapacity(c float64, name, suffix string) {
+	if math.IsNaN(c) {
+		panic(fmt.Sprintf("fairshare: NaN capacity for port %s%s", name, suffix))
+	}
 }
 
 func (s *System) newPortInternal(name string, capacity float64) *Port {
@@ -389,9 +408,11 @@ func (s *System) newCapPort(flowName string, rate float64) *Port {
 
 // StartFlow begins transferring bytes across the given ports, calling
 // done (if non-nil) when the last byte arrives. maxRate > 0 imposes a
-// private rate cap. A flow of zero (or negative) bytes completes at the
-// current instant, with done deferred to a fresh engine event.
+// private rate cap; a NaN maxRate panics. A flow of zero (or negative)
+// bytes completes at the current instant, with done deferred to a fresh
+// engine event.
 func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate float64, done func()) *Flow {
+	checkCapacity(maxRate, name, "/cap")
 	s.advance()
 	s.nextSeq++
 	f := &Flow{name: name, seq: s.nextSeq, sys: s, remaining: float64(bytes), done: done}
@@ -611,6 +632,31 @@ func (s *System) gather(p *Port) {
 	p.id = s.heap.add(p)
 }
 
+// visit adds f to the current pass under the pass tag epoch. It gathers
+// each of f's ports that another crossing shares, and of its solo ports
+// (crossed by f alone, once) only the least in the heap's order: until
+// f freezes a solo port's key is its capacity, so no other solo port of
+// f can bind.
+func (s *System) visit(f *Flow, epoch uint32) {
+	f.epoch = epoch
+	f.rate = 0
+	f.frozen = false
+	var least *Port
+	for _, l := range f.links {
+		p := l.port
+		if len(p.flows) == 1 {
+			if least == nil || soloLess(p, least) {
+				least = p
+			}
+		} else if p.allocEpoch != s.allocEpoch {
+			s.gather(p)
+		}
+	}
+	if least != nil {
+		s.gather(least)
+	}
+}
+
 // allocate computes max-min fair rates via progressive filling: repeatedly
 // take the port with the smallest per-flow fair share, freeze its flows at
 // that rate, subtract their consumption everywhere, and continue.
@@ -625,21 +671,30 @@ func (s *System) gather(p *Port) {
 // An untouched component has not changed since the pass that last
 // allocated it.
 //
-// The gathered ports sit in an indexed min-heap keyed on (share, name,
-// seq), where share is residual/float64(unfrozen), so a pass costs
-// O((ports + flow·port incidences) · log ports) over the components it
-// allocates. The ports a frozen flow crosses are re-keyed lazily. In
-// exact arithmetic a freeze at s <= r/u only raises (r-s)/(u-1); a raised
-// key is re-sifted only once it reaches the top, so every stored key is
-// at most the true one and the top is the true minimum whenever its key
-// is current. Rounding at s == r/u and the residual clamp at 0 can lower
-// a key instead; that one is re-sifted at once, and fix moves it either
-// way. A port whose flows have all frozen is dropped when it surfaces,
-// and the pass ends when no flow is left to freeze.
+// The heap keys every port two or more crossings share and, per flow,
+// only the least of its solo ports, those the flow alone crosses once
+// (visit). A solo port's key stays capacity/1 until its flow freezes, so
+// the others could surface only after that, with nothing left to freeze:
+// leaving them out changes no round and no float operation. Their scratch
+// fields are stale, and the freeze loop skips them.
+//
+// The keyed ports sit in an indexed min-heap keyed on (share, name, seq),
+// where share is residual/float64(unfrozen), so a pass costs
+// O(flow·port incidences + keyed ports · log keyed ports) over the
+// components it allocates. The ports a frozen flow crosses are re-keyed
+// lazily. In exact arithmetic a freeze at s <= r/u only raises
+// (r-s)/(u-1); a raised key is re-sifted only once it reaches the top, so
+// every stored key is at most the true one and the top is the true
+// minimum whenever its key is current. Rounding at s == r/u and the
+// residual clamp at 0 can lower a key instead; that one is re-sifted at
+// once, and fix moves it either way. A port whose flows have all frozen
+// is dropped when it surfaces, and the pass ends when no flow is left to
+// freeze.
 //
 // Every step is independent of the order of s.flows, s.touched and
-// port.flows: the key order is total, and a port's residual takes the
-// same share k times within a round whichever of its flows freezes first.
+// port.flows: the key order is total (no capacity is NaN), and a port's
+// residual takes the same share k times within a round whichever of its
+// flows freezes first.
 func (s *System) allocate() {
 	s.allocEpoch++
 	touched := s.touched
@@ -660,32 +715,31 @@ func (s *System) allocate() {
 	h := &s.heap
 	h.reset()
 	remaining := 0
+	// h.ports doubles as the walk's queue; next is its head.
+	next := 0
 	for _, t := range touched {
-		if t.allocEpoch == s.allocEpoch || len(t.flows) == 0 {
-			continue
+		switch {
+		case len(t.flows) == 1:
+			// A solo root: the walk starts at its flow, which keys it
+			// only if it is the flow's least solo port.
+			if f := t.flows[0].f; f.epoch != epoch {
+				s.visit(f, epoch)
+				remaining++
+			}
+		case len(t.flows) > 1 && t.allocEpoch != s.allocEpoch:
+			s.gather(t)
 		}
-		// h.ports doubles as the walk's queue.
-		next := len(h.ports)
-		s.gather(t)
 		for ; next < len(h.ports); next++ {
 			for _, c := range h.ports[next].flows {
-				f := c.f
-				if f.epoch == epoch {
-					continue
-				}
-				f.epoch = epoch
-				f.rate = 0
-				f.frozen = false
-				remaining++
-				for _, l := range f.links {
-					if l.port.allocEpoch != s.allocEpoch {
-						s.gather(l.port)
-					}
+				if f := c.f; f.epoch != epoch {
+					s.visit(f, epoch)
+					remaining++
 				}
 			}
 		}
 	}
 	s.stats.Flows += uint64(remaining)
+	s.stats.Ports += uint64(len(h.ports))
 	h.init()
 	for remaining > 0 {
 		top := &h.entries[0]
@@ -723,6 +777,11 @@ func (s *System) allocate() {
 			remaining--
 			for _, l := range f.links {
 				p := l.port
+				if p.allocEpoch != s.allocEpoch {
+					// A solo port the pass left out: its scratch is
+					// stale, and f was its only flow.
+					continue
+				}
 				p.residual -= share
 				if p.residual < 0 {
 					p.residual = 0

@@ -3,11 +3,13 @@ package fairshare
 import "encoding/binary"
 
 // bottleneckHeap is the indexed min-heap allocate() draws bottleneck ports
-// from. It is rebuilt on every pass: add gathers the pass's ports, init
-// keys and heapifies them. Entries carry their key inline, so a sift reads
-// one contiguous array instead of chasing port pointers; pos maps a port's
-// pass-local id (Port.id) to its entry. The heap is 4-ary: half the depth
-// of a binary heap, and a node's children share a cache line or two.
+// from. It is rebuilt on every pass: add gathers the pass's ports that
+// can bind — every port two crossings share and each flow's least solo
+// port — and init keys and heapifies them. Entries carry their key
+// inline, so a sift reads one contiguous array instead of chasing port
+// pointers; pos maps a port's pass-local id (Port.id) to its entry. The
+// heap is 4-ary: half the depth of a binary heap, and a node's children
+// share a cache line or two.
 type bottleneckHeap struct {
 	entries []heapEntry
 	pos     []int32 // pos[id] indexes entries; -1 once the port left
@@ -67,11 +69,28 @@ func (h *bottleneckHeap) less(a, b *heapEntry) bool {
 	if a.prefix != b.prefix {
 		return a.prefix < b.prefix
 	}
-	pa, pb := h.ports[a.id], h.ports[b.id]
-	if pa.name != pb.name {
-		return pa.name < pb.name
+	return nameLess(h.ports[a.id], h.ports[b.id])
+}
+
+// nameLess orders two ports whose shares and name prefixes tie: by name,
+// then creation number.
+func nameLess(a, b *Port) bool {
+	if a.name != b.name {
+		return a.name < b.name
 	}
-	return pa.seq < pb.seq
+	return a.seq < b.seq
+}
+
+// soloLess is the heap order on two solo ports of one unfrozen flow,
+// whose share is residual/1 = capacity.
+func soloLess(a, b *Port) bool {
+	if a.capacity != b.capacity {
+		return a.capacity < b.capacity
+	}
+	if a.prefix != b.prefix {
+		return a.prefix < b.prefix
+	}
+	return nameLess(a, b)
 }
 
 // removeAt takes the entry at position i out of the heap.

@@ -46,10 +46,11 @@ type oracleSystem struct {
 	pending   bool
 	untallied map[*oraclePort]struct{}
 
-	// The latest pass's components: oraclePort.comp indexes compRounds
-	// and compFlows while the port's allocEpoch is current.
+	// The latest pass's components: oraclePort.comp indexes compRounds,
+	// compFlows and compPorts while the port's allocEpoch is current.
 	compRounds []uint64
 	compFlows  []uint64
+	compPorts  []uint64
 
 	onCompletionFn func()
 
@@ -335,6 +336,7 @@ func (s *oracleSystem) work(changed map[*oraclePort]struct{}) Stats {
 		counted[p.comp] = true
 		st.Rounds += s.compRounds[p.comp]
 		st.Flows += s.compFlows[p.comp]
+		st.Ports += s.compPorts[p.comp]
 	}
 	return st
 }
@@ -343,6 +345,7 @@ func (st *Stats) add(o Stats) {
 	st.Passes += o.Passes
 	st.Rounds += o.Rounds
 	st.Flows += o.Flows
+	st.Ports += o.Ports
 }
 
 func (s *oracleSystem) onCompletion() {
@@ -376,7 +379,9 @@ func (s *oracleSystem) onCompletion() {
 
 // allocate is the original scan: each round finds the bottleneck among
 // all ports gathered for the pass, by (share, name, seq). It also labels
-// the pass's connected components and counts each one's rounds and flows.
+// the pass's connected components and counts each one's rounds, flows
+// and the ports System keys: each port with two or more crossings, and
+// one per flow that has a port it alone crosses once.
 func (s *oracleSystem) allocate() {
 	if len(s.flows) == 0 {
 		return
@@ -405,9 +410,20 @@ func (s *oracleSystem) allocate() {
 	}
 	s.portsScratch = ports
 	s.labelComponents(ports)
+	for _, p := range ports {
+		if p.unfrozen > 1 {
+			s.compPorts[p.comp]++
+		}
+	}
 	for f := range s.flows {
 		if len(f.ports) > 0 {
 			s.compFlows[f.ports[0].comp]++
+			for _, p := range f.ports {
+				if p.unfrozen == 1 {
+					s.compPorts[p.comp]++
+					break
+				}
+			}
 		}
 	}
 	for remaining > 0 {
@@ -479,4 +495,5 @@ func (s *oracleSystem) labelComponents(ports []*oraclePort) {
 	}
 	s.compRounds = append(s.compRounds[:0], make([]uint64, n)...)
 	s.compFlows = append(s.compFlows[:0], make([]uint64, n)...)
+	s.compPorts = append(s.compPorts[:0], make([]uint64, n)...)
 }

@@ -277,7 +277,7 @@ func (inj *Injection) validate() error {
 	case StopNodeNetwork, CrashNode, HealNode:
 		return inj.validateNodeTarget()
 	case SlowNode, DegradeNIC:
-		if a.Factor <= 0 || a.Factor > 1 {
+		if !(a.Factor > 0 && a.Factor <= 1) {
 			return fmt.Errorf("%s factor %v outside (0,1]", kindName(a.Kind), a.Factor)
 		}
 		return inj.validateNodeTarget()
@@ -299,7 +299,7 @@ func (inj *Injection) validate() error {
 		if math.IsNaN(a.FailProb) || a.FailProb < 0 || a.FailProb > 1 {
 			return fmt.Errorf("FlakyLink probability %v outside [0,1]", a.FailProb)
 		}
-		if a.Factor < 0 || a.Factor > 1 {
+		if !(a.Factor >= 0 && a.Factor <= 1) {
 			return fmt.Errorf("FlakyLink bandwidth factor %v outside [0,1]", a.Factor)
 		}
 	case CrashRack:
@@ -317,7 +317,7 @@ func (inj *Injection) validate() error {
 		if a.TaskIdx < 0 {
 			return fmt.Errorf("negative hot partition index %d", a.TaskIdx)
 		}
-		if a.Factor <= 0 || a.Factor > 1 {
+		if !(a.Factor > 0 && a.Factor <= 1) {
 			return fmt.Errorf("HotPartition factor %v outside (0,1]", a.Factor)
 		}
 	default:

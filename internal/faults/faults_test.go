@@ -148,6 +148,8 @@ func TestValidateRejectsBadActions(t *testing.T) {
 		{"SlowNode zero factor", Action{Kind: SlowNode, Factor: 0}, "outside (0,1]"},
 		{"SlowNode factor above one", Action{Kind: SlowNode, Factor: 1.5}, "outside (0,1]"},
 		{"DegradeNIC negative factor", Action{Kind: DegradeNIC, Factor: -0.5}, "outside (0,1]"},
+		{"SlowNode NaN factor", Action{Kind: SlowNode, Factor: math.NaN()}, "outside (0,1]"},
+		{"DegradeNIC NaN factor", Action{Kind: DegradeNIC, Factor: math.NaN()}, "outside (0,1]"},
 		{"PartitionNode without heal", Action{Kind: PartitionNode}, "positive HealAfter"},
 		{"FlakyLink non-explicit selector", Action{Kind: FlakyLink, Selector: NodeOfTask, Node2: 1, FailProb: 0.5, Factor: 1}, "explicit endpoints"},
 		{"FlakyLink negative endpoint", Action{Kind: FlakyLink, Node: -1, Node2: 1, FailProb: 0.5, Factor: 1}, "negative FlakyLink endpoint"},
@@ -155,6 +157,8 @@ func TestValidateRejectsBadActions(t *testing.T) {
 		{"FlakyLink probability above one", Action{Kind: FlakyLink, Node: 0, Node2: 1, FailProb: 1.2, Factor: 1}, "probability"},
 		{"FlakyLink NaN probability", Action{Kind: FlakyLink, Node: 0, Node2: 1, FailProb: math.NaN(), Factor: 1}, "probability"},
 		{"FlakyLink factor above one", Action{Kind: FlakyLink, Node: 0, Node2: 1, FailProb: 0.5, Factor: 1.1}, "bandwidth factor"},
+		{"FlakyLink NaN factor", Action{Kind: FlakyLink, Node: 0, Node2: 1, FailProb: 0.5, Factor: math.NaN()}, "bandwidth factor"},
+		{"HotPartition NaN factor", Action{Kind: HotPartition, TaskIdx: 0, Factor: math.NaN()}, "HotPartition factor"},
 		{"CrashRack negative rack", Action{Kind: CrashRack, Rack: -1}, "negative rack"},
 		{"unknown action kind", Action{Kind: ActionKind(77)}, "unknown action kind"},
 	}
