@@ -79,11 +79,14 @@ bench-alloc:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fairshare
 
-# chaos sweeps 50 seeded random gray-failure schedules under all four
-# modes and asserts the recovery invariants (DESIGN.md §11). A failing
-# seed prints a one-line reproducer.
+# chaos sweeps 50 seeded random gray-failure schedules over each check
+# matrix — all four modes with local shuffle, then yarn and alm with the
+# remote shuffle tier and tier faults in the draw — and asserts the
+# recovery invariants (DESIGN.md §11). A failing seed prints a one-line
+# reproducer.
 chaos:
 	$(GO) run ./cmd/almrun -chaos -seeds 50
+	$(GO) run ./cmd/almrun -chaos -shuffle=remote -seeds 50
 
 # chaos-smoke is the CI-sized batch: a fixed handful of seeds under the
 # race detector.

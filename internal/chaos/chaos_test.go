@@ -119,7 +119,7 @@ func TestScheduleClassifiers(t *testing.T) {
 func TestTierFaultsGated(t *testing.T) {
 	sh, _ := CheckShape()
 	shTier := sh
-	shTier.TierNodes = RemoteTierNodes
+	shTier.TierNodes = RemoteMatrix.TierNodes
 	b := DefaultBudget()
 	bTier := b
 	bTier.TierFaults = true
@@ -178,7 +178,7 @@ func TestCheckSeedsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 24 full simulations")
 	}
-	if vs := CheckSeeds(11, 2, DefaultBudget(), 2, nil, nil); len(vs) != 0 {
+	if vs := CheckSeeds(LocalMatrix, 11, 2, DefaultBudget(), 2, nil, nil); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("%s", v)
 		}
@@ -192,14 +192,14 @@ func TestCheckSeedRemoteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 6 full simulations")
 	}
-	if vs := CheckSeedRemote(11, DefaultBudget(), nil); len(vs) != 0 {
+	if vs := CheckSeed(RemoteMatrix, 11, DefaultBudget(), nil); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("%s\n  repro: %s", v, v.Reproducer())
 		}
 	}
 }
 
-// TestCheckSeedsWorkerParity requires the chaos sweep's violations and
+// TestCheckSeedsWorkerParity requires each matrix's sweep violations and
 // its metrics registry to come out byte-identical whether the seeds run
 // serially or on 8 workers: seeds run registry-free on the workers and
 // their increments are replayed in seed order at delivery.
@@ -207,30 +207,37 @@ func TestCheckSeedsWorkerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	run := func(workers int) ([]Violation, []byte) {
-		reg := metrics.NewRegistry()
-		var reported []int64
-		vs := CheckSeeds(11, 3, DefaultBudget(), workers, reg, func(seed int64, _ []Violation) {
-			reported = append(reported, seed)
-		})
-		for i, s := range reported {
-			if want := int64(11 + i); s != want {
-				t.Errorf("workers=%d: report %d was seed %d, want %d", workers, i, s, want)
+	for _, tc := range []struct {
+		name string
+		m    Matrix
+	}{{"local", LocalMatrix}, {"remote", RemoteMatrix}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) ([]Violation, []byte) {
+				reg := metrics.NewRegistry()
+				var reported []int64
+				vs := CheckSeeds(tc.m, 11, 3, DefaultBudget(), workers, reg, func(seed int64, _ []Violation) {
+					reported = append(reported, seed)
+				})
+				for i, s := range reported {
+					if want := int64(11 + i); s != want {
+						t.Errorf("workers=%d: report %d was seed %d, want %d", workers, i, s, want)
+					}
+				}
+				return vs, reg.Snapshot().Prometheus()
 			}
-		}
-		return vs, reg.Snapshot().Prometheus()
-	}
-	vs1, prom1 := run(1)
-	vs8, prom8 := run(8)
-	if len(vs1) != len(vs8) {
-		t.Fatalf("violations differ: %d serial vs %d parallel", len(vs1), len(vs8))
-	}
-	for i := range vs1 {
-		if vs1[i] != vs8[i] {
-			t.Errorf("violation %d differs:\nserial:   %+v\nparallel: %+v", i, vs1[i], vs8[i])
-		}
-	}
-	if !bytes.Equal(prom1, prom8) {
-		t.Errorf("metrics snapshots differ between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", prom1, prom8)
+			vs1, prom1 := run(1)
+			vs8, prom8 := run(8)
+			if len(vs1) != len(vs8) {
+				t.Fatalf("violations differ: %d serial vs %d parallel", len(vs1), len(vs8))
+			}
+			for i := range vs1 {
+				if vs1[i] != vs8[i] {
+					t.Errorf("violation %d differs:\nserial:   %+v\nparallel: %+v", i, vs1[i], vs8[i])
+				}
+			}
+			if !bytes.Equal(prom1, prom8) {
+				t.Errorf("metrics snapshots differ between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", prom1, prom8)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"alm/internal/engine"
@@ -21,8 +22,8 @@ type Violation struct {
 	Mode      engine.Mode
 	Invariant string
 	Detail    string
-	// Remote marks a violation found under the remote-shuffle matrix
-	// (CheckSeedRemote); the reproducer needs the -shuffle=remote flag.
+	// Remote marks a violation found under RemoteMatrix; the reproducer
+	// needs the -shuffle=remote flag.
 	Remote bool
 }
 
@@ -45,14 +46,26 @@ func (v Violation) Reproducer() string {
 // Modes is the full mode matrix every schedule is checked under.
 var Modes = []engine.Mode{engine.ModeYARN, engine.ModeALG, engine.ModeSFM, engine.ModeALM}
 
-// RemoteModes is the pair the remote-shuffle tier matrix runs under:
-// stock retry versus the full ALM stack, both with MOFs pushed to the
-// tier.
-var RemoteModes = []engine.Mode{engine.ModeYARN, engine.ModeALM}
+// Matrix is one chaos check matrix: the modes every schedule runs under
+// and the shuffle path its jobs take. TierNodes > 0 selects the remote
+// shuffle tier of that size: the jobs push their MOFs to it, the
+// schedules also draw tier faults (Budget.TierFaults), the tier's own
+// invariants are checked, and violations are tagged Remote.
+type Matrix struct {
+	Modes     []engine.Mode
+	TierNodes int
+}
 
-// RemoteTierNodes is the tier size remote chaos runs use (mirrors the
-// engine's ShuffleOptions default so generated ordinals stay in range).
-const RemoteTierNodes = 3
+var (
+	// LocalMatrix checks every mode with node-local shuffle.
+	LocalMatrix = Matrix{Modes: Modes}
+	// RemoteMatrix checks stock retry against the full ALM stack with
+	// MOFs pushed to a 3-node tier (the engine's ShuffleOptions default,
+	// so generated tier ordinals stay in range).
+	RemoteMatrix = Matrix{Modes: []engine.Mode{engine.ModeYARN, engine.ModeALM}, TierNodes: 3}
+)
+
+func (m Matrix) remote() bool { return m.TierNodes > 0 }
 
 // CheckShape is the fixed small job/cluster geometry chaos runs use:
 // the paper's 2×10 testbed, 8 map splits (1 GiB at the default 128 MB
@@ -68,17 +81,28 @@ func CheckShape() (Shape, engine.ClusterSpec) {
 	}, cs
 }
 
-// specFor builds the job spec for one (seed, mode) run. The workload
-// rotates with the seed so all three benchmarks see chaos. MaxTaskAttempts
-// is raised from the stock 4: a compound schedule can legitimately charge
-// a task several attempt failures (an injected kill plus strandings on
-// partitioned nodes) without anything being wrong, and the invariants
-// under test are about amplification and recovery, not the attempt cap.
-func specFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
+// schedule generates seed's schedule for the matrix; a remote matrix
+// also draws tier faults for its tier.
+func (m Matrix) schedule(seed int64, b Budget) Schedule {
+	sh, _ := CheckShape()
+	sh.TierNodes = m.TierNodes
+	b.TierFaults = b.TierFaults || m.remote()
+	return Generate(seed, b, sh)
+}
+
+// Spec builds the job spec for one (seed, mode) run. The workload
+// rotates with the seed so all three benchmarks see chaos.
+// MaxTaskAttempts is raised from the stock 4: a compound schedule can
+// legitimately charge a task several attempt failures (an injected kill
+// plus strandings on partitioned nodes) without anything being wrong,
+// and the invariants under test are about amplification and recovery,
+// not the attempt cap.
+func (m Matrix) Spec(seed int64, mode engine.Mode) engine.JobSpec {
+	sh, _ := CheckShape()
 	wls := []*workloads.Workload{workloads.Terasort(), workloads.Wordcount(), workloads.Secondarysort()}
 	conf := mr.DefaultConfig()
 	conf.MaxTaskAttempts = 8
-	return engine.JobSpec{
+	spec := engine.JobSpec{
 		Workload:   wls[int(((seed%3)+3)%3)],
 		InputBytes: int64(sh.Maps) * conf.BlockSizeBytes,
 		NumReduces: sh.Reduces,
@@ -86,6 +110,9 @@ func specFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
 		Mode:       mode,
 		Seed:       seed,
 	}
+	spec.Shuffle.Remote = m.remote()
+	spec.Shuffle.TierNodes = m.TierNodes
+	return spec
 }
 
 // runOne executes one job, converting an engine invariant panic (armed
@@ -124,129 +151,32 @@ func sameOutput(a, b []mr.Record) bool {
 }
 
 // CheckSeed generates the schedule for one seed and verifies every
-// invariant under every mode: three runs per mode (failure-free
-// baseline, chaos, chaos again for determinism). It returns all
-// violations found (nil means the seed is clean). reg, when non-nil,
-// accumulates sweep metrics (runs per mode, violations per invariant).
-func CheckSeed(seed int64, budget Budget, reg *metrics.Registry) []Violation {
+// invariant of m (DESIGN.md §11 lists each one's matrix scope) under
+// every mode of m: three runs per mode (failure-free baseline, chaos,
+// chaos again for determinism). It returns all violations found (nil
+// means the seed is clean). reg, when non-nil, accumulates sweep
+// metrics (runs per mode, violations per invariant).
+func CheckSeed(m Matrix, seed int64, budget Budget, reg *metrics.Registry) []Violation {
 	engine.EnableInvariantChecks()
-	vs := checkSeed(seed, budget)
-	applySeedMetrics(reg, Modes, false, vs)
+	vs := m.check(seed, budget)
+	m.applySeedMetrics(reg, vs)
 	return vs
 }
 
-// checkSeed is CheckSeed's pure core: no registry writes, no global
-// toggles — safe to fan out across sweep workers. Metrics are derived
-// from its return value afterwards (applySeedMetrics), in seed order,
-// so a parallel sweep's registry snapshot is byte-identical to serial.
-func checkSeed(seed int64, budget Budget) []Violation {
-	sh, cs := CheckShape()
-	sched := Generate(seed, budget, sh)
+// check is CheckSeed's pure core: no registry writes, no global toggles
+// — safe to fan out across sweep workers. Metrics are derived from its
+// return value afterwards (applySeedMetrics), in seed order, so a
+// parallel sweep's registry snapshot is byte-identical to serial.
+func (m Matrix) check(seed int64, budget Budget) []Violation {
+	_, cs := CheckShape()
+	sched := m.schedule(seed, budget)
 	var vs []Violation
 	add := func(mode engine.Mode, invariant, detail string) {
-		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail})
+		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail, Remote: m.remote()})
 	}
 
-	for _, mode := range Modes {
-		spec := specFor(seed, mode, sh)
-
-		base, _, baseCons, err := runOne(spec, cs, nil)
-		if err != nil {
-			add(mode, "baseline-run", err.Error())
-			continue
-		}
-		if !base.Completed {
-			add(mode, "baseline-termination", base.FailReason)
-			continue
-		}
-		if baseCons != nil {
-			add(mode, "conservation", "baseline: "+baseCons.Error())
-		}
-
-		res, _, cons, err := runOne(spec, cs, sched.Plan())
-		if err != nil {
-			add(mode, "chaos-run", err.Error())
-			continue
-		}
-		if !res.Completed {
-			add(mode, "termination", fmt.Sprintf("job did not complete: %s", res.FailReason))
-			continue
-		}
-		if cons != nil {
-			add(mode, "conservation", cons.Error())
-		}
-		if !sameOutput(res.Output, base.Output) {
-			add(mode, "output-identity", fmt.Sprintf(
-				"recovered output differs from failure-free run (%d vs %d records)",
-				len(res.Output), len(base.Output)))
-		}
-		if mode.SFMEnabled() && sched.SingleDark() && res.AdditionalReduceFailures != 0 {
-			add(mode, "no-amplification", fmt.Sprintf(
-				"%d healthy reducers infected under a single-failure schedule",
-				res.AdditionalReduceFailures))
-		}
-		if sched.AllHealFast(healFastLimit(spec.Conf)) && sched.CrashCount() == 0 {
-			if n := res.Trace.Count(trace.KindNodeDetected); n != 0 {
-				add(mode, "no-lost-nodes", fmt.Sprintf(
-					"%d nodes declared lost although every fault heals before the liveness timer", n))
-			}
-		}
-
-		res2, _, _, err := runOne(spec, cs, sched.Plan())
-		if err != nil {
-			add(mode, "determinism", "repeat run failed: "+err.Error())
-			continue
-		}
-		switch {
-		case res2.Duration != res.Duration:
-			add(mode, "determinism", fmt.Sprintf("durations differ: %v vs %v", res.Duration, res2.Duration))
-		case res2.Events.Processed != res.Events.Processed:
-			add(mode, "determinism", fmt.Sprintf("event counts differ: %d vs %d", res.Events.Processed, res2.Events.Processed))
-		case !sameOutput(res2.Output, res.Output):
-			add(mode, "determinism", "outputs differ between identical runs")
-		case res2.FetchRetries != res.FetchRetries:
-			add(mode, "determinism", fmt.Sprintf("fetch retries differ: %d vs %d", res.FetchRetries, res2.FetchRetries))
-		}
-	}
-	return vs
-}
-
-// remoteSpecFor is specFor with the remote shuffle tier enabled, sized
-// to the shape the generator drew ordinals from.
-func remoteSpecFor(seed int64, mode engine.Mode, sh Shape) engine.JobSpec {
-	spec := specFor(seed, mode, sh)
-	spec.Shuffle.Remote = true
-	spec.Shuffle.TierNodes = sh.TierNodes
-	return spec
-}
-
-// CheckSeedRemote is CheckSeed's counterpart for the remote-shuffle
-// tier: the generated schedule additionally draws tier-service crashes
-// and hot partitions, and each run asserts the tier's own invariants on
-// top of the usual ones — every obligation the tier accepted is repaired
-// (re-replicated or re-pushed) before the job completes, and under a
-// single dark node with no tier crash a map-node loss causes zero map
-// recomputation, because delivered MOFs live in the tier.
-func CheckSeedRemote(seed int64, budget Budget, reg *metrics.Registry) []Violation {
-	engine.EnableInvariantChecks()
-	vs := checkSeedRemote(seed, budget)
-	applySeedMetrics(reg, RemoteModes, true, vs)
-	return vs
-}
-
-// checkSeedRemote is CheckSeedRemote's pure core (see checkSeed).
-func checkSeedRemote(seed int64, budget Budget) []Violation {
-	sh, cs := CheckShape()
-	sh.TierNodes = RemoteTierNodes
-	budget.TierFaults = true
-	sched := Generate(seed, budget, sh)
-	var vs []Violation
-	add := func(mode engine.Mode, invariant, detail string) {
-		vs = append(vs, Violation{Seed: seed, Mode: mode, Invariant: invariant, Detail: detail, Remote: true})
-	}
-
-	for _, mode := range RemoteModes {
-		spec := remoteSpecFor(seed, mode, sh)
+	for _, mode := range m.Modes {
+		spec := m.Spec(seed, mode)
 
 		base, _, baseCons, err := runOne(spec, cs, nil)
 		if err != nil {
@@ -278,21 +208,30 @@ func checkSeedRemote(seed int64, budget Budget) []Violation {
 				"recovered output differs from failure-free run (%d vs %d records)",
 				len(res.Output), len(base.Output)))
 		}
-		if pending != 0 {
-			add(mode, "tier-recovery", fmt.Sprintf(
-				"%d tier segments still owed at job end: a killed tier node's "+
-					"storage was neither re-replicated nor re-pushed", pending))
-		}
-		if sched.SingleDark() && !sched.HasTierCrash() {
-			if n := res.Trace.Count(trace.KindMapRescheduled); n != 0 {
-				add(mode, "no-map-recompute", fmt.Sprintf(
-					"%d completed maps recomputed although their MOFs were safe in the tier", n))
+		if m.remote() {
+			if pending != 0 {
+				add(mode, "tier-recovery", fmt.Sprintf(
+					"%d tier segments still owed at job end: a killed tier node's "+
+						"storage was neither re-replicated nor re-pushed", pending))
+			}
+			if sched.SingleDark() && !sched.HasTierCrash() {
+				if n := res.Trace.Count(trace.KindMapRescheduled); n != 0 {
+					add(mode, "no-map-recompute", fmt.Sprintf(
+						"%d completed maps recomputed although their MOFs were safe in the tier", n))
+				}
 			}
 		}
+		// Local schedules draw no tier faults, so HasTierCrash is false there.
 		if mode.SFMEnabled() && sched.SingleDark() && !sched.HasTierCrash() && res.AdditionalReduceFailures != 0 {
 			add(mode, "no-amplification", fmt.Sprintf(
 				"%d healthy reducers infected under a single-failure schedule",
 				res.AdditionalReduceFailures))
+		}
+		if !m.remote() && sched.AllHealFast(healFastLimit(spec.Conf)) && sched.CrashCount() == 0 {
+			if n := res.Trace.Count(trace.KindNodeDetected); n != 0 {
+				add(mode, "no-lost-nodes", fmt.Sprintf(
+					"%d nodes declared lost although every fault heals before the liveness timer", n))
+			}
 		}
 
 		res2, _, _, err := runOne(spec, cs, sched.Plan())
@@ -328,10 +267,10 @@ func healFastLimit(conf mr.Config) time.Duration {
 // produces the same registry state as the historical serial loop that
 // interleaved them with the runs. reg may be nil (all handles are
 // nil-safe no-ops).
-func applySeedMetrics(reg *metrics.Registry, modes []engine.Mode, remote bool, bad []Violation) {
-	for _, mode := range modes {
+func (m Matrix) applySeedMetrics(reg *metrics.Registry, bad []Violation) {
+	for _, mode := range m.Modes {
 		name := mode.String()
-		if remote {
+		if m.remote() {
 			name += "+remote"
 		}
 		reg.Counter("alm_chaos_runs_total", "mode", name).Add(3)
@@ -342,28 +281,50 @@ func applySeedMetrics(reg *metrics.Registry, modes []engine.Mode, remote bool, b
 	reg.Counter("alm_chaos_seeds_total").Inc()
 }
 
-// CheckSeeds sweeps n consecutive seeds starting at first across
+// CheckSeeds sweeps m over n consecutive seeds starting at first across
 // workers parallel engines (<= 0: one per CPU), invoking report after
 // each seed in seed order (for progress output; may be nil). It returns
 // all violations, in seed order. reg, when non-nil, accumulates sweep
 // metrics; its final snapshot does not depend on the worker count.
-func CheckSeeds(first int64, n int, budget Budget, workers int, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
-	return sweepSeeds(first, n, workers, Modes, false, reg, report, func(seed int64) []Violation {
-		return checkSeed(seed, budget)
+//
+// The invariant toggle is flipped once, before any worker spawns, so
+// engine goroutines only ever read it; violations land in per-seed
+// indexed slots and both metrics application and progress reporting
+// happen at ordered delivery time.
+func CheckSeeds(m Matrix, first int64, n int, budget Budget, workers int, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
+	engine.EnableInvariantChecks()
+	if n < 0 {
+		n = 0
+	}
+	per := make([][]Violation, n)
+	sweep.Do(context.Background(), n, workers, func(i int) error {
+		per[i] = m.check(first+int64(i), budget)
+		return nil
+	}, func(i int, err error) {
+		seed := first + int64(i)
+		if err != nil {
+			// A panic that escaped runOne's recovery (harness bug, not an
+			// engine fault) — surface it as a violation instead of dying.
+			per[i] = append(per[i], Violation{
+				Seed: seed, Mode: m.Modes[0], Invariant: "sweep-harness",
+				Detail: err.Error(), Remote: m.remote(),
+			})
+		}
+		m.applySeedMetrics(reg, per[i])
+		if report != nil {
+			report(seed, per[i])
+		}
 	})
+	var all []Violation
+	for _, vs := range per {
+		all = append(all, vs...)
+	}
+	return all
 }
 
-// CheckSeedsRemote is CheckSeeds over the remote-shuffle matrix.
-func CheckSeedsRemote(first int64, n int, budget Budget, workers int, reg *metrics.Registry, report func(seed int64, bad []Violation)) []Violation {
-	return sweepSeeds(first, n, workers, RemoteModes, true, reg, report, func(seed int64) []Violation {
-		return checkSeedRemote(seed, budget)
-	})
-}
-
-// Sweep runs n consecutive seeds starting at first (at least one) under
-// all four engine modes — or, with remote, the {yarn,alm} ×
-// remote-shuffle matrix with tier faults in the draw — across workers
-// parallel engines, and writes the sweep transcript to w: a header, each
+// Sweep runs n consecutive seeds starting at first (at least one) over
+// LocalMatrix — or, with remote, RemoteMatrix — across workers parallel
+// engines, and writes the sweep transcript to w: a header, each
 // schedule when verbose, one status line per seed in seed order, and a
 // summary listing every violation with a minimal reproducer command
 // line. The transcript is byte-identical at any worker count. It returns
@@ -372,29 +333,24 @@ func Sweep(w io.Writer, first int64, n, workers int, remote, verbose bool, reg *
 	if n < 1 {
 		n = 1
 	}
-	budget := DefaultBudget()
-	modes := Modes
-	sweep := CheckSeeds
+	m, tier := LocalMatrix, ""
 	if remote {
-		budget.TierFaults = true
-		modes = RemoteModes
-		sweep = CheckSeedsRemote
-		fmt.Fprintf(w, "chaos: sweeping %d seed(s) from %d under modes yarn|alm with the remote shuffle tier\n", n, first)
-	} else {
-		fmt.Fprintf(w, "chaos: sweeping %d seed(s) from %d under modes yarn|alg|sfm|alm\n", n, first)
+		m, tier = RemoteMatrix, " with the remote shuffle tier"
 	}
+	names := make([]string, len(m.Modes))
+	for i, mode := range m.Modes {
+		names[i] = mode.String()
+	}
+	fmt.Fprintf(w, "chaos: sweeping %d seed(s) from %d under modes %s%s\n", n, first, strings.Join(names, "|"), tier)
+	budget := DefaultBudget()
 	if verbose {
-		sh, _ := CheckShape()
-		if remote {
-			sh.TierNodes = RemoteTierNodes
-		}
 		for seed := first; seed < first+int64(n); seed++ {
-			sched := Generate(seed, budget, sh)
+			sched := m.schedule(seed, budget)
 			io.WriteString(w, sched.String())
 		}
 	}
 	checked := 0
-	all := sweep(first, n, budget, workers, reg, func(seed int64, bad []Violation) {
+	all := CheckSeeds(m, first, n, budget, workers, reg, func(seed int64, bad []Violation) {
 		checked++
 		status := "ok"
 		if len(bad) > 0 {
@@ -403,48 +359,12 @@ func Sweep(w io.Writer, first int64, n, workers int, remote, verbose bool, reg *
 		fmt.Fprintf(w, "  seed %-6d [%d/%d] %s\n", seed, checked, n, status)
 	})
 	if len(all) == 0 {
-		fmt.Fprintf(w, "chaos: all invariants held over %d seed(s) x %d modes\n", n, len(modes))
+		fmt.Fprintf(w, "chaos: all invariants held over %d seed(s) x %d modes\n", n, len(m.Modes))
 		return nil
 	}
 	fmt.Fprintf(w, "\nchaos: %d invariant violation(s):\n", len(all))
 	for _, v := range all {
 		fmt.Fprintf(w, "  %s\n      reproduce: %s\n", v, v.Reproducer())
-	}
-	return all
-}
-
-// sweepSeeds fans the per-seed checks over the shared sweep scheduler.
-// The invariant toggle is flipped once, before any worker spawns, so
-// engine goroutines only ever read it; violations land in per-seed
-// indexed slots and both metrics application and progress reporting
-// happen at ordered delivery time.
-func sweepSeeds(first int64, n, workers int, modes []engine.Mode, remote bool, reg *metrics.Registry, report func(seed int64, bad []Violation), check func(seed int64) []Violation) []Violation {
-	engine.EnableInvariantChecks()
-	if n < 0 {
-		n = 0
-	}
-	per := make([][]Violation, n)
-	sweep.Do(context.Background(), n, workers, func(i int) error {
-		per[i] = check(first + int64(i))
-		return nil
-	}, func(i int, err error) {
-		seed := first + int64(i)
-		if err != nil {
-			// A panic that escaped runOne's recovery (harness bug, not an
-			// engine fault) — surface it as a violation instead of dying.
-			per[i] = append(per[i], Violation{
-				Seed: seed, Mode: modes[0], Invariant: "sweep-harness",
-				Detail: err.Error(), Remote: remote,
-			})
-		}
-		applySeedMetrics(reg, modes, remote, per[i])
-		if report != nil {
-			report(seed, per[i])
-		}
-	})
-	var all []Violation
-	for _, vs := range per {
-		all = append(all, vs...)
 	}
 	return all
 }

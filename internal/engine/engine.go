@@ -237,11 +237,15 @@ type Result struct {
 	Metrics *metrics.Snapshot
 
 	// Events reports discrete-event engine load for the run (filled by
-	// Run, zero when a Job is driven on a caller-owned engine).
+	// Run and RunShared, zero when a Job is driven on a caller-owned
+	// engine).
 	Events EventStats
 }
 
-// EventStats summarises how hard the run worked the event engine.
+// EventStats summarises how hard the run worked the event engine. The
+// engine and the allocator are the cluster's, so every job of a shared
+// run (RunShared) reports the same totals; only IndexUpdates and
+// HostVisits are the job's own.
 type EventStats struct {
 	// Processed is the number of events fired.
 	Processed uint64

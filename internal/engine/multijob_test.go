@@ -4,55 +4,22 @@ import (
 	"testing"
 	"time"
 
-	"alm/internal/cluster"
 	"alm/internal/faults"
-	"alm/internal/sim"
-	"alm/internal/topology"
 	"alm/internal/workloads"
 )
 
 // runShared drives several jobs on one shared cluster to completion.
 func runShared(t *testing.T, specs []JobSpec, plans []*faults.Plan) []Result {
 	t.Helper()
-	topo := topology.MustNew(topology.Options{
-		Racks: 2, NodesPerRack: 10, HW: topology.DefaultHardware(), Oversubscription: 5,
-	})
-	eng := sim.NewEngine(1)
-	eng.SetMaxEvents(50_000_000)
-	conf := specs[0].Conf
-	if conf.HeartbeatInterval == 0 {
-		d, err := specs[0].Defaulted()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conf = d.Conf
+	cs := DefaultClusterSpec()
+	cs.MaxVirtualTime = 2 * time.Hour
+	eng, jobs, err := assemble(cs, 1, specs, plans)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl := cluster.New(eng, topo, cluster.Options{
-		HeartbeatInterval: conf.HeartbeatInterval,
-		NodeExpiry:        conf.NodeExpiry,
-	})
-	jobs := make([]*Job, len(specs))
-	remaining := len(specs)
-	for i, spec := range specs {
-		var plan *faults.Plan
-		if plans != nil {
-			plan = plans[i]
-		}
-		j, err := NewJob(spec, cl, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = j
-		if err := j.Start(func() {
-			remaining--
-			if remaining == 0 {
-				eng.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if err := drive(eng, jobs, cs, nil); err != nil {
+		t.Fatal(err)
 	}
-	eng.Run(sim.Time(2 * time.Hour))
 	results := make([]Result, len(jobs))
 	for i, j := range jobs {
 		if !j.Finished() {

@@ -134,76 +134,20 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 			opt(&o)
 		}
 	}
-	if cs.Racks == 0 {
-		cs = DefaultClusterSpec()
-	}
-	if cs.MaxVirtualTime == 0 {
-		cs.MaxVirtualTime = 6 * time.Hour
-	}
-	if cs.MaxEvents == 0 {
-		cs.MaxEvents = 50_000_000
-	}
-	topo, err := topology.New(topology.Options{
-		Racks:            cs.Racks,
-		NodesPerRack:     cs.NodesPerRack,
-		HW:               cs.HW,
-		Oversubscription: cs.Oversubscription,
-	})
-	if err != nil {
-		return Result{}, err
-	}
 	specD, err := spec.Defaulted()
 	if err != nil {
 		return Result{}, err
 	}
-	eng := sim.NewEngine(specD.Seed)
-	eng.SetMaxEvents(cs.MaxEvents)
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		ctx := o.Ctx
-		eng.SetInterrupt(ctxPollEvents, func() bool { return ctx.Err() != nil })
-	}
-	cl := cluster.New(eng, topo, cluster.Options{
-		HeartbeatInterval: specD.Conf.HeartbeatInterval,
-		NodeExpiry:        specD.Conf.NodeExpiry,
-	})
-	// The engine consumes injection state (Done/Fired) as the run
-	// progresses; clone so the caller's plan stays reusable across runs.
-	job, err := NewJob(specD, cl, o.Plan.Clone())
+	eng, jobs, err := assemble(cs, specD.Seed, []JobSpec{specD}, []*faults.Plan{o.Plan})
 	if err != nil {
 		return Result{}, err
 	}
+	job := jobs[0]
 	job.SetObserver(o.Observer)
-	if err := job.Start(func() { eng.Stop() }); err != nil {
+	if err := drive(eng, jobs, cs, o.Ctx); err != nil {
 		return Result{}, err
 	}
-	eng.Run(sim.Time(cs.MaxVirtualTime))
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-	}
-	job.finalizeMetrics(eng)
 	res := job.Result()
-	alloc := cl.Net.System().Stats()
-	res.Events = EventStats{
-		Processed:    eng.Processed(),
-		MaxQueue:     eng.MaxQueueLen(),
-		Stopped:      eng.StoppedEvents(),
-		AllocPasses:  alloc.Passes,
-		AllocRounds:  alloc.Rounds,
-		AllocFlows:   alloc.Flows,
-		AllocPorts:   alloc.Ports,
-		IndexUpdates: job.indexUpdates,
-		HostVisits:   job.hostVisits,
-	}
-	if !job.Finished() {
-		res.Failed = true
-		res.FailReason = fmt.Sprintf("job did not finish within %v of virtual time", cs.MaxVirtualTime)
-		res.Duration = cs.MaxVirtualTime
-	}
 	if o.CollectMetrics {
 		res.Metrics = job.MetricsSnapshot()
 	}
@@ -211,7 +155,142 @@ func Run(spec JobSpec, cs ClusterSpec, opts ...RunOption) (Result, error) {
 		res.Trace = nil
 	}
 	if o.Handles != nil {
-		*o.Handles = Handles{Cluster: cl, Job: job, Eng: eng}
+		*o.Handles = Handles{Cluster: job.Cluster, Job: job, Eng: eng}
 	}
 	return res, nil
+}
+
+// RunShared runs specs together on one fresh simulated cluster, seeded
+// with seed, as tenants contending for its containers, disks and
+// network, until every job finishes or cs.MaxVirtualTime elapses. Job i
+// runs a clone of plans[i] (nil: fault-free). It returns the jobs with
+// their Results filled as Run fills its one; a job that did not finish
+// reports Failed and Finished() false.
+func RunShared(specs []JobSpec, plans []*faults.Plan, cs ClusterSpec, seed int64) ([]*Job, error) {
+	eng, jobs, err := assemble(cs, seed, specs, plans)
+	if err != nil {
+		return nil, err
+	}
+	if err := drive(eng, jobs, cs, nil); err != nil {
+		return nil, err
+	}
+	return jobs, nil
+}
+
+// Validate reports an error when cs describes no buildable testbed. The
+// zero ClusterSpec is the paper testbed.
+func (cs ClusterSpec) Validate() error {
+	_, err := cs.defaulted().topology()
+	return err
+}
+
+// defaulted fills the zero fields of cs. A zero Racks selects the paper
+// testbed's layout; the run bounds the caller set are kept.
+func (cs ClusterSpec) defaulted() ClusterSpec {
+	if cs.Racks == 0 {
+		d := DefaultClusterSpec()
+		d.MaxVirtualTime, d.MaxEvents = cs.MaxVirtualTime, cs.MaxEvents
+		cs = d
+	}
+	if cs.MaxVirtualTime == 0 {
+		cs.MaxVirtualTime = 6 * time.Hour
+	}
+	if cs.MaxEvents == 0 {
+		cs.MaxEvents = 50_000_000
+	}
+	return cs
+}
+
+func (cs ClusterSpec) topology() (*topology.Topology, error) {
+	return topology.New(topology.Options{
+		Racks:            cs.Racks,
+		NodesPerRack:     cs.NodesPerRack,
+		HW:               cs.HW,
+		Oversubscription: cs.Oversubscription,
+	})
+}
+
+// assemble builds a fresh simulated cluster from cs and one job per spec
+// on it, none started: the event engine is seeded with seed and capped
+// at cs.MaxEvents, and the cluster's heartbeat and node expiry come from
+// the first job's defaulted Conf. Job i gets its own clone of plans[i]
+// (missing or nil: fault-free), because the engine consumes injection
+// state (Done/Fired) as the run progresses and the caller's plan must
+// stay reusable across runs.
+func assemble(cs ClusterSpec, seed int64, specs []JobSpec, plans []*faults.Plan) (*sim.Engine, []*Job, error) {
+	if len(specs) == 0 {
+		return nil, nil, errors.New("engine: no jobs to run")
+	}
+	cs = cs.defaulted()
+	topo, err := cs.topology()
+	if err != nil {
+		return nil, nil, err
+	}
+	first, err := specs[0].Defaulted()
+	if err != nil {
+		return nil, nil, err
+	}
+	eng := sim.NewEngine(seed)
+	eng.SetMaxEvents(cs.MaxEvents)
+	cl := cluster.New(eng, topo, cluster.Options{
+		HeartbeatInterval: first.Conf.HeartbeatInterval,
+		NodeExpiry:        first.Conf.NodeExpiry,
+	})
+	jobs := make([]*Job, len(specs))
+	for i, spec := range specs {
+		var plan *faults.Plan
+		if i < len(plans) {
+			plan = plans[i]
+		}
+		if jobs[i], err = NewJob(spec, cl, plan.Clone()); err != nil {
+			return nil, nil, err
+		}
+	}
+	return eng, jobs, nil
+}
+
+// drive starts every job, runs eng until all of them finish,
+// cs.MaxVirtualTime elapses or ctx (nil: no bound) is canceled, and then
+// completes each job's Result: final metrics, EventStats, and Failed for
+// a job that did not finish.
+func drive(eng *sim.Engine, jobs []*Job, cs ClusterSpec, ctx context.Context) error {
+	cs = cs.defaulted()
+	if ctx != nil {
+		eng.SetInterrupt(ctxPollEvents, func() bool { return ctx.Err() != nil })
+	}
+	remaining := len(jobs)
+	for _, j := range jobs {
+		if err := j.Start(func() {
+			if remaining--; remaining == 0 {
+				eng.Stop()
+			}
+		}); err != nil {
+			return err
+		}
+	}
+	eng.Run(sim.Time(cs.MaxVirtualTime))
+	if ctx != nil && ctx.Err() != nil {
+		return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+	}
+	alloc := jobs[0].Cluster.Net.System().Stats()
+	for _, j := range jobs {
+		j.finalizeMetrics(eng)
+		j.result.Events = EventStats{
+			Processed:    eng.Processed(),
+			MaxQueue:     eng.MaxQueueLen(),
+			Stopped:      eng.StoppedEvents(),
+			AllocPasses:  alloc.Passes,
+			AllocRounds:  alloc.Rounds,
+			AllocFlows:   alloc.Flows,
+			AllocPorts:   alloc.Ports,
+			IndexUpdates: j.indexUpdates,
+			HostVisits:   j.hostVisits,
+		}
+		if !j.finished {
+			j.result.Failed = true
+			j.result.FailReason = fmt.Sprintf("job did not finish within %v of virtual time", cs.MaxVirtualTime)
+			j.result.Duration = cs.MaxVirtualTime
+		}
+	}
+	return nil
 }

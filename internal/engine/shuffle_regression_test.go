@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"alm/internal/cluster"
 	"alm/internal/core"
 	"alm/internal/faults"
 	"alm/internal/mr"
@@ -15,30 +14,18 @@ import (
 // the engine, so tests can single-step to interesting internal states.
 func newSteppingJob(t *testing.T, spec JobSpec, plan *faults.Plan) (*sim.Engine, *Job) {
 	t.Helper()
-	topo, err := topology.New(topology.Options{
-		Racks: 2, NodesPerRack: 10, HW: topology.DefaultHardware(), Oversubscription: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	specD, err := spec.Defaulted()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine(specD.Seed)
-	eng.SetMaxEvents(50_000_000)
-	cl := cluster.New(eng, topo, cluster.Options{
-		HeartbeatInterval: specD.Conf.HeartbeatInterval,
-		NodeExpiry:        specD.Conf.NodeExpiry,
-	})
-	job, err := NewJob(specD, cl, plan)
+	eng, jobs, err := assemble(DefaultClusterSpec(), specD.Seed, []JobSpec{specD}, []*faults.Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Start(func() { eng.Stop() }); err != nil {
+	if err := jobs[0].Start(func() { eng.Stop() }); err != nil {
 		t.Fatal(err)
 	}
-	return eng, job
+	return eng, jobs[0]
 }
 
 // stepUntilExec fires events until some live shuffling reduceExec

@@ -267,9 +267,10 @@ func job(w *workloads.Workload, inputBytes int64, reduces int, mode engine.Mode,
 }
 
 // runCase is one simulation to execute. needTrace keeps Result.Trace
-// attached for tables that read raw events (fig14's meanTaskRecovery);
-// every other case drops the trace at run end so a full-scale sweep
-// retains only Result scalars, not every event of every case.
+// attached for tables that read raw events (the fig3/fig4/fig10
+// timelines, fig14's meanTaskRecovery); every other case drops the
+// trace at run end so a full-scale sweep retains only Result scalars,
+// not every event of every case.
 type runCase struct {
 	key       string
 	spec      engine.JobSpec
@@ -315,23 +316,6 @@ func runAll(cases []runCase, opt Options) (map[string]engine.Result, error) {
 		}
 	}
 	return results, err
-}
-
-// runOne executes a single simulation, feeding the metrics sink when one
-// is attached (the timeline figures run one job instead of a fan-out).
-func runOne(key string, spec engine.JobSpec, plan *faults.Plan, opt Options) (engine.Result, error) {
-	opts := []engine.RunOption{engine.WithPlan(plan)}
-	if opt.MetricsSink != nil {
-		opts = append(opts, engine.WithMetrics())
-	}
-	res, err := engine.Run(spec, engine.DefaultClusterSpec(), opts...)
-	if err != nil {
-		return res, fmt.Errorf("case %s: %w", key, err)
-	}
-	if opt.MetricsSink != nil {
-		opt.MetricsSink(key, res.Metrics)
-	}
-	return res, nil
 }
 
 func secs(d time.Duration) float64 { return d.Seconds() }

@@ -161,13 +161,12 @@ func timelineTable(id, title string, res engine.Result, step time.Duration) *Tab
 // under stock YARN — crash, ~70 s detection, recovery, second failure.
 func Fig3(opt Options) (*Table, error) {
 	opt = opt.withWorkloads()
-	res, err := runOne("fig3/yarn", wordcountSpecWithPlan(opt),
-		faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), opt)
+	res, err := runAll([]runCase{{key: "fig3/yarn", spec: wordcountSpecWithPlan(opt),
+		plan: faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), needTrace: true}}, opt)
 	if err != nil {
 		return nil, err
 	}
-	t := timelineTable("fig3", "Temporal amplification under stock YARN (Wordcount, 1 ReduceTask)", res, 10*time.Second)
-	return t, nil
+	return timelineTable("fig3", "Temporal amplification under stock YARN (Wordcount, 1 ReduceTask)", res["fig3/yarn"], 10*time.Second), nil
 }
 
 func wordcountSpecWithPlan(opt Options) engine.JobSpec { return wordcount(engine.ModeYARN, opt) }
@@ -176,11 +175,10 @@ func wordcountSpecWithPlan(opt Options) engine.JobSpec { return wordcount(engine
 // infects healthy ReduceTasks under stock YARN.
 func Fig4(opt Options) (*Table, error) {
 	opt = opt.withWorkloads()
-	res, err := runOne("fig4/yarn", terasort(engine.ModeYARN, opt),
-		faults.StopMOFNodeAtJobProgress(0.55), opt)
+	res, err := runAll([]runCase{{key: "fig4/yarn", spec: terasort(engine.ModeYARN, opt),
+		plan: faults.StopMOFNodeAtJobProgress(0.55), needTrace: true}}, opt)
 	if err != nil {
 		return nil, err
 	}
-	t := timelineTable("fig4", "Spatial amplification under stock YARN (Terasort, 20 ReduceTasks)", res, 15*time.Second)
-	return t, nil
+	return timelineTable("fig4", "Spatial amplification under stock YARN (Terasort, 20 ReduceTasks)", res["fig4/yarn"], 15*time.Second), nil
 }

@@ -109,13 +109,12 @@ func Fig9(opt Options) (*Table, error) {
 // slightly delayed, and no second failure occurs.
 func Fig10(opt Options) (*Table, error) {
 	opt = opt.withWorkloads()
-	res, err := runOne("fig10/sfm", wordcount(engine.ModeSFM, opt),
-		faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), opt)
+	res, err := runAll([]runCase{{key: "fig10/sfm", spec: wordcount(engine.ModeSFM, opt),
+		plan: faults.StopNodeOfTaskAtReduceProgress(faults.Reduce, 0, 0.45), needTrace: true}}, opt)
 	if err != nil {
 		return nil, err
 	}
-	t := timelineTable("fig10", "SFM eliminates temporal amplification (Wordcount, 1 ReduceTask)", res, 10*time.Second)
-	return t, nil
+	return timelineTable("fig10", "SFM eliminates temporal amplification (Wordcount, 1 ReduceTask)", res["fig10/sfm"], 10*time.Second), nil
 }
 
 // Table2 reproduces Table II: node failure (a node hosting MOFs but no

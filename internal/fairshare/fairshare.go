@@ -520,14 +520,14 @@ func (s *System) reschedule() {
 	}
 	s.dirty = false
 	s.allocate()
-	first := s.firstCompletion()
-	if math.IsInf(first, 1) {
+	delay, ok := completionDelay(s.firstCompletion(), s.eng.Now())
+	if !ok {
 		if s.completion != nil {
 			s.completion.Stop()
 		}
 		return
 	}
-	s.arm(secondsToDuration(first))
+	s.arm(delay)
 }
 
 // arm re-arms the single completion timer after delay. Reschedule is
@@ -554,7 +554,12 @@ func (s *System) flush() {
 	if math.IsInf(first, 1) {
 		panic("fairshare: deferred allocation left no flow a finite completion time")
 	}
-	s.completion.Retime(secondsToDuration(first))
+	delay, ok := completionDelay(first, s.eng.Now())
+	if !ok {
+		s.completion.Stop()
+		return
+	}
+	s.completion.Retime(delay)
 }
 
 // firstCompletion returns the seconds until the earliest completion
@@ -801,14 +806,18 @@ func (s *System) allocate() {
 	}
 }
 
-func secondsToDuration(s float64) time.Duration {
-	if s < 0 {
-		return 0
+// completionDelay converts the first completion, first seconds away,
+// into the delay its timer is armed with, rounded up so the event never
+// lands before the last byte. ok is false when first is +Inf or when the
+// instant lies past the last one sim.Time can represent: such a
+// completion arms no timer, like a stalled flow's. (A timer clamped to
+// that last instant would fire there again and again with no time
+// passing and no byte moving.)
+func completionDelay(first float64, now time.Duration) (delay time.Duration, ok bool) {
+	ns := math.Ceil(max(first, 0) * 1e9)
+	if !(ns < math.MaxInt64) {
+		return 0, false
 	}
-	ns := s * 1e9
-	if ns > math.MaxInt64/2 {
-		return time.Duration(math.MaxInt64 / 2)
-	}
-	// Round up so the completion event never lands before the last byte.
-	return time.Duration(math.Ceil(ns))
+	delay = time.Duration(ns)
+	return delay, delay <= math.MaxInt64-now
 }

@@ -265,3 +265,49 @@ func TestQuickCapacityConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A completion past the last instant sim.Time can represent arms no
+// timer: a clamped one would fire at that instant again and again with
+// no time passing, until the event cap stopped the run. Each case starts
+// its flow at `at`, outside an event (the eager pass) or inside one (the
+// pass deferred to the handler's end).
+func TestCompletionPastHorizonArmsNoTimer(t *testing.T) {
+	const horizon = sim.Time(math.MaxInt64)
+	for _, tc := range []struct {
+		name    string
+		at      sim.Time
+		bytes   int64
+		inEvent bool
+	}{
+		{"eager", 0, 1e12, false},
+		{"deferred", 0, 1e12, true},
+		{"late/eager", horizon - sim.Time(10*time.Second), 100, false},
+		{"late/deferred", horizon - sim.Time(10*time.Second), 100, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			e.SetMaxEvents(50)
+			s := NewSystem(e)
+			p := s.NewPort("slow", 5) // 1e12 bytes need 2e11 s; 100 need 20 s
+			var f *Flow
+			start := func() { f = s.StartFlow("f", tc.bytes, []*Port{p}, 0, nil) }
+			if tc.inEvent {
+				e.At(tc.at, start)
+			} else {
+				e.At(tc.at, func() {}) // move the clock there
+				e.RunAll()
+				start()
+			}
+			e.RunAll()
+			if f.Done() {
+				t.Fatal("flow finished although its completion lies past the horizon")
+			}
+			if got := f.Remaining(); got != float64(tc.bytes) {
+				t.Fatalf("remaining %v bytes, want %d", got, tc.bytes)
+			}
+			if e.QueueLen() != 0 {
+				t.Fatalf("%d events still queued", e.QueueLen())
+			}
+		})
+	}
+}

@@ -261,7 +261,8 @@ func (s *oracleSystem) reschedule() {
 	s.stats.add(s.work(s.touched))
 	clear(s.touched)
 	pass := s.work(s.untallied)
-	if s.eng.InEvent() && len(s.flows) > s.stalledFlows() {
+	deferred := s.eng.InEvent() && len(s.flows) > s.stalledFlows()
+	if deferred {
 		s.deferred = pass
 		if !s.pending {
 			s.pending = true
@@ -282,17 +283,18 @@ func (s *oracleSystem) reschedule() {
 			first = t
 		}
 	}
-	if math.IsInf(first, 1) {
-		if s.completion != nil {
-			s.completion.Stop()
+	delay, ok := completionDelay(first, s.eng.Now())
+	if ok || deferred {
+		// A deferring System arms its placeholder before its pass can
+		// find the completion out of sim.Time's range, then stops it.
+		if s.completion == nil {
+			s.completion = s.eng.Schedule(delay, s.onCompletionFn)
+		} else {
+			s.completion.Reschedule(delay, s.onCompletionFn)
 		}
-		return
 	}
-	delay := secondsToDuration(first)
-	if s.completion == nil {
-		s.completion = s.eng.Schedule(delay, s.onCompletionFn)
-	} else {
-		s.completion.Reschedule(delay, s.onCompletionFn)
+	if !ok && s.completion != nil {
+		s.completion.Stop()
 	}
 }
 

@@ -22,9 +22,7 @@ import (
 	"alm/internal/chaos"
 	"alm/internal/engine"
 	"alm/internal/faults"
-	"alm/internal/mr"
 	"alm/internal/sweep"
-	"alm/internal/workloads"
 )
 
 // Class buckets a chaos schedule by its most severe fault action, so the
@@ -130,29 +128,20 @@ type Result struct {
 	Tables    []ClassTable
 }
 
-// specFor mirrors the chaos checker's job geometry (workload rotating
-// with the seed, 8 maps, 4 reduces, MaxTaskAttempts raised to 8) but
-// schedules through a named policy and turns speculation on — the
-// tournament is exactly the consumer the straggler-scan counters and
-// decision traces were built for.
-func specFor(seed int64, policy string, sh chaos.Shape) engine.JobSpec {
-	wls := []*workloads.Workload{workloads.Terasort(), workloads.Wordcount(), workloads.Secondarysort()}
-	conf := mr.DefaultConfig()
-	conf.MaxTaskAttempts = 8
-	conf.SpeculativeExecution = true
+// specFor is the chaos job (chaos.LocalMatrix.Spec) scheduled through a
+// named policy with speculation on — the tournament is exactly the
+// consumer the straggler-scan counters and decision traces were built
+// for.
+func specFor(seed int64, policy string) engine.JobSpec {
+	spec := chaos.LocalMatrix.Spec(seed, engine.ModeYARN)
+	spec.Policy = policy
+	spec.Conf.SpeculativeExecution = true
 	// Test-scale speculation thresholds: chaos jobs finish in minutes of
 	// virtual time, so the stock 60s/30s gates would ablate the straggler
 	// scan entirely and with it everything the tournament is ranking.
-	conf.SpeculativeMinRuntime = 15 * time.Second
-	conf.SpeculativeMinRemaining = 5 * time.Second
-	return engine.JobSpec{
-		Workload:   wls[int(((seed%3)+3)%3)],
-		InputBytes: int64(sh.Maps) * conf.BlockSizeBytes,
-		NumReduces: sh.Reduces,
-		Conf:       conf,
-		Seed:       seed,
-		Policy:     policy,
-	}
+	spec.Conf.SpeculativeMinRuntime = 15 * time.Second
+	spec.Conf.SpeculativeMinRemaining = 5 * time.Second
+	return spec
 }
 
 // Run races the policy set over the seeded schedules and assembles the
@@ -197,7 +186,7 @@ func Run(opts Options) (*Result, error) {
 		si, pi := i/len(policies), i%len(policies)
 		seed := opts.FirstSeed + int64(si)
 		policy := policies[pi]
-		run, err := engine.Run(specFor(seed, policy, sh), cs, engine.WithPlan(scheds[si].Plan()))
+		run, err := engine.Run(specFor(seed, policy), cs, engine.WithPlan(scheds[si].Plan()))
 		if err != nil {
 			return fmt.Errorf("tournament: seed %d policy %s: %w", seed, policy, err)
 		}

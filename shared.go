@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"alm/internal/cluster"
 	"alm/internal/engine"
 	"alm/internal/faults"
-	"alm/internal/mr"
-	"alm/internal/sim"
-	"alm/internal/topology"
 )
 
 // SharedCluster hosts several MapReduce jobs on one simulated cluster, so
@@ -17,56 +13,51 @@ import (
 // real YARN installation. Jobs are submitted with Submit and executed
 // together by Run.
 type SharedCluster struct {
-	eng  *sim.Engine
-	cl   *cluster.Cluster
+	cs   ClusterSpec
+	seed int64
 	jobs []*SubmittedJob
+	now  time.Duration
 }
 
 // SubmittedJob is a handle to a job running on a SharedCluster.
 type SubmittedJob struct {
-	job *engine.Job
+	spec JobSpec
+	plan *faults.Plan
+	job  *engine.Job // set by SharedCluster.Run
 }
 
 // Result returns the job's outcome; valid after SharedCluster.Run.
-func (s *SubmittedJob) Result() Result { return s.job.Result() }
+func (s *SubmittedJob) Result() Result {
+	if s.job == nil {
+		return Result{}
+	}
+	return s.job.Result()
+}
 
 // Finished reports whether the job reached a terminal state.
-func (s *SubmittedJob) Finished() bool { return s.job.Finished() }
+func (s *SubmittedJob) Finished() bool { return s.job != nil && s.job.Finished() }
 
 // NewSharedCluster builds a cluster for multi-job runs. The zero
 // ClusterSpec means the paper testbed. Seed seeds the simulation; the
 // per-job JobSpec seeds only affect data generation.
 func NewSharedCluster(cs ClusterSpec, seed int64) (*SharedCluster, error) {
-	if cs.Racks == 0 {
-		cs = engine.DefaultClusterSpec()
-	}
-	topo, err := topology.New(topology.Options{
-		Racks:            cs.Racks,
-		NodesPerRack:     cs.NodesPerRack,
-		HW:               cs.HW,
-		Oversubscription: cs.Oversubscription,
-	})
-	if err != nil {
+	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(seed)
-	eng.SetMaxEvents(100_000_000)
-	conf := mr.DefaultConfig()
-	cl := cluster.New(eng, topo, cluster.Options{
-		HeartbeatInterval: conf.HeartbeatInterval,
-		NodeExpiry:        conf.NodeExpiry,
-	})
-	return &SharedCluster{eng: eng, cl: cl}, nil
+	return &SharedCluster{cs: cs, seed: seed}, nil
 }
 
 // Submit registers a job (and optional fault plan) for the next Run.
 // Give concurrent jobs distinct JobSpec.Name values.
 func (sc *SharedCluster) Submit(spec JobSpec, plan *faults.Plan) (*SubmittedJob, error) {
-	j, err := engine.NewJob(spec, sc.cl, plan)
+	spec, err := spec.Defaulted()
 	if err != nil {
 		return nil, err
 	}
-	s := &SubmittedJob{job: j}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	s := &SubmittedJob{spec: spec, plan: plan}
 	sc.jobs = append(sc.jobs, s)
 	return s, nil
 }
@@ -75,32 +66,29 @@ func (sc *SharedCluster) Submit(spec JobSpec, plan *faults.Plan) (*SubmittedJob,
 // them finish or maxVirtual elapses (zero means 6 hours). It returns an
 // error when some job never reached a terminal state.
 func (sc *SharedCluster) Run(maxVirtual time.Duration) error {
-	if len(sc.jobs) == 0 {
-		return fmt.Errorf("alm: no jobs submitted")
+	specs := make([]JobSpec, len(sc.jobs))
+	plans := make([]*faults.Plan, len(sc.jobs))
+	for i, s := range sc.jobs {
+		specs[i], plans[i] = s.spec, s.plan
 	}
-	if maxVirtual <= 0 {
-		maxVirtual = 6 * time.Hour
+	cs := sc.cs
+	cs.MaxVirtualTime = max(maxVirtual, 0)
+	jobs, err := engine.RunShared(specs, plans, cs, sc.seed)
+	if err != nil {
+		return err
 	}
-	remaining := len(sc.jobs)
-	for _, s := range sc.jobs {
-		if err := s.job.Start(func() {
-			remaining--
-			if remaining == 0 {
-				sc.eng.Stop()
-			}
-		}); err != nil {
-			return err
-		}
+	sc.now = time.Duration(jobs[0].Eng.Now())
+	for i, s := range sc.jobs {
+		s.job = jobs[i]
 	}
-	sc.eng.Run(sim.Time(maxVirtual))
 	for _, s := range sc.jobs {
 		if !s.job.Finished() {
-			return fmt.Errorf("alm: job %q did not finish within %v of virtual time",
-				s.job.Spec.Name, maxVirtual)
+			return fmt.Errorf("alm: job %q: %s", s.spec.Name, s.job.Result().FailReason)
 		}
 	}
 	return nil
 }
 
-// Now returns the shared cluster's current virtual time.
-func (sc *SharedCluster) Now() time.Duration { return time.Duration(sc.eng.Now()) }
+// Now returns the shared cluster's virtual time at the end of the last
+// Run (zero before the first).
+func (sc *SharedCluster) Now() time.Duration { return sc.now }

@@ -68,3 +68,32 @@ func TestSharedClusterTimeout(t *testing.T) {
 		t.Fatal("a 5-virtual-second budget cannot finish a 4 GB job; Run should error")
 	}
 }
+
+// TestSharedClusterReusesPlan submits one fault plan to two fresh shared
+// clusters: each run works on its own copy, so the second run fails the
+// reducer as the first did, and both report the engine's event totals.
+func TestSharedClusterReusesPlan(t *testing.T) {
+	plan := StopNodeOfTaskAtReduceProgress(ReduceTask, 0, 0.5)
+	for run := 1; run <= 2; run++ {
+		sc, err := NewSharedCluster(ClusterSpec{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := sc.Submit(JobSpec{
+			Name: "ts", Workload: Terasort(), InputBytes: 4 << 30, NumReduces: 4, Mode: ModeYARN, Seed: 6,
+		}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Run(2 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		res := j.Result()
+		if res.ReduceAttemptFailures == 0 {
+			t.Errorf("run %d: the reused plan injected no reduce failure", run)
+		}
+		if res.Events.Processed == 0 {
+			t.Errorf("run %d: Result.Events not filled", run)
+		}
+	}
+}
