@@ -28,11 +28,9 @@ race:
 
 # vet builds the repo's own analyzer suite, almvet, and runs it over the
 # packages `go list ./...` lists (nested modules such as bench/ are
-# skipped): the syntax-level analyzers (detnow, droppederr, hotalloc,
-# locksafe, seedflow) and the flow-sensitive ones (timerflow,
-# allocflow). almvet loads and type-checks the packages itself, with no
-# build cache. It fails on every finding, fixable or not;
-# `bin/almvet -fix ./...` applies the suggested fixes.
+# skipped): detnow, droppederr, locksafe and seedflow, all syntax-level
+# checks of correctness. almvet loads and type-checks the packages
+# itself, with no build cache, and fails on every finding.
 vet: $(ALMVET)
 	$(ALMVET) ./...
 
@@ -58,15 +56,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocate$$' -fuzztime 10s ./internal/fairshare
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocateBatched$$' -fuzztime 10s ./internal/fairshare
 
-# bench-alloc is the allocation-budget CI gate: runs every entry of the
-# engine harness (internal/perf) through testing.Benchmark and fails if
-# any exceeds its budget (budget × (1+tolerance), declared in
-# internal/perf). It catches a regression larger than its entry's
-# tolerance: one extra allocation per op on the zero-tolerance
-# timer_churn entry, or a whole-history copy such as the per-snapshot
-# ALG output copy (2× alg_reduce_snapshots' budget). A per-fetch
-# Sprintf or a dropped preallocation stays under the 20% tolerance;
-# hotalloc and allocflow in `make vet` catch those. Host time is
+# bench-alloc is the allocation CI gate: runs every entry of the engine
+# harness (internal/perf) through testing.Benchmark and fails if its
+# allocs/op or B/op sits more than perf.Tolerance (0.1%) from the pin
+# declared beside it. Above the pin is a regression, as small as one
+# per-fetch Sprintf or a dropped preallocation on a harness path; the
+# message prints the pprof commands that locate it. Below the pin the
+# pin is stale, and the message gives the values to re-pin. The pins
+# hold for the Go toolchain CI installs (go1.24.0). Host time is
 # measured by the benchmark of record, `bash bench/run.sh`.
 bench-alloc:
 	$(GO) run ./cmd/almbench -perf

@@ -11,8 +11,8 @@
 //	almbench -list            # list experiment IDs
 //	almbench -perf            # the `make bench-alloc` CI gate: run the
 //	                          # engine harness (internal/perf) and exit 1
-//	                          # if any benchmark exceeds its allocation
-//	                          # budget (budget × (1 + tolerance))
+//	                          # if any entry's allocations sit more than
+//	                          # perf.Tolerance from its pin
 //	almbench -metrics-dir m/  # dump one Prometheus-text metrics file
 //	                          # per simulated case under m/
 package main
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listFlag = fs.Bool("list", false, "list experiment IDs and exit")
 		workers  = fs.Int("workers", runtime.NumCPU(), "parallel sweep engines (tables are byte-identical at any worker count)")
 		format   = fs.String("format", "text", "output format: text | json | csv")
-		perfFlag = fs.Bool("perf", false, "run the engine allocation-budget harness instead of experiments; exit 1 on any breach")
+		perfFlag = fs.Bool("perf", false, "run the engine allocation harness instead of experiments; exit 1 when an entry leaves its pin")
 		metrDir  = fs.String("metrics-dir", "", "directory to dump one Prometheus-text metrics file per simulated case")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
@@ -71,11 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perfFlag {
 		if violations := perf.CheckBudgets(perf.RunAll(stderr)); len(violations) > 0 {
 			for _, v := range violations {
-				fmt.Fprintf(stderr, "budget breach: %s\n", v)
+				fmt.Fprintf(stderr, "pin breach: %s\n", v)
 			}
 			return 1
 		}
-		fmt.Fprintln(stdout, "all benchmarks within allocation budget")
+		fmt.Fprintln(stdout, "every entry matches its allocation pin")
 		return 0
 	}
 

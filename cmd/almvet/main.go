@@ -1,21 +1,17 @@
 // Command almvet is the repo's vet tool: the analyzer suite (detnow,
-// droppederr, hotalloc, locksafe, seedflow, and the flow-sensitive
-// timerflow and allocflow) that enforces the simulator's determinism
-// contract, the ALG no-silent-log-loss rule, lock discipline, and
-// hot-path allocation budgets. See DESIGN.md "Static analysis gates".
+// droppederr, locksafe, seedflow) that enforces the simulator's
+// determinism contract, the ALG no-silent-log-loss rule, lock
+// discipline and seed provenance. See DESIGN.md "Static analysis gates".
 //
 //	almvet ./...        # report every finding; exit 2 if there are any
-//	almvet -fix ./...   # rewrite files in place with the suggested fixes
 //
 // almvet loads and type-checks packages itself through
 // internal/lint/loader, so it needs no go tool, and prints diagnostics in
 // a byte-stable global order (file, line, column, analyzer). `make vet`
-// runs it over the module and fails on every finding, fixable or not;
-// -fix still exits 2 when a diagnostic has no fix.
+// runs it over the module and fails on every finding. It takes no flags.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +22,6 @@ import (
 
 	"alm/internal/lint/analysis"
 	"alm/internal/lint/driver"
-	"alm/internal/lint/fixer"
 	"alm/internal/lint/loader"
 	"alm/internal/lint/registry"
 )
@@ -38,20 +33,19 @@ func main() {
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("almvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	return vet(fs.Args(), *fix, stderr)
+	return vet(fs.Args(), stderr)
 }
 
 // vet loads the packages the patterns name and runs the scoped suite
-// over each; with fix set it rewrites files with the suggested fixes.
+// over each.
 // Diagnostics from every package are collected first and emitted in one
 // byte-stable global order — (file, line, column, analyzer) — so runs
 // over different pattern spellings of the same package set produce
 // identical output.
-func vet(patterns []string, fix bool, stderr io.Writer) int {
+func vet(patterns []string, stderr io.Writer) int {
 	l, err := loader.New(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "almvet: %v\n", err)
@@ -110,82 +104,10 @@ func vet(patterns []string, fix bool, stderr io.Writer) int {
 		return all[i].Category < all[j].Category
 	})
 
-	if !fix {
-		for _, d := range all {
-			fmt.Fprintf(stderr, "%s\n", driver.Format(l.Fset, d))
-		}
-		if len(all) > 0 && exit == 0 {
-			exit = 2
-		}
-		return exit
-	}
-	return applyFixes(l, all, stderr, exit)
-}
-
-// applyFixes rewrites files with the suggested fixes for the collected
-// diagnostics. Diagnostics without an applied fix are still printed:
-// -fix resolves what it can and reports the rest.
-func applyFixes(l *loader.Loader, all []analysis.Diagnostic, stderr io.Writer, exit int) int {
-	byFile := make(map[string][]analysis.Diagnostic)
-	var files []string
-	fixable := make(map[string]bool)
 	for _, d := range all {
-		name := l.Fset.Position(d.Pos).Filename
-		if _, ok := byFile[name]; !ok {
-			files = append(files, name)
-		}
-		byFile[name] = append(byFile[name], d)
-		if len(d.SuggestedFixes) > 0 {
-			fixable[name] = true
-		}
+		fmt.Fprintf(stderr, "%s\n", driver.Format(l.Fset, d))
 	}
-	sort.Strings(files)
-
-	cwd, _ := os.Getwd()
-	for _, name := range files {
-		if !fixable[name] {
-			continue
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			fmt.Fprintf(stderr, "almvet: %v\n", err)
-			exit = 1
-			continue
-		}
-		fixed, applied, err := fixer.Apply(l.Fset, name, src, byFile[name])
-		if err != nil {
-			fmt.Fprintf(stderr, "almvet: %s: %v\n", name, err)
-			exit = 1
-			continue
-		}
-		if applied == 0 || bytes.Equal(fixed, src) {
-			continue
-		}
-		display := name
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-				display = rel
-			}
-		}
-		if err := os.WriteFile(name, fixed, 0o644); err != nil {
-			fmt.Fprintf(stderr, "almvet: %v\n", err)
-			exit = 1
-			continue
-		}
-		fmt.Fprintf(stderr, "almvet: %s: applied %d fix(es)\n", display, applied)
-	}
-
-	// Report what -fix could not resolve. (After an in-place rewrite the
-	// positions refer to the pre-fix file, so only fixless diagnostics
-	// are printed — re-run almvet for fresh positions.)
-	unfixed := 0
-	for _, d := range all {
-		if len(d.SuggestedFixes) == 0 {
-			fmt.Fprintf(stderr, "%s\n", driver.Format(l.Fset, d))
-			unfixed++
-		}
-	}
-	if exit == 0 && unfixed > 0 {
+	if len(all) > 0 && exit == 0 {
 		exit = 2
 	}
 	return exit

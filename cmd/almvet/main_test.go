@@ -12,15 +12,24 @@ import (
 	"alm/internal/lint/loader"
 )
 
-// TestDiffFlagUndefined: -fix has no dry-run mode (`make vet` is the
-// gate for outstanding findings), so `-fix -diff` is a usage error
-// rather than an in-place rewrite.
+// TestDiffFlagUndefined and TestFixFlagUndefined: almvet only reports
+// (`make vet` is the gate for outstanding findings) and rewrites no
+// file, so `-diff` and `-fix` are usage errors.
 func TestDiffFlagUndefined(t *testing.T) {
+	assertUsageError(t, "-diff")
+}
+
+func TestFixFlagUndefined(t *testing.T) {
+	assertUsageError(t, "-fix")
+}
+
+func assertUsageError(t *testing.T, flag string) {
+	t.Helper()
 	var stderr bytes.Buffer
-	if code := run([]string{"-fix", "-diff", "./..."}, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	if code := run([]string{flag, "./..."}, &stderr); code != 2 {
+		t.Fatalf("%s: exit %d, want 2", flag, code)
 	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined: -diff") {
+	if !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
 		t.Errorf("stderr:\n%s", stderr.String())
 	}
 }

@@ -277,10 +277,10 @@ func TestRestoreDisksHeals(t *testing.T) {
 	baseline := func() time.Duration {
 		done := sim.Time(-1)
 		start := e.Now()
-		c.Disks.Read(4, 1000, func() { done = e.Now() })
+		c.Disks.ReadWrite(4, 1000, func() { done = e.Now() })
 		e.Run(start + sim.Time(5*time.Minute))
 		if done < 0 {
-			t.Fatal("read never completed")
+			t.Fatal("merge pass never completed")
 		}
 		return time.Duration(done - start)
 	}
@@ -290,9 +290,9 @@ func TestRestoreDisksHeals(t *testing.T) {
 	c.RestoreDisks(4)
 	t2 := baseline()
 	if t1 <= t0*5 {
-		t.Fatalf("degraded read not slower: %v vs %v", t1, t0)
+		t.Fatalf("degraded merge pass not slower: %v vs %v", t1, t0)
 	}
 	if t2 != t0 {
-		t.Fatalf("healed read time %v differs from baseline %v", t2, t0)
+		t.Fatalf("healed merge pass time %v differs from baseline %v", t2, t0)
 	}
 }

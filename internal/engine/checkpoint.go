@@ -60,8 +60,6 @@ func (r *reduceExec) ckptTick() {
 
 // maybeCheckpoint takes a pending snapshot, pausing execution until the
 // image is durable; cont (optional) resumes the caller's work afterwards.
-//
-//alm:hotpath
 func (r *reduceExec) maybeCheckpoint(cont func()) {
 	if !r.ckptPending || r.ckptBusy || r.dead {
 		if cont != nil {

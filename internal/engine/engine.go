@@ -301,7 +301,11 @@ type Job struct {
 	finished bool
 	startAt  sim.Time
 	met      *jobMetrics
-	obs      Observer
+	// clusterMet holds the cluster-wide series when the job shares its
+	// cluster with others (RunShared); nil when they are in met's
+	// registry, as on a one-job run.
+	clusterMet *metrics.Registry
+	obs        Observer
 	// tier is the remote shuffle service; nil unless Spec.Shuffle.Remote.
 	tier *shuffletier.Tier
 	// indexUpdates and hostVisits count the reducers' fetch-index work
@@ -352,9 +356,10 @@ func (j *Job) reduceWriteOptions() dfs.WriteOptions {
 }
 
 // NewJob builds a job over an existing cluster. The cluster must have at
-// least one usable node. A structurally malformed fault plan (fractions
-// outside [0,1], negative times or indices, ...) is rejected here rather
-// than silently never firing.
+// least one usable node; assemble attaches the cluster's metrics. A
+// structurally malformed fault plan (fractions outside [0,1], negative
+// times or indices, ...) is rejected here rather than silently never
+// firing.
 func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) {
 	spec, err := spec.Defaulted()
 	if err != nil {
@@ -383,7 +388,6 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 	j.result.Trace = j.Tracer
 	j.met = newJobMetrics()
 	j.Tracer.OnEmit = j.observeEvent
-	cl.SetMetrics(j.met.reg)
 	if spec.Shuffle.Remote {
 		j.tier = shuffletier.New(cl, j.Tracer, spec.NumReduces, shuffletier.Options{
 			TierNodes:   spec.Shuffle.TierNodes,
@@ -682,7 +686,7 @@ func (j *Job) apply(do faults.Action) {
 				continue
 			}
 			j.Tracer.Emit(now, trace.KindNodeCrashed, "", j.Cluster.Topo.Node(node).Name,
-				fmt.Sprintf("injected rack %d crash", do.Rack)) //almvet:allow allocflow -- fault injection runs once per scripted fault, not per simulated event
+				fmt.Sprintf("injected rack %d crash", do.Rack))
 			j.Cluster.Crash(node)
 			j.crashWipe(node)
 			if j.tier != nil {

@@ -67,6 +67,7 @@ func (f *fcmExec) kill(string) {
 	if f.outWriter != nil {
 		f.outWriter.Abort()
 	}
+	assertQuiet(f.a.id, f.timers, f.flows, f.pingTimer)
 	// Participant Local-MPQs are dismantled after a timeout when the
 	// recovering reducer stops requesting data; their cost was already
 	// charged through the supply flows, so no further action is needed.

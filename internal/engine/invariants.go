@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"alm/internal/fairshare"
+	"alm/internal/sim"
 )
 
 // invariantsEnabled turns on internal consistency checks that are too
 // expensive for production runs: the reducer host-index cross-check
 // against a full scan (checkHostIndex), the disk-op accounting
 // assertion (assertDiskOps) and the on-disk MOF list cross-check
-// (assertDiskMOFs). The engine's own test binary flips it on in
+// (assertDiskMOFs) and the check that a killed attempt leaves nothing
+// armed (assertQuiet). The engine's own test binary flips it on in
 // an init (see invariants_test.go), so every simulation the test suite
 // runs — including failure-injection scenarios — executes with the
 // checks armed.
@@ -94,5 +98,28 @@ func (r *reduceExec) assertDiskMOFs() {
 	if !slices.Equal(r.diskMOFs, want) {
 		panic(fmt.Sprintf("engine: %s on-disk MOF list drifted: kept %v, recomputed %v",
 			r.a.id, r.diskMOFs, want))
+	}
+}
+
+// assertQuiet verifies (checked builds only) that a killed attempt left
+// nothing armed: no pending timer, whether it is in the exec's timer
+// list or held in one of its fields, and no running flow. A timer that
+// outlives kill fires into a dead exec and keeps the event queue busy;
+// a flow keeps taking bandwidth for an attempt that no longer exists.
+func assertQuiet(id string, timers []*sim.Timer, flows []*fairshare.Flow, held ...*sim.Timer) {
+	if !invariantsEnabled {
+		return
+	}
+	for _, ts := range [][]*sim.Timer{timers, held} {
+		for _, tm := range ts {
+			if tm.Active() {
+				panic(fmt.Sprintf("engine: killed attempt %s left a timer armed", id))
+			}
+		}
+	}
+	for _, f := range flows {
+		if !f.Done() && !f.Canceled() {
+			panic(fmt.Sprintf("engine: killed attempt %s left flow %s running", id, f.Name()))
+		}
 	}
 }

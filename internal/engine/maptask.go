@@ -35,6 +35,7 @@ func (m *mapExec) kill(string) {
 	for _, tm := range m.timers {
 		tm.Stop()
 	}
+	assertQuiet(m.a.id, m.timers, m.flows)
 }
 
 func (m *mapExec) start() {

@@ -19,7 +19,11 @@ type jobMetrics struct {
 	// instrumentation costs a map hit, not a series-key render.
 	eventCounters map[trace.Kind]*metrics.Counter
 	// launchedAt tracks running attempts (by attempt id) for duration
-	// histograms, fed from task-launched / task-finished events.
+	// histograms, fed from task-launched / task-finished events. A
+	// retired attempt is marked retiredAt, not deleted: a delete leaves
+	// a tombstone wherever the map's per-process hash seed put the key,
+	// so the map's growth, and the bytes `make bench-alloc` pins, would
+	// vary from run to run.
 	launchedAt   map[string]sim.Time
 	durationMap  *metrics.Histogram
 	durationRed  *metrics.Histogram
@@ -27,6 +31,10 @@ type jobMetrics struct {
 	progressMap  *metrics.Gauge
 	progressRed  *metrics.Gauge
 }
+
+// retiredAt marks a launchedAt entry whose attempt has ended; no event
+// happens before time zero.
+const retiredAt sim.Time = -1
 
 func newJobMetrics() *jobMetrics {
 	reg := metrics.NewRegistry()
@@ -51,9 +59,14 @@ func (j *Job) Metrics() *metrics.Registry {
 	return j.met.reg
 }
 
-// MetricsSnapshot renders the registry's current state.
+// MetricsSnapshot renders the registry's current state, with the
+// cluster-wide series at the cluster's totals on a shared run.
 func (j *Job) MetricsSnapshot() *metrics.Snapshot {
-	return j.Metrics().Snapshot()
+	snap := j.Metrics().Snapshot()
+	if j.clusterMet != nil {
+		snap.Merge(j.clusterMet.Snapshot())
+	}
+	return snap
 }
 
 // SetObserver attaches a streaming observer; call before Start.
@@ -74,8 +87,8 @@ func (j *Job) observeEvent(e trace.Event) {
 	case trace.KindTaskLaunched:
 		m.launchedAt[e.Task] = e.At
 	case trace.KindTaskFinished, trace.KindTaskFailed, trace.KindTaskKilled:
-		if start, ok := m.launchedAt[e.Task]; ok {
-			delete(m.launchedAt, e.Task)
+		if start, ok := m.launchedAt[e.Task]; ok && start != retiredAt {
+			m.launchedAt[e.Task] = retiredAt
 			if e.Kind == trace.KindTaskFinished {
 				h := m.durationRed
 				if strings.HasPrefix(e.Task, "m_") {

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"alm/internal/faults"
+	"alm/internal/metrics"
+	"alm/internal/trace"
 	"alm/internal/workloads"
 )
 
@@ -86,4 +88,42 @@ func TestNodeLossHitsBothJobs(t *testing.T) {
 			t.Fatalf("job %d failed: %s", i, res.FailReason)
 		}
 	}
+}
+
+// TestSharedClusterMetricsAreClusterWide: on a shared cluster every
+// job's MetricsSnapshot reports the cluster-wide series at the
+// cluster's totals, while its own series stay its own.
+func TestSharedClusterMetricsAreClusterWide(t *testing.T) {
+	a := JobSpec{Name: "a", Workload: workloads.Wordcount(), InputBytes: 2 << 30, NumReduces: 1, Mode: ModeYARN, Seed: 5}
+	b := JobSpec{Name: "b", Workload: workloads.Wordcount(), InputBytes: 2 << 30, NumReduces: 1, Mode: ModeYARN, Seed: 6}
+	jobs, err := RunShared([]JobSpec{a, b}, nil, DefaultClusterSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, sb := jobs[0].MetricsSnapshot(), jobs[1].MetricsSnapshot()
+	const granted = "alm_cluster_containers_granted_total"
+	ga, okA := sa.Value(granted)
+	gb, okB := sb.Value(granted)
+	if !okA || !okB || ga != gb {
+		t.Fatalf("%s: job a %v (%v), job b %v (%v); want the same cluster total in both", granted, ga, okA, gb, okB)
+	}
+	la, _ := sa.Value("alm_events_total", "kind", string(trace.KindTaskLaunched))
+	lb, _ := sb.Value("alm_events_total", "kind", string(trace.KindTaskLaunched))
+	if la == 0 || lb == 0 || la+lb > ga {
+		t.Fatalf("launched a=%v b=%v, granted %v: want both jobs' launches within the cluster's grants", la, lb, ga)
+	}
+	for _, s := range []string{"alm_disk_write_bytes_total", "alm_net_connect_failures_total"} {
+		if !hasSeries(sa, s) || !hasSeries(sb, s) {
+			t.Errorf("%s missing from a job's snapshot", s)
+		}
+	}
+}
+
+func hasSeries(snap *metrics.Snapshot, name string) bool {
+	for _, s := range snap.Series {
+		if s.Name == name {
+			return true
+		}
+	}
+	return false
 }

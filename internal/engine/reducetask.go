@@ -220,8 +220,6 @@ func (r *reduceExec) rearm(tp **sim.Timer, d sim.Time, fn func()) {
 }
 
 // seqPath renders prefix+n, reusing the exec's scratch buffer.
-//
-//alm:hotpath
 func (r *reduceExec) seqPath(prefix string, n int) string {
 	s, buf := seqName(r.nameBuf, prefix, n)
 	r.nameBuf = buf
@@ -231,8 +229,6 @@ func (r *reduceExec) seqPath(prefix string, n int) string {
 // fetchFlowName interns the per-host fetch flow name ("r_003_0<-7"); a
 // reducer fetches from each host many times, and the rendered name is
 // identical every time.
-//
-//alm:hotpath
 func (r *reduceExec) fetchFlowName(host topology.NodeID) string {
 	if int(host) >= len(r.fetchNames) {
 		grown := make([]string, r.job.Cluster.Topo.NumNodes())
@@ -240,7 +236,7 @@ func (r *reduceExec) fetchFlowName(host topology.NodeID) string {
 		r.fetchNames = grown
 	}
 	if r.fetchNames[host] == "" {
-		r.fetchNames[host] = r.seqPath(r.a.id+"<-", int(host)) //almvet:allow hotalloc -- rendered once per host, then interned
+		r.fetchNames[host] = r.seqPath(r.a.id+"<-", int(host))
 	}
 	return r.fetchNames[host]
 }
@@ -265,6 +261,7 @@ func (r *reduceExec) kill(string) {
 	if r.outWriter != nil {
 		r.outWriter.Abort()
 	}
+	assertQuiet(r.a.id, r.timers, r.flows, r.pingTimer, r.algTimer, r.ckptTimer)
 }
 
 const reapFloor = 32
@@ -468,7 +465,7 @@ func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 			}
 			r.job.hostVisits++
 			first := -1
-			r.hostIdx.byHost[n].each(func(m int) bool { //almvet:allow allocflow -- each() does not retain fn, so the closure stays on the stack
+			r.hostIdx.byHost[n].each(func(m int) bool {
 				if am.shouldWait(m) {
 					return true // SFM advisory: regeneration under way
 				}
@@ -499,8 +496,6 @@ func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 // (either the producing node or, under ISS, a replica host), in ascending
 // map order. The returned slice is scratch, valid only until the next
 // call; callers must not retain it.
-//
-//alm:hotpath
 func (r *reduceExec) pendingOn(host topology.NodeID) []int {
 	r.pendScratch = r.hostIdx.byHost[host].appendIndices(r.pendScratch[:0])
 	return r.pendScratch
@@ -541,8 +536,6 @@ func (r *reduceExec) recycleSession(s *fetchSession) {
 
 // runSession opens one fetch against host: per-fetch, the hottest path
 // in a shuffle-bound run.
-//
-//alm:hotpath
 func (r *reduceExec) runSession(host topology.NodeID) {
 	if r.dead {
 		return
@@ -628,8 +621,6 @@ func (r *reduceExec) startWatch(host topology.NodeID, flow *fairshare.Flow) {
 
 // tick is the per-interval watchdog probe: fires once per
 // FetchConnectTimeout for every in-flight fetch.
-//
-//alm:hotpath
 func (w *fetchWatch) tick() {
 	r := w.r
 	if r.dead || w.flow.Done() || w.flow.Canceled() {
@@ -656,8 +647,6 @@ func (w *fetchWatch) recycle() {
 
 // sessionDone lands one completed fetch: per-fetch, paired with
 // runSession.
-//
-//alm:hotpath
 func (r *reduceExec) sessionDone(s *fetchSession) {
 	if r.dead {
 		return
@@ -827,8 +816,6 @@ func (r *reduceExec) onMapAvailable(mapIdx int) {
 
 // deliver routes a fetched segment to memory or disk, triggering the
 // background in-memory merge when the buffer fills.
-//
-//alm:hotpath
 func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 	cp := &merge.Segment{
 		ID:             seg.ID,
@@ -871,8 +858,6 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 
 // mergeInMemory merges the current in-memory segments and spills the
 // result to disk; done (optional) runs after the spill lands.
-//
-//alm:hotpath
 func (r *reduceExec) mergeInMemory(done func()) {
 	if len(r.inMem) == 0 {
 		if done != nil {
@@ -962,8 +947,6 @@ func (s segsByLogicalBytes) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // mergePasses merges on-disk runs down to io.sort.factor before the
 // reduce stage — the heavy disk merging FCM exists to avoid.
-//
-//alm:hotpath
 func (r *reduceExec) mergePasses() {
 	if r.dead {
 		return

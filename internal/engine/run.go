@@ -8,6 +8,7 @@ import (
 
 	"alm/internal/cluster"
 	"alm/internal/faults"
+	"alm/internal/metrics"
 	"alm/internal/sim"
 	"alm/internal/topology"
 )
@@ -246,6 +247,18 @@ func assemble(cs ClusterSpec, seed int64, specs []JobSpec, plans []*faults.Plan)
 			return nil, nil, err
 		}
 	}
+	// The cluster's series (alm_cluster_*, alm_net_*, alm_disk_*) count
+	// the whole cluster. One job owns them outright, so its observer
+	// streams them; jobs sharing the cluster each merge the one shared
+	// registry into their MetricsSnapshot.
+	reg := jobs[0].met.reg
+	if len(jobs) > 1 {
+		reg = metrics.NewRegistry()
+		for _, j := range jobs {
+			j.clusterMet = reg
+		}
+	}
+	cl.SetMetrics(reg)
 	return eng, jobs, nil
 }
 

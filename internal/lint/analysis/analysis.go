@@ -49,26 +49,4 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Category string // analyzer name; set by the driver
-
-	// SuggestedFixes are machine-applicable edits that resolve the
-	// finding. almvet -fix applies them; analysistest checks them
-	// against .fixed goldens.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one way to resolve a diagnostic: a set of text edits
-// applied together. Mirrors x/tools' analysis.SuggestedFix.
-type SuggestedFix struct {
-	// Message describes the fix (shown alongside the diagnostic).
-	Message string
-	// TextEdits are the edits; they must not overlap each other.
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. A
-// zero-width range (Pos == End) is an insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }

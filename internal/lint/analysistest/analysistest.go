@@ -14,7 +14,6 @@ package analysistest
 
 import (
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -23,7 +22,6 @@ import (
 
 	"alm/internal/lint/analysis"
 	"alm/internal/lint/driver"
-	"alm/internal/lint/fixer"
 	"alm/internal/lint/loader"
 )
 
@@ -69,67 +67,6 @@ func RunWithSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer,
 		t.Fatalf("driver: %v", err)
 	}
 	checkWants(t, l.Fset, p, diags)
-	checkFixes(t, l.Fset, p, diags)
-}
-
-// checkFixes compares the result of applying suggested fixes against
-// `<file>.fixed` golden files. Every fixture file for which some
-// diagnostic carries a fix must have a golden, and every golden must be
-// earned by at least one fix — a stale golden fails the test, so the
-// fixtures cannot drift from the fixer. Setting ALMVET_UPDATE_FIXED=1
-// regenerates the goldens from the fixer's actual output instead of
-// comparing.
-func checkFixes(t *testing.T, fset *token.FileSet, p *loader.Package, diags []analysis.Diagnostic) {
-	t.Helper()
-	update := os.Getenv("ALMVET_UPDATE_FIXED") != ""
-	for _, f := range p.Files {
-		filename := fset.Position(f.Pos()).Filename
-		var fileDiags []analysis.Diagnostic
-		hasFix := false
-		for _, d := range diags {
-			if fset.Position(d.Pos).Filename != filename {
-				continue
-			}
-			fileDiags = append(fileDiags, d)
-			if len(d.SuggestedFixes) > 0 {
-				hasFix = true
-			}
-		}
-		golden := filename + ".fixed"
-		want, err := os.ReadFile(golden)
-		if !hasFix {
-			if err == nil {
-				t.Errorf("%s exists but no diagnostic on %s carries a suggested fix", golden, filepath.Base(filename))
-			}
-			continue
-		}
-		src, err2 := os.ReadFile(filename)
-		if err2 != nil {
-			t.Fatalf("read %s: %v", filename, err2)
-		}
-		got, applied, err2 := fixer.Apply(fset, filename, src, fileDiags)
-		if err2 != nil {
-			t.Errorf("apply fixes to %s: %v", filepath.Base(filename), err2)
-			continue
-		}
-		if applied == 0 {
-			t.Errorf("%s: fixes present but none applied", filepath.Base(filename))
-			continue
-		}
-		if update {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatalf("update golden %s: %v", golden, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("diagnostics on %s carry suggested fixes but golden %s is missing (run with ALMVET_UPDATE_FIXED=1 to create)", filepath.Base(filename), golden)
-			continue
-		}
-		if d := fixer.Unified(filepath.Base(golden), want, got); d != nil {
-			t.Errorf("fixed output for %s differs from golden:\n%s", filepath.Base(filename), d)
-		}
-	}
 }
 
 type expectation struct {

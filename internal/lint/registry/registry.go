@@ -8,14 +8,11 @@ package registry
 import (
 	"strings"
 
-	"alm/internal/lint/allocflow"
 	"alm/internal/lint/analysis"
 	"alm/internal/lint/detnow"
 	"alm/internal/lint/droppederr"
-	"alm/internal/lint/hotalloc"
 	"alm/internal/lint/locksafe"
 	"alm/internal/lint/seedflow"
-	"alm/internal/lint/timerflow"
 )
 
 // Scoped pairs an analyzer with its package-path predicate.
@@ -43,19 +40,10 @@ var detnowScope = []string{
 // All returns the suite in stable order.
 func All() []Scoped {
 	return []Scoped{
-		// allocflow is opt-in per function like hotalloc (both key on the
-		// //alm:hotpath marker), so module-wide scope costs nothing on
-		// unmarked code.
-		{Analyzer: allocflow.Analyzer, AppliesTo: inModule},
 		{Analyzer: detnow.Analyzer, AppliesTo: underAny(detnowScope)},
 		{Analyzer: droppederr.Analyzer, AppliesTo: inModule},
-		{Analyzer: hotalloc.Analyzer, AppliesTo: inModule},
 		{Analyzer: locksafe.Analyzer, AppliesTo: inModule},
 		{Analyzer: seedflow.Analyzer, AppliesTo: inModule},
-		// timerflow applies wherever sim.Timer is used, which inModule
-		// over-approximates cheaply: checkFunc bails unless the function
-		// mentions a timer.
-		{Analyzer: timerflow.Analyzer, AppliesTo: inModule},
 	}
 }
 

@@ -104,7 +104,6 @@ func collectNames(tasks map[int]string) []string {
 	return out
 }
 
-//alm:hotpath
 func render(b []byte, v string) []byte {
 	return append(b, v...)
 }

@@ -175,13 +175,11 @@ func pairsToLabels(pairs []string) []Label {
 // used here), the key renders into keyScratch, and the map probe uses the
 // string([]byte) conversion the compiler elides. Labels and key are only
 // materialised on a miss — label-set interning, once per series lifetime.
-//
-//alm:hotpath
 func (r *Registry) lookup(name string, kind Kind, bounds []float64, pairs []string) *series {
 	if len(pairs)%2 != 0 {
 		// The pairs slice must not be mentioned here: passing it to fmt
 		// would make it escape and put an allocation on every lookup.
-		panic("metrics: odd label pairs for series " + name) //almvet:allow hotalloc -- panic path, never taken on a healthy run
+		panic("metrics: odd label pairs for series " + name)
 	}
 	ls := r.labScratch[:0]
 	for i := 0; i < len(pairs); i += 2 {
@@ -199,7 +197,7 @@ func (r *Registry) lookup(name string, kind Kind, bounds []float64, pairs []stri
 	r.keyScratch = buf
 	if s, ok := r.byKey[string(buf)]; ok {
 		if s.kind != kind {
-			panic(fmt.Sprintf("metrics: series %s registered as %v, requested as %v", s.key, s.kind, kind)) //almvet:allow hotalloc -- panic path, never taken on a healthy run
+			panic(fmt.Sprintf("metrics: series %s registered as %v, requested as %v", s.key, s.kind, kind))
 		}
 		return s
 	}

@@ -31,16 +31,25 @@ import (
 // Scale is the dataset scale factor every harness workload runs at.
 const Scale = 1.0 / 8
 
-// Budget caps a benchmark's allocation profile. Budgets are the source
-// of truth for the `make bench-alloc` CI gate: a measured run must stay
-// within budget × (1 + Tolerance) on both axes. They are set a little
-// above freshly-measured values — tight enough that reintroducing a
-// per-fetch fmt.Sprintf or losing a free list trips the gate, loose
-// enough that allocator noise does not.
+// Workers is the worker count of every harness entry that fans out
+// (sweep_parallel, and the experiments through experiments.Options),
+// and RunAll's GOMAXPROCS: each worker allocates its own engine state
+// and the runtime some per processor, so a host-dependent count would
+// move the pins with the host's CPU count.
+const Workers = 2
+
+// Tolerance is how far a measurement may sit from its pin, as a
+// fraction of the pin, on either axis. The measurement repeats to within
+// a few allocations per op, so anything past this is a real change.
+const Tolerance = 0.001
+
+// Budget pins a benchmark's allocation profile: the allocs/op and B/op
+// it measures. Pins are the source of truth for the `make bench-alloc`
+// CI gate, which fails a measurement more than Tolerance above a pin (a
+// regression) or below it (a stale pin, to be re-pinned).
 type Budget struct {
 	AllocsPerOp int64
 	BytesPerOp  int64
-	Tolerance   float64
 }
 
 // Bench is one named entry in the harness.
@@ -48,25 +57,21 @@ type Bench struct {
 	Name   string
 	Desc   string
 	Func   func(b *testing.B)
-	Budget *Budget
+	Budget Budget
 }
 
 // Benchmarks returns the harness entries in a fixed, reproducible order.
 //
-// Budgets sit ~10% above values measured after the allocation-conscious
-// rewrite (interned identifiers, run-local free lists, zero-alloc emit)
-// with a further 20% runtime tolerance. The pre-rewrite profile was
-// 2–2.5× every budget, so a regression of that class trips the gate
-// with a wide margin while allocator noise does not.
+// Each Budget is the value the entry measures (go1.24.0, linux/amd64);
+// a change that moves it re-pins it in the same commit.
 func Benchmarks() []Bench {
 	return []Bench{
 		{
 			Name: "timer_churn",
 			Desc: "schedule/cancel cycles against a full watchdog window (the watchFetch pattern)",
 			Func: benchTimerChurn,
-			// Exactly one allocation per op: the *Timer itself. Zero
-			// tolerance — this one is deterministic.
-			Budget: &Budget{AllocsPerOp: 1, BytesPerOp: 64, Tolerance: 0},
+			// Exactly one allocation per op: the *Timer itself.
+			Budget: Budget{AllocsPerOp: 1, BytesPerOp: 64},
 		},
 		{
 			Name: "queue_cascade",
@@ -75,43 +80,43 @@ func Benchmarks() []Bench {
 			// One Timer per scheduled event plus the engine and its
 			// warmed heap storage; cascading relinks timers in place and
 			// must not allocate per level crossed.
-			Budget: &Budget{AllocsPerOp: 540, BytesPerOp: 60_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 531, BytesPerOp: 46_880},
 		},
 		{
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: &Budget{AllocsPerOp: 52_500, BytesPerOp: 5_800_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 47_674, BytesPerOp: 4_633_439},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: &Budget{AllocsPerOp: 57_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 51_719, BytesPerOp: 4_977_379},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: &Budget{AllocsPerOp: 7_500, BytesPerOp: 1_050_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 6_752, BytesPerOp: 854_498},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: &Budget{AllocsPerOp: 57_000, BytesPerOp: 6_200_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 51_842, BytesPerOp: 4_983_302},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: &Budget{AllocsPerOp: 285_000, BytesPerOp: 26_500_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 258_886, BytesPerOp: 23_912_655},
 		},
 		{
 			Name:   "remote_shuffle_crash",
 			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
 			Func:   benchRemoteShuffleCrash,
-			Budget: &Budget{AllocsPerOp: 75_000, BytesPerOp: 7_200_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 67_827, BytesPerOp: 5_898_920},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -120,19 +125,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: &Budget{AllocsPerOp: 39_000, BytesPerOp: 7_100_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 34_740, BytesPerOp: 6_375_038},
 		},
 		{
 			Name:   "sweep_parallel",
-			Desc:   "8 seeded jobs fanned through the sweep scheduler at NumCPU workers",
+			Desc:   "8 seeded jobs fanned through the sweep scheduler at Workers workers",
 			Func:   benchSweepParallel,
-			Budget: &Budget{AllocsPerOp: 62_000, BytesPerOp: 5_200_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 56_212, BytesPerOp: 4_636_451},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: &Budget{AllocsPerOp: 1_820_000, BytesPerOp: 300_000_000, Tolerance: 0.20},
+			Budget: Budget{AllocsPerOp: 1_651_740, BytesPerOp: 256_200_160},
 		},
 	}
 }
@@ -242,8 +247,8 @@ func benchFig4HeapLoad(b *testing.B) {
 // benchRemoteShuffleCrash drives the shuffle-heavy terasort through the
 // remote tier (push, replicate, commit, serve) and crashes the busiest
 // MOF node mid-shuffle, so the tier's fetch-redirect and repair paths —
-// the //alm:hotpath sections of internal/shuffletier — dominate the
-// profile instead of local fetch sessions.
+// internal/shuffletier's push and serve paths — dominate the profile
+// instead of local fetch sessions.
 func benchRemoteShuffleCrash(b *testing.B) {
 	benchJob(b, engine.JobSpec{
 		Workload:   workloads.Terasort(),
@@ -270,7 +275,7 @@ func benchALGReduceSnapshots(b *testing.B) {
 }
 
 // benchSweepParallel measures the sweep scheduler itself: a fan of small
-// seeded jobs through sweep.Do at NumCPU workers, one engine per worker.
+// seeded jobs through sweep.Do at Workers workers, one engine per worker.
 // The per-op cost is the whole fan, so the allocation budget covers the
 // scheduler's bookkeeping plus the 8 engine runs.
 func benchSweepParallel(b *testing.B) {
@@ -289,7 +294,7 @@ func benchSweepParallel(b *testing.B) {
 			specs[u] = cold(b, base)
 			specs[u].Seed = int64(11 + u)
 		}
-		err := sweep.Do(context.Background(), units, runtime.NumCPU(), func(u int) error {
+		err := sweep.Do(context.Background(), units, Workers, func(u int) error {
 			spec := specs[u]
 			res, err := engine.Run(spec, engine.DefaultClusterSpec(), engine.WithoutTrace())
 			if err != nil {
@@ -349,7 +354,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("experiment %s not registered", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := f(experiments.Options{Scale: Scale}); err != nil {
+		if _, err := f(experiments.Options{Scale: Scale, Workers: Workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,12 +365,14 @@ type Result struct {
 	Name        string
 	BytesPerOp  int64
 	AllocsPerOp int64
-	Budget      *Budget
+	Budget      Budget
 }
 
 // RunAll executes every harness benchmark through testing.Benchmark,
-// streaming one progress line per entry to log (if non-nil).
+// streaming one progress line per entry to log (if non-nil), at
+// GOMAXPROCS = Workers.
 func RunAll(log io.Writer) []Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(Workers))
 	var out []Result
 	for _, bm := range Benchmarks() {
 		r := testing.Benchmark(bm.Func)
@@ -384,33 +391,39 @@ func RunAll(log io.Writer) []Result {
 	return out
 }
 
-// CheckBudgets verifies measured results against their budgets and
-// returns one violation line per breach (empty means all within
-// budget). A result without a budget is never a violation; a budgeted
-// axis of 0 means "unbudgeted axis".
+// CheckBudgets compares each result with its pin and returns one line
+// per axis that sits more than Tolerance away (empty means every entry
+// matches its pin). Above the pin is a regression, and the line says
+// how to find the new allocations; below it the pin is stale, and the
+// line gives the Budget to re-pin.
 func CheckBudgets(results []Result) []string {
-	var violations []string
+	var out []string
 	for _, res := range results {
 		b := res.Budget
-		if b == nil {
-			continue
+		axes := []struct {
+			unit, sample string
+			got, pin     int64
+		}{
+			{"allocs/op", "alloc_objects", res.AllocsPerOp, b.AllocsPerOp},
+			{"B/op", "alloc_space", res.BytesPerOp, b.BytesPerOp},
 		}
-		if b.AllocsPerOp > 0 {
-			limit := int64(float64(b.AllocsPerOp) * (1 + b.Tolerance))
-			if res.AllocsPerOp > limit {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %d allocs/op exceeds budget %d (+%.0f%% tolerance = %d)",
-					res.Name, res.AllocsPerOp, b.AllocsPerOp, b.Tolerance*100, limit))
-			}
-		}
-		if b.BytesPerOp > 0 {
-			limit := int64(float64(b.BytesPerOp) * (1 + b.Tolerance))
-			if res.BytesPerOp > limit {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %d B/op exceeds budget %d (+%.0f%% tolerance = %d)",
-					res.Name, res.BytesPerOp, b.BytesPerOp, b.Tolerance*100, limit))
+		for _, ax := range axes {
+			delta := ax.got - ax.pin
+			pct := 100 * float64(delta) / float64(ax.pin)
+			slack := int64(float64(ax.pin) * Tolerance)
+			switch {
+			case delta > slack:
+				out = append(out, fmt.Sprintf(
+					"%s: %d %s is %+d (%+.2f%%) from its pin %d: a regression; locate it with\n"+
+						"\tgo test ./internal/perf -run '^$' -bench 'Harness/%s$' -benchtime 1x -memprofilerate 1 -memprofile mem.out\n"+
+						"\tgo tool pprof -sample_index=%s -top mem.out",
+					res.Name, ax.got, ax.unit, delta, pct, ax.pin, res.Name, ax.sample))
+			case -delta > slack:
+				out = append(out, fmt.Sprintf(
+					"%s: %d %s is %+d (%+.2f%%) from its pin %d: the pin is stale; re-pin it to Budget{AllocsPerOp: %d, BytesPerOp: %d}",
+					res.Name, ax.got, ax.unit, delta, pct, ax.pin, res.AllocsPerOp, res.BytesPerOp))
 			}
 		}
 	}
-	return violations
+	return out
 }

@@ -312,8 +312,6 @@ func (t *Tier) ordinalUsable(o int) bool {
 // (async) once every partition has at least one stored replica — the
 // map's commit point. A re-push after a map rerun skips partitions that
 // still have live replicas.
-//
-//alm:hotpath
 func (t *Tier) Push(m int, src topology.NodeID, partBytes []int64, onCommit func()) {
 	ms := t.ensureMap(m)
 	ms.src = src
@@ -353,8 +351,6 @@ func (t *Tier) Push(m int, src topology.NodeID, partBytes []int64, onCommit func
 // submit admits a transfer to its destination tier node, queueing when
 // the node's ingest slots are full and signalling backpressure when the
 // queue crosses MaxQueue.
-//
-//alm:hotpath
 func (t *Tier) submit(req *pushReq) {
 	var sum int64
 	for _, r := range req.parts {
@@ -380,8 +376,6 @@ func (t *Tier) submit(req *pushReq) {
 
 // start launches the fairshare flow for an admitted transfer: source
 // disk read, the network path, and the tier node's disk write.
-//
-//alm:hotpath
 func (t *Tier) start(req *pushReq) {
 	tn := t.nodes[req.ord]
 	tn.inflight++
@@ -417,8 +411,6 @@ func flowName(req *pushReq) string {
 
 // flowDone credits a completed transfer: segments become stored, the
 // map may commit, and a freed ingest slot admits the next queued push.
-//
-//alm:hotpath
 func (t *Tier) flowDone(req *pushReq) {
 	t.removeActive(req)
 	tn := t.nodes[req.ord]
@@ -543,8 +535,6 @@ func (t *Tier) checkHot(tn *tierNode) {
 // scope covering (m, r), except reachability down-flips, which cluster
 // reachability listeners observe directly; cached fetch indexes that
 // follow both stay consistent.
-//
-//alm:hotpath
 func (t *Tier) ServeNode(m, r int) (topology.NodeID, bool) {
 	ms := t.mapAt(m)
 	if ms == nil || !ms.committed || r < 0 || r >= t.numParts {

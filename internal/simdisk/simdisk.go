@@ -45,7 +45,6 @@ type Disks struct {
 	// among the hottest flow starts in a run, and their names only vary by
 	// node. portScratch backs the 1–2 element port lists handed to
 	// StartFlow, which copies them.
-	readName    []string
 	writeName   []string
 	mergeName   []string
 	portScratch []*fairshare.Port
@@ -75,7 +74,6 @@ func New(e *sim.Engine, topo *topology.Topology, sys *fairshare.System) *Disks {
 		d.baseWrite[node.ID] = node.HW.DiskWriteBW
 		d.names = append(d.names, node.Name)
 		id := strconv.Itoa(int(node.ID))
-		d.readName = append(d.readName, "dread:"+id)
 		d.writeName = append(d.writeName, "dwrite:"+id)
 		d.mergeName = append(d.mergeName, "dmerge:"+id)
 	}
@@ -134,23 +132,8 @@ func (d *Disks) ReadPort(id topology.NodeID) *fairshare.Port { return d.read[id]
 // WritePort returns a node's disk write port.
 func (d *Disks) WritePort(id topology.NodeID) *fairshare.Port { return d.write[id] }
 
-// Read charges a local disk read of the given size and calls done when it
-// completes.
-//
-//alm:hotpath
-func (d *Disks) Read(id topology.NodeID, bytes int64, done func()) *fairshare.Flow {
-	d.BytesRead[id] += bytes
-	d.countRead(id, bytes)
-	ports := append(d.portScratch[:0], d.read[id])
-	f := d.sys.StartFlow(d.readName[id], bytes, ports, 0, done)
-	d.portScratch = ports[:0]
-	return f
-}
-
 // Write charges a local disk write of the given size and calls done when
 // it completes.
-//
-//alm:hotpath
 func (d *Disks) Write(id topology.NodeID, bytes int64, done func()) *fairshare.Flow {
 	d.BytesWritten[id] += bytes
 	d.countWrite(id, bytes)
@@ -163,8 +146,6 @@ func (d *Disks) Write(id topology.NodeID, bytes int64, done func()) *fairshare.F
 // ReadWrite charges a combined read-modify-write (e.g., an on-disk merge
 // pass reads inputs and writes the merged output concurrently): a single
 // flow of the given size crossing both the read and write ports.
-//
-//alm:hotpath
 func (d *Disks) ReadWrite(id topology.NodeID, bytes int64, done func()) *fairshare.Flow {
 	d.BytesRead[id] += bytes
 	d.BytesWritten[id] += bytes

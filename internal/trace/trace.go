@@ -62,8 +62,6 @@ type Event struct {
 // slice. The layout is the historical fmt.Sprintf
 // "%8.1fs %-22s %-18s %-8s %s" rendered byte-for-byte (a golden test
 // locks it), without fmt's interface boxing on the dump path.
-//
-//alm:hotpath
 func (e Event) AppendTo(b []byte) []byte {
 	var num [24]byte
 	f := strconv.AppendFloat(num[:0], e.At.Seconds(), 'f', 1, 64)
@@ -123,8 +121,6 @@ func New() *Collector {
 }
 
 // Emit records a discrete event.
-//
-//alm:hotpath
 func (c *Collector) Emit(at sim.Time, kind Kind, task, node, detail string) {
 	e := Event{At: at, Kind: kind, Task: task, Node: node, Detail: detail}
 	c.Events = append(c.Events, e)
