@@ -26,12 +26,14 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# vet builds the repo's own analyzer suite, almvet, and runs it over the
-# packages `go list ./...` lists (nested modules such as bench/ are
-# skipped): detnow, droppederr, locksafe and seedflow, all syntax-level
-# checks of correctness. almvet loads and type-checks the packages
-# itself, with no build cache, and fails on every finding.
+# vet runs the standard `go vet` over the module, then builds the repo's
+# own analyzer suite, almvet, and runs it over the packages `go list
+# ./...` lists (nested modules such as bench/ are skipped): detnow,
+# droppederr, locksafe and seedflow, all syntax-level checks of
+# correctness. almvet loads and type-checks the packages itself, with no
+# build cache, and fails on every finding.
 vet: $(ALMVET)
+	$(GO) vet ./...
 	$(ALMVET) ./...
 
 $(ALMVET): FORCE
@@ -49,12 +51,16 @@ lint-test:
 # against the map-based oracle allocator and a max-min fairness
 # certificate (DESIGN.md §10). FuzzAllocateBatched then searches 10 s
 # more with some of those changes batched inside one engine event, so
-# several changes share one deferred allocation. Plain `go test` replays
-# only the checked-in corpora (internal/fairshare/testdata/fuzz/); a
-# crasher found here belongs in its target's corpus.
+# several changes share one deferred allocation. FuzzQueue then searches
+# 10 s of scripts of schedules, stops, reschedules, retimes and runs on
+# the sim's timing wheel against the sorted-list reference loop. Plain
+# `go test` replays only the checked-in corpora (testdata/fuzz/ under
+# internal/fairshare and internal/sim); a crasher found here belongs in
+# its target's corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocate$$' -fuzztime 10s ./internal/fairshare
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocateBatched$$' -fuzztime 10s ./internal/fairshare
+	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s ./internal/sim
 
 # bench-alloc is the allocation CI gate: runs every entry of the engine
 # harness (internal/perf) through testing.Benchmark and fails if its

@@ -27,9 +27,11 @@ const (
 
 // executor is the running body of an attempt (map, reduce or FCM reduce).
 type executor interface {
-	// kill tears the execution down: cancel flows and timers. The AM has
+	// start launches the attempt: container localization, then its work.
+	start()
+	// kill tears the execution down (attemptRun.stop). The AM has
 	// already accounted the attempt's fate.
-	kill(reason string)
+	kill()
 }
 
 // attempt is one execution attempt of a task.
@@ -354,9 +356,7 @@ func (am *appMaster) startReduceAttempt(t *taskState, a *attempt, ct *cluster.Co
 		ex = newReduceExec(am.job, t, a)
 	}
 	a.exec = ex
-	if s, ok := ex.(interface{ start() }); ok {
-		s.start()
-	}
+	ex.start()
 }
 
 // dropAttempt marks a pending/running attempt killed without counting it
@@ -377,7 +377,7 @@ func (am *appMaster) dropAttempt(a *attempt) {
 	}
 	if prev == attemptRunning {
 		if a.exec != nil {
-			a.exec.kill("superseded")
+			a.exec.kill()
 		}
 		if a.container != nil {
 			am.job.Cluster.Release(a.container)
@@ -495,7 +495,7 @@ func (am *appMaster) attemptFailed(a *attempt, reason string) {
 	}
 	if wasRunning {
 		if a.exec != nil {
-			a.exec.kill(reason)
+			a.exec.kill()
 		}
 		if a.container != nil {
 			am.job.Cluster.Release(a.container)
@@ -561,11 +561,6 @@ func (am *appMaster) FCMTasksInJob() int { return am.fcmRunning }
 
 // ---- node loss & fetch failures ----
 
-// nodeWentDark is invoked by the fault injector the instant a node's
-// network stops. The AM itself learns of the loss only via heartbeat
-// expiry or fetch-failure reports; this hook exists for bookkeeping.
-func (am *appMaster) nodeWentDark(topology.NodeID) {}
-
 func (am *appMaster) onNodeLost(node topology.NodeID) {
 	if am.jobDone {
 		return
@@ -593,7 +588,7 @@ func (am *appMaster) markFailedNoRecover(a *attempt, reason string) {
 	}
 	if wasRunning {
 		if a.exec != nil {
-			a.exec.kill(reason)
+			a.exec.kill()
 		}
 		if a.container != nil {
 			am.job.Cluster.Release(a.container)

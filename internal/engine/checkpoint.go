@@ -186,7 +186,7 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 			// but the failure must be visible in the run's counters.
 			r.job.result.Counters.Add("ckpt.restore_errors", 1)
 		}
-		r.resumeAfterRestore()
+		r.resume()
 	}); err != nil {
 		r.ckptRestoring = false
 		return false
@@ -194,13 +194,4 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 	r.job.Tracer.Emit(r.job.Eng.Now(), "ckpt-restored", r.a.id, r.a.nodeName(r.job), img.stage.String())
 	r.job.result.Counters.Add("ckpt.restores", 1)
 	return true
-}
-
-// resumeAfterRestore continues execution once the image is local.
-func (r *reduceExec) resumeAfterRestore() {
-	if r.stage == core.StageReduce && r.cursor != nil {
-		r.startReduceStageRestored()
-		return
-	}
-	r.fillFetchers()
 }

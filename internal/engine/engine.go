@@ -111,14 +111,13 @@ type ShuffleOptions struct {
 	// fetch from the tier, so losing a map node after commit invalidates
 	// nothing.
 	Remote bool
-	// TierNodes, Replication, MaxInflight, MaxQueue and HotFactor size
-	// the tier (zero: shuffletier defaults — 3 nodes, 2 replicas, 4
-	// ingest slots, queue-depth-8 backpressure, 3× hot-spot factor).
+	// TierNodes, MaxInflight and MaxQueue size the tier (zero:
+	// shuffletier defaults — 3 nodes, 4 ingest slots, queue-depth-8
+	// backpressure). Replication and the hot-spot factor keep the
+	// shuffletier defaults (2 replicas, 3×).
 	TierNodes   int
-	Replication int
 	MaxInflight int
 	MaxQueue    int
-	HotFactor   float64
 }
 
 // ISSOptions configures intermediate-data replication.
@@ -391,10 +390,8 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 	if spec.Shuffle.Remote {
 		j.tier = shuffletier.New(cl, j.Tracer, spec.NumReduces, shuffletier.Options{
 			TierNodes:   spec.Shuffle.TierNodes,
-			Replication: spec.Shuffle.Replication,
 			MaxInflight: spec.Shuffle.MaxInflight,
 			MaxQueue:    spec.Shuffle.MaxQueue,
-			HotFactor:   spec.Shuffle.HotFactor,
 		})
 		j.tier.SetMetrics(j.met.reg)
 		j.tier.OnChange = func(m int, parts []int) {
@@ -673,7 +670,6 @@ func (j *Job) apply(do faults.Action) {
 				j.Eng.Schedule(sim.Time(do.HealAfter), func() { j.healNode(node) })
 			}
 		}
-		j.am.nodeWentDark(node)
 	case faults.HealNode:
 		node := j.selectNode(do)
 		if node == topology.Invalid {
@@ -692,7 +688,6 @@ func (j *Job) apply(do faults.Action) {
 			if j.tier != nil {
 				j.tier.NodeCrashed(node)
 			}
-			j.am.nodeWentDark(node)
 		}
 	case faults.SlowNode:
 		node := j.selectNode(do)

@@ -8,7 +8,6 @@ import (
 	"alm/internal/fairshare"
 	"alm/internal/merge"
 	"alm/internal/mr"
-	"alm/internal/sim"
 	"alm/internal/topology"
 	"alm/internal/trace"
 )
@@ -21,13 +20,7 @@ import (
 // the suppliers' aggregate disk/NIC bandwidth and the reduce CPU rate —
 // never by local disk merging.
 type fcmExec struct {
-	job  *Job
-	t    *taskState
-	a    *attempt
-	dead bool
-
-	flows  []*fairshare.Flow
-	timers []*sim.Timer
+	attemptRun
 
 	started       bool
 	reportTimerOn bool
@@ -43,38 +36,21 @@ type fcmExec struct {
 	output        []mr.Record
 	outputLogical int64
 	outWriter     *dfs.StreamWriter
-
-	// Pre-bound heartbeat callback + reused timer (see reduceExec.rearm).
-	pingFn    func()
-	pingTimer *sim.Timer
 }
 
 func newFCMExec(j *Job, t *taskState, a *attempt) *fcmExec {
-	f := &fcmExec{job: j, t: t, a: a}
-	f.pingFn = f.livenessPing
-	return f
+	return &fcmExec{attemptRun: attemptRun{job: j, t: t, a: a}}
 }
 
-func (f *fcmExec) kill(string) {
-	f.dead = true
+// kill leaves the participants' Local-MPQs alone: they are dismantled
+// after a timeout when the recovering reducer stops requesting data, and
+// their cost was already charged through the supply flows.
+func (f *fcmExec) kill() {
 	f.job.am.unregisterExec(f)
-	for _, fl := range f.flows {
-		fl.Cancel()
-	}
-	for _, tm := range f.timers {
-		tm.Stop()
-	}
+	f.stop()
 	if f.outWriter != nil {
 		f.outWriter.Abort()
 	}
-	assertQuiet(f.a.id, f.timers, f.flows, f.pingTimer)
-	// Participant Local-MPQs are dismantled after a timeout when the
-	// recovering reducer stops requesting data; their cost was already
-	// charged through the supply flows, so no further action is needed.
-}
-
-func (f *fcmExec) after(d sim.Time, fn func()) {
-	f.timers = append(f.timers, f.job.Eng.Schedule(d, fn))
 }
 
 // onMapAvailable: fcmExec registers in am.reduceExecs (a slice in
@@ -108,7 +84,7 @@ func (f *fcmExec) begin() {
 		return
 	}
 	f.job.am.registerExec(f)
-	f.livenessPing()
+	f.startHeartbeat(f)
 	if f.job.Spec.Mode.ALGEnabled() {
 		if c := f.job.algCommits[f.t.idx]; c.rec != nil {
 			f.skipReal = c.rec.ProcessedRealRecords
@@ -119,19 +95,6 @@ func (f *fcmExec) begin() {
 		}
 	}
 	f.maybeBegin()
-}
-
-func (f *fcmExec) livenessPing() {
-	if f.dead {
-		return
-	}
-	f.job.am.reportProgress(f.a, f.progress())
-	if f.pingTimer == nil {
-		f.pingTimer = f.job.Eng.Schedule(f.job.Spec.Conf.HeartbeatInterval, f.pingFn)
-	} else {
-		f.pingTimer.Reschedule(f.job.Spec.Conf.HeartbeatInterval, f.pingFn)
-	}
-	f.timers = append(f.timers, f.pingTimer)
 }
 
 func (f *fcmExec) progress() float64 {
@@ -200,7 +163,7 @@ func (f *fcmExec) maybeBegin() {
 	w, err := f.job.Cluster.DFS.OpenWrite("out/"+f.job.Spec.Name+"/"+f.a.id, f.a.node, f.job.reduceWriteOptions())
 	if err != nil {
 		if !f.job.Cluster.NodeReachable(f.a.node) {
-			f.kill("stranded: node unreachable")
+			f.kill() // stranded: node unreachable
 			return
 		}
 		f.job.am.attemptFailed(f.a, "cannot open output stream: "+err.Error())
@@ -220,7 +183,7 @@ func (f *fcmExec) maybeBegin() {
 		flow := f.job.Cluster.Net.System().StartFlow(
 			f.a.id+"/fcm<-"+strconv.Itoa(int(src.Node)), supply, ports, 0,
 			f.sourceDone)
-		f.flows = append(f.flows, flow)
+		f.addFlow(flow)
 	}
 	f.outputLogical = int64(float64(f.totalSupply) * f.job.Spec.Workload.ReduceOutputRatio)
 	f.outWriter.Append(f.outputLogical, nil)

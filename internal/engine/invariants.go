@@ -5,19 +5,19 @@ import (
 	"slices"
 	"sort"
 
-	"alm/internal/fairshare"
 	"alm/internal/sim"
 )
 
 // invariantsEnabled turns on internal consistency checks that are too
 // expensive for production runs: the reducer host-index cross-check
 // against a full scan (checkHostIndex), the disk-op accounting
-// assertion (assertDiskOps) and the on-disk MOF list cross-check
-// (assertDiskMOFs) and the check that a killed attempt leaves nothing
-// armed (assertQuiet). The engine's own test binary flips it on in
-// an init (see invariants_test.go), so every simulation the test suite
-// runs — including failure-injection scenarios — executes with the
-// checks armed.
+// assertion (assertDiskOps, which is also why diskOps is kept), the
+// on-disk MOF list cross-check (assertDiskMOFs), and the checks that an
+// attempt tracks each timer once (assertUntracked) and that a killed
+// attempt leaves nothing armed (assertQuiet). The engine's own test
+// binary flips it on in an init (see invariants_test.go), so every
+// simulation the test suite runs — including failure-injection
+// scenarios — executes with the checks armed.
 var invariantsEnabled = false
 
 // EnableInvariantChecks arms the internal consistency checks for
@@ -74,7 +74,7 @@ func (r *reduceExec) assertDiskOps() {
 	}
 	active := 0
 	for _, f := range r.diskOps {
-		if !f.Done() && !f.Canceled() {
+		if !flowFinished(f) {
 			active++
 		}
 	}
@@ -101,25 +101,43 @@ func (r *reduceExec) assertDiskMOFs() {
 	}
 }
 
-// assertQuiet verifies (checked builds only) that a killed attempt left
-// nothing armed: no pending timer, whether it is in the exec's timer
-// list or held in one of its fields, and no running flow. A timer that
-// outlives kill fires into a dead exec and keeps the event queue busy;
-// a flow keeps taking bandwidth for an attempt that no longer exists.
-func assertQuiet(id string, timers []*sim.Timer, flows []*fairshare.Flow, held ...*sim.Timer) {
+// assertUntracked verifies (checked builds only) that tm is in neither
+// of the exec's timer lists before it enters one: a one-shot timer is
+// listed once, when it is scheduled, and a recurring one is held once,
+// when it is first armed, and never listed. A timer tracked twice makes
+// the lists grow with every re-arm instead of with the live set.
+func (r *attemptRun) assertUntracked(tm *sim.Timer) {
 	if !invariantsEnabled {
 		return
 	}
-	for _, ts := range [][]*sim.Timer{timers, held} {
-		for _, tm := range ts {
-			if tm.Active() {
-				panic(fmt.Sprintf("engine: killed attempt %s left a timer armed", id))
-			}
-		}
+	tracked := slices.Contains(r.timers, tm)
+	for h := r.held; h != nil && !tracked; h = h.next {
+		tracked = h.tm == tm
 	}
-	for _, f := range flows {
-		if !f.Done() && !f.Canceled() {
-			panic(fmt.Sprintf("engine: killed attempt %s left flow %s running", id, f.Name()))
+	if tracked {
+		panic(fmt.Sprintf("engine: attempt %s tracks a timer twice", r.a.id))
+	}
+}
+
+// assertQuiet verifies (checked builds only) that a stopped attempt left
+// nothing armed: no pending timer, listed or held, and no running flow.
+// A timer that outlives kill fires into a dead exec and keeps the event
+// queue busy; a flow keeps taking bandwidth for an attempt that no
+// longer exists.
+func (r *attemptRun) assertQuiet() {
+	if !invariantsEnabled {
+		return
+	}
+	armed := slices.ContainsFunc(r.timers, (*sim.Timer).Active)
+	for h := r.held; h != nil && !armed; h = h.next {
+		armed = h.tm.Active()
+	}
+	if armed {
+		panic(fmt.Sprintf("engine: killed attempt %s left a timer armed", r.a.id))
+	}
+	for _, f := range r.flows {
+		if !flowFinished(f) {
+			panic(fmt.Sprintf("engine: killed attempt %s left flow %s running", r.a.id, f.Name()))
 		}
 	}
 }

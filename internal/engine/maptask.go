@@ -2,7 +2,6 @@ package engine
 
 import (
 	"alm/internal/dfs"
-	"alm/internal/fairshare"
 	"alm/internal/merge"
 	"alm/internal/mr"
 	"alm/internal/sim"
@@ -12,35 +11,20 @@ import (
 // mapExec runs one MapTask attempt: read the split from DFS, apply the
 // map function (CPU), and write the Map Output File to the local disk.
 type mapExec struct {
-	job  *Job
-	t    *taskState
-	a    *attempt
-	dead bool
-
-	flows  []*fairshare.Flow
-	timers []*sim.Timer
+	attemptRun
 
 	issReplicas []topology.NodeID
 }
 
 func newMapExec(j *Job, t *taskState, a *attempt) *mapExec {
-	return &mapExec{job: j, t: t, a: a}
+	return &mapExec{attemptRun: attemptRun{job: j, t: t, a: a}}
 }
 
-func (m *mapExec) kill(string) {
-	m.dead = true
-	for _, f := range m.flows {
-		f.Cancel()
-	}
-	for _, tm := range m.timers {
-		tm.Stop()
-	}
-	assertQuiet(m.a.id, m.timers, m.flows)
-}
+func (m *mapExec) kill() { m.stop() }
 
 func (m *mapExec) start() {
 	// Container localization + JVM startup.
-	m.timers = append(m.timers, m.job.Eng.Schedule(m.job.Spec.Conf.TaskLaunchOverhead, m.begin))
+	m.after(m.job.Spec.Conf.TaskLaunchOverhead, m.begin)
 }
 
 func (m *mapExec) begin() {
@@ -65,7 +49,7 @@ func (m *mapExec) begin() {
 		m.job.am.attemptFailed(m.a, "input split unreadable: "+err.Error())
 		return
 	}
-	m.flows = append(m.flows, flow)
+	m.addFlow(flow)
 }
 
 func (m *mapExec) afterRead() {
@@ -75,7 +59,7 @@ func (m *mapExec) afterRead() {
 	m.job.am.reportProgress(m.a, 0.4)
 	// Stage 2: map-function CPU (plus sort/partition of the output).
 	cpu := secondsDur(float64(m.t.block.Bytes) / m.job.Spec.Conf.Costs.MapCPURate)
-	m.timers = append(m.timers, m.job.Eng.Schedule(cpu, m.afterCPU))
+	m.after(cpu, m.afterCPU)
 }
 
 func (m *mapExec) afterCPU() {
@@ -88,8 +72,7 @@ func (m *mapExec) afterCPU() {
 		outBytes = 1
 	}
 	// Stage 3: write the MOF (all partitions) to the local disk.
-	f := m.job.Cluster.Disks.Write(m.a.node, outBytes, func() { m.afterWrite(outBytes) })
-	m.flows = append(m.flows, f)
+	m.addFlow(m.job.Cluster.Disks.Write(m.a.node, outBytes, func() { m.afterWrite(outBytes) }))
 }
 
 func (m *mapExec) afterWrite(outBytes int64) {

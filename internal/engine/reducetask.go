@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"alm/internal/core"
@@ -32,23 +33,11 @@ type mapAvailListener interface {
 // and, when the job mode enables them, ALG logging/replay and the SFM
 // wait advisory.
 type reduceExec struct {
-	job  *Job
-	t    *taskState
-	a    *attempt
+	attemptRun
 	conf mr.Config
-	dead bool
-
-	flows  []*fairshare.Flow
-	timers []*sim.Timer
-	// flowReapAt/timerReapAt are the amortized-compaction thresholds: once
-	// a slice reaches its threshold, finished entries are filtered out and
-	// the threshold is reset to twice the live count. Long shuffles retire
-	// thousands of flows and timers; without reaping, kill() and the append
-	// slices grow with the task's whole history instead of its live set.
-	flowReapAt  int
-	timerReapAt int
 	// diskOps tracks the in-flight disk-op flows counted by
-	// pendingDiskOps, so testing builds can assert the two agree.
+	// pendingDiskOps, in checked builds only, so assertDiskOps can
+	// check the two agree.
 	diskOps []*fairshare.Flow
 
 	stage core.Stage
@@ -155,14 +144,12 @@ type reduceExec struct {
 
 	// Pre-bound callbacks for the recurring timers and the reduce-output
 	// emitter, so the hot loops allocate neither method values nor
-	// closures; the paired Timers are re-armed in place via Reschedule.
-	pingFn    func()
+	// closures; the paired Timers are re-armed in place by rearm.
 	algFn     func()
 	ckptFn    func()
 	emitFn    func(string, string)
-	pingTimer *sim.Timer
-	algTimer  *sim.Timer
-	ckptTimer *sim.Timer
+	algTimer  heldTimer
+	ckptTimer heldTimer
 
 	// Run-local free lists (single-goroutine event loop: plain slices,
 	// no sync.Pool) for the shuffle's high-churn objects, plus scratch
@@ -176,7 +163,8 @@ type reduceExec struct {
 
 func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 	r := &reduceExec{
-		job: j, t: t, a: a, conf: j.Spec.Conf,
+		attemptRun:    attemptRun{job: j, t: t, a: a},
+		conf:          j.Spec.Conf,
 		copied:        make([]bool, len(j.am.maps)),
 		inMemMaps:     make(map[*merge.Segment][]int),
 		hostInSession: make([]bool, len(j.locals)),
@@ -198,25 +186,10 @@ func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 		b = append(b, '/')
 		r.ckptPrefix = string(b)
 	}
-	r.pingFn = r.livenessPing
 	r.algFn = r.algTick
 	r.ckptFn = r.ckptTick
 	r.emitFn = func(k, v string) { r.output = append(r.output, mr.Record{Key: k, Value: v}) }
 	return r
-}
-
-// rearm arms (first use) or re-arms a recurring timer with its pre-bound
-// callback, reusing the Timer allocation. Reschedule is ordering-
-// equivalent to the old Stop-free Schedule-per-tick pattern, so the event
-// sequence is unchanged; re-registering with addTimer keeps kill() able
-// to stop the timer even after a reap pass dropped the old entry.
-func (r *reduceExec) rearm(tp **sim.Timer, d sim.Time, fn func()) {
-	if *tp == nil {
-		*tp = r.job.Eng.Schedule(d, fn)
-	} else {
-		(*tp).Reschedule(d, fn)
-	}
-	r.addTimer(*tp)
 }
 
 // seqPath renders prefix+n, reusing the exec's scratch buffer.
@@ -241,95 +214,22 @@ func (r *reduceExec) fetchFlowName(host topology.NodeID) string {
 	return r.fetchNames[host]
 }
 
-func (r *reduceExec) kill(string) {
-	r.dead = true
+func (r *reduceExec) kill() {
 	r.job.am.unregisterExec(r)
-	for _, f := range r.flows {
-		f.Cancel()
-	}
-	for _, tm := range r.timers {
-		tm.Stop()
-	}
-	// Canceled disk ops never run their completion callbacks, so uncount
-	// them here. Ops that finished in this same completion batch still have
-	// their callbacks queued and decrement there — leave those counted.
-	for _, f := range r.diskOps {
-		if f.Canceled() {
-			r.pendingDiskOps--
-		}
-	}
+	r.stop()
 	if r.outWriter != nil {
 		r.outWriter.Abort()
 	}
-	assertQuiet(r.a.id, r.timers, r.flows, r.pingTimer, r.algTimer, r.ckptTimer)
-}
-
-const reapFloor = 32
-
-func (r *reduceExec) addFlow(f *fairshare.Flow) {
-	r.flows = append(r.flows, f)
-	if len(r.flows) >= max(reapFloor, r.flowReapAt) {
-		live := r.flows[:0]
-		for _, fl := range r.flows {
-			if !fl.Done() && !fl.Canceled() {
-				live = append(live, fl)
-			}
-		}
-		clearFlows(r.flows[len(live):])
-		r.flows = live
-		r.flowReapAt = 2 * len(live)
-	}
-}
-
-func (r *reduceExec) addTimer(t *sim.Timer) {
-	r.timers = append(r.timers, t)
-	if len(r.timers) >= max(reapFloor, r.timerReapAt) {
-		live := r.timers[:0]
-		for _, tm := range r.timers {
-			if tm.Active() {
-				live = append(live, tm)
-			}
-		}
-		clearTimers(r.timers[len(live):])
-		r.timers = live
-		r.timerReapAt = 2 * len(live)
-	}
-}
-
-func clearFlows(tail []*fairshare.Flow) {
-	for i := range tail {
-		tail[i] = nil
-	}
-}
-
-func clearTimers(tail []*sim.Timer) {
-	for i := range tail {
-		tail[i] = nil
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // addDiskFlow registers a flow whose completion decrements
-// pendingDiskOps, keeping the testing-build invariant checkable.
+// pendingDiskOps; checked builds also keep it in diskOps.
 func (r *reduceExec) addDiskFlow(f *fairshare.Flow) {
 	r.addFlow(f)
-	live := r.diskOps[:0]
-	for _, fl := range r.diskOps {
-		if !fl.Done() && !fl.Canceled() {
-			live = append(live, fl)
-		}
+	if invariantsEnabled {
+		r.diskOps = append(slices.DeleteFunc(r.diskOps, flowFinished), f)
 	}
-	clearFlows(r.diskOps[len(live):])
-	r.diskOps = append(live, f)
 }
-
-func (r *reduceExec) after(d sim.Time, f func()) { r.addTimer(r.job.Eng.Schedule(d, f)) }
 
 func (r *reduceExec) start() {
 	// Container localization + JVM startup.
@@ -343,7 +243,7 @@ func (r *reduceExec) begin() {
 	r.job.am.registerExec(r)
 	r.rebuildHostIndex()
 	r.shufflePort = r.job.Cluster.Net.System().NewPort(r.a.id+"/shuffle-cpu", r.conf.Costs.ShuffleCPURate)
-	r.livenessPing()
+	r.startHeartbeat(r)
 	if r.job.Spec.Checkpoint.Enabled {
 		r.rearm(&r.ckptTimer, r.job.Spec.Checkpoint.Interval, r.ckptFn)
 		if r.tryCheckpointRestore() {
@@ -359,23 +259,18 @@ func (r *reduceExec) begin() {
 		}
 		r.rearm(&r.algTimer, r.job.Spec.ALG.Interval, r.algFn)
 	}
+	r.resume()
+}
+
+// resume runs the attempt from the state begin or a checkpoint restore
+// left: a reduce-stage restore jumps straight into the reduce loop,
+// anything else shuffles what is still missing.
+func (r *reduceExec) resume() {
 	if r.stage == core.StageReduce && r.cursor != nil {
-		// Local reduce-stage restore jumps straight into the reduce loop.
-		r.startReduceStageRestored()
+		r.enterReduceLoop()
 		return
 	}
 	r.fillFetchers()
-}
-
-// livenessPing keeps the AM's progress timestamp fresh while the task is
-// genuinely alive and reachable — matching Hadoop's status pings, so the
-// AM timeout only fires for unreachable or wedged tasks.
-func (r *reduceExec) livenessPing() {
-	if r.dead {
-		return
-	}
-	r.job.am.reportProgress(r.a, r.progress())
-	r.rearm(&r.pingTimer, r.conf.HeartbeatInterval, r.pingFn)
 }
 
 func (r *reduceExec) progress() float64 {
@@ -585,16 +480,17 @@ func (r *reduceExec) runSession(host topology.NodeID) {
 
 // fetchWatch aborts a fetch whose flow makes no progress for a connect-
 // timeout window (the source died mid-transfer). Each watch owns one
-// Timer, re-armed in place each round; watches recycle through watchFree
-// only from inside tick — i.e. only when the timer has just fired and is
-// idle — never while the timer is pending, so a recycled watch can never
-// see a stale fire.
+// recurring Timer, held in tm and re-armed in place each round (rearm
+// records it once, when the watch first arms it); watches recycle through
+// watchFree only from inside tick — i.e. only when the timer has just
+// fired and is idle — never while the timer is pending, so a recycled
+// watch can never see a stale fire.
 type fetchWatch struct {
 	r             *reduceExec
 	host          topology.NodeID
 	flow          *fairshare.Flow
 	lastRemaining float64
-	tm            *sim.Timer
+	tm            heldTimer
 	fn            func()
 }
 
@@ -611,12 +507,7 @@ func (r *reduceExec) startWatch(host topology.NodeID, flow *fairshare.Flow) {
 	w.host = host
 	w.flow = flow
 	w.lastRemaining = flow.Remaining()
-	if w.tm == nil {
-		w.tm = r.job.Eng.Schedule(r.conf.FetchConnectTimeout, w.fn)
-	} else {
-		w.tm.Reschedule(r.conf.FetchConnectTimeout, w.fn)
-	}
-	r.addTimer(w.tm)
+	r.rearm(&w.tm, r.conf.FetchConnectTimeout, w.fn)
 }
 
 // tick is the per-interval watchdog probe: fires once per
@@ -636,8 +527,7 @@ func (w *fetchWatch) tick() {
 		return
 	}
 	w.lastRemaining = rem
-	w.tm.Reschedule(r.conf.FetchConnectTimeout, w.fn)
-	r.addTimer(w.tm)
+	r.rearm(&w.tm, r.conf.FetchConnectTimeout, w.fn)
 }
 
 func (w *fetchWatch) recycle() {
@@ -731,7 +621,7 @@ func (r *reduceExec) sessionFailed(host topology.NodeID) {
 // exactly like a real task on a network-dead node.
 func (r *reduceExec) selfFail(reason string) {
 	if !r.job.Cluster.NodeReachable(r.a.node) {
-		r.kill("stranded: " + reason)
+		r.kill() // stranded
 		return
 	}
 	r.job.am.attemptFailed(r.a, reason)
@@ -830,9 +720,7 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 		path := r.seqPath(r.spillPrefix, r.spillSeq)
 		r.pendingDiskOps++
 		f := r.job.Cluster.Disks.Write(r.a.node, cp.LogicalBytes, func() {
-			// Decrement before the dead check: the op is no longer in
-			// flight either way, and bailing first would leak the counter
-			// when the flow completes in the same batch that killed us.
+			// The op is no longer in flight, whether or not we are dead.
 			r.pendingDiskOps--
 			if r.dead {
 				return
@@ -1010,12 +898,9 @@ func (r *reduceExec) startReduceStage() {
 	r.enterReduceLoop()
 }
 
-// startReduceStageRestored resumes after a local reduce-stage log replay:
-// finalSegs/cursor/processed were restored by tryLocalRestore.
-func (r *reduceExec) startReduceStageRestored() {
-	r.enterReduceLoop()
-}
-
+// enterReduceLoop opens the output stream and runs the reduce chunks,
+// from the merged runs or from the state a restore rebuilt (cursor,
+// processed, output).
 func (r *reduceExec) enterReduceLoop() {
 	r.stage = core.StageReduce
 	// Fast-forward over the prefix a restored HDFS log already covers —
@@ -1154,7 +1039,7 @@ func (r *reduceExec) algTick() {
 	case core.StageShuffle:
 		r.snapshotShuffle()
 	case core.StageMerge:
-		r.snapshotMerge()
+		r.writeLocalLog()
 	case core.StageReduce:
 		r.algPending = true // taken at the next chunk boundary
 	case core.StageDone:
@@ -1260,10 +1145,6 @@ func (r *reduceExec) snapshotShuffle() {
 		}
 		r.writeLocalLog()
 	})
-}
-
-func (r *reduceExec) snapshotMerge() {
-	r.writeLocalLog()
 }
 
 // writeLocalLog snapshots the attempt and charges a small local write;

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"alm/internal/core"
+	"alm/internal/fairshare"
 	"alm/internal/faults"
 	"alm/internal/mr"
 	"alm/internal/sim"
@@ -185,20 +186,35 @@ func TestProgressBoundedUnderDeepMerge(t *testing.T) {
 	t.Logf("peak on-disk runs=%d maxProgress=%v", runs, maxProgress)
 }
 
-// Killing a reducer with spills in flight must leave its disk-op
-// accounting exact: canceled ops are uncounted immediately, so a corpse
-// reports zero pending disk ops (there is no completion batch in flight
-// between engine steps).
-func TestKillReconcilesPendingDiskOps(t *testing.T) {
+// Killing a reducer with spills in flight cancels every disk op, so no
+// completion ever runs into the dead exec: its pending-op count and
+// on-disk runs stay as the kill left them while the job recovers.
+func TestKillCancelsInFlightDiskOps(t *testing.T) {
 	spec := wordcountSpec(ModeYARN)
 	spec.Conf = mr.DefaultConfig()
 	spec.Conf.ReduceMemoryMB = 512
 	eng, job := newSteppingJob(t, spec, nil)
 	r := stepUntilExec(t, eng, job, func(r *reduceExec) bool { return r.pendingDiskOps > 0 })
-
-	r.kill("test: cancel in-flight spills")
-	if r.pendingDiskOps != 0 {
-		t.Fatalf("pendingDiskOps = %d after kill with all ops canceled, want 0", r.pendingDiskOps)
+	ops := append([]*fairshare.Flow(nil), r.diskOps...)
+	if len(ops) == 0 {
+		t.Fatal("checked build tracks no in-flight disk op")
 	}
-	r.assertDiskOps() // must not panic
+	pending, runs := r.pendingDiskOps, len(r.onDisk)
+
+	r.kill()
+	for _, f := range ops {
+		if !f.Canceled() && !f.Done() {
+			t.Fatalf("disk op %s still running after kill", f.Name())
+		}
+	}
+	for eng.Pending() && !job.Finished() {
+		eng.Step()
+	}
+	if !job.result.Completed {
+		t.Fatalf("job did not recover from the killed reducer: %s", job.result.FailReason)
+	}
+	if r.pendingDiskOps != pending || len(r.onDisk) != runs {
+		t.Fatalf("a disk op landed on the dead exec: pendingDiskOps %d -> %d, on-disk runs %d -> %d",
+			pending, r.pendingDiskOps, runs, len(r.onDisk))
+	}
 }

@@ -327,12 +327,3 @@ func pct(a, b float64) float64 {
 	}
 	return (a - b) / a * 100
 }
-
-func sortedRowLabels(rows []Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.Label
-	}
-	sort.Strings(out)
-	return out
-}

@@ -116,13 +116,11 @@ func (r ReplicationLevel) String() string {
 // Table I and stock YARN 2.2 behaviour.
 type Config struct {
 	// Resources (Table I).
-	MapMemoryMB     int // mapreduce.map.java.opts
-	ReduceMemoryMB  int // mapreduce.reduce.java.opts
-	IOSortFactor    int // mapreduce.task.io.sort.factor
-	DFSReplication  int // dfs.replication
-	BlockSizeBytes  int64
-	MinAllocationMB int
-	MaxAllocationMB int
+	MapMemoryMB    int // mapreduce.map.java.opts
+	ReduceMemoryMB int // mapreduce.reduce.java.opts
+	IOSortFactor   int // mapreduce.task.io.sort.factor
+	DFSReplication int // dfs.replication
+	BlockSizeBytes int64
 
 	// Shuffle/merge behaviour.
 	ParallelFetches     int     // concurrent fetch threads per reducer
@@ -168,11 +166,9 @@ type Config struct {
 	// config so policy tournaments can tune it.
 	SpeculativeMinRemaining time.Duration
 
-	// Data-plane functions.
-	Comparator  KeyComparator
-	Grouper     GroupComparator
-	Partitioner Partitioner
-	Costs       CostModel
+	// CPU-side processing rates. The data-plane functions (comparator,
+	// grouper, partitioner) belong to the workload, not the config.
+	Costs CostModel
 
 	// Progress/bookkeeping granularity: tasks advance in work quanta of
 	// roughly this fraction of their total work.
@@ -185,13 +181,11 @@ type Config struct {
 // declared failed).
 func DefaultConfig() Config {
 	return Config{
-		MapMemoryMB:     1536,
-		ReduceMemoryMB:  4096,
-		IOSortFactor:    100,
-		DFSReplication:  2,
-		BlockSizeBytes:  128 << 20,
-		MinAllocationMB: 1024,
-		MaxAllocationMB: 6144,
+		MapMemoryMB:    1536,
+		ReduceMemoryMB: 4096,
+		IOSortFactor:   100,
+		DFSReplication: 2,
+		BlockSizeBytes: 128 << 20,
 
 		ParallelFetches:     5,
 		ShuffleMemoryShare:  0.70,
@@ -214,10 +208,7 @@ func DefaultConfig() Config {
 		SpeculativeMinRemaining: 30 * time.Second,
 		SlowStartFraction:       0.05,
 
-		Comparator:  DefaultComparator,
-		Grouper:     DefaultGrouper,
-		Partitioner: HashPartitioner,
-		Costs:       DefaultCostModel(),
+		Costs: DefaultCostModel(),
 
 		ProgressQuantum: 0.01,
 	}
@@ -234,8 +225,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("mr: MaxTaskAttempts must be >= 1, got %d", c.MaxTaskAttempts)
 	case c.ProgressQuantum <= 0 || c.ProgressQuantum > 0.5:
 		return fmt.Errorf("mr: ProgressQuantum must be in (0, 0.5], got %g", c.ProgressQuantum)
-	case c.Comparator == nil || c.Grouper == nil || c.Partitioner == nil:
-		return fmt.Errorf("mr: Comparator, Grouper and Partitioner must be set")
 	case c.DFSReplication < 1:
 		return fmt.Errorf("mr: DFSReplication must be >= 1, got %d", c.DFSReplication)
 	case c.MaxMapsPerFetch < 1:

@@ -20,8 +20,6 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.MaxTaskAttempts = 0 },
 		func(c *Config) { c.ProgressQuantum = 0 },
 		func(c *Config) { c.ProgressQuantum = 0.9 },
-		func(c *Config) { c.Comparator = nil },
-		func(c *Config) { c.Partitioner = nil },
 		func(c *Config) { c.DFSReplication = 0 },
 	}
 	for i, mutate := range cases {

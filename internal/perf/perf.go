@@ -86,37 +86,37 @@ func Benchmarks() []Bench {
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: Budget{AllocsPerOp: 47_674, BytesPerOp: 4_633_439},
+			Budget: Budget{AllocsPerOp: 47_554, BytesPerOp: 4_633_087},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: Budget{AllocsPerOp: 51_719, BytesPerOp: 4_977_379},
+			Budget: Budget{AllocsPerOp: 51_583, BytesPerOp: 4_969_733},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: Budget{AllocsPerOp: 6_752, BytesPerOp: 854_498},
+			Budget: Budget{AllocsPerOp: 6_740, BytesPerOp: 854_056},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: Budget{AllocsPerOp: 51_842, BytesPerOp: 4_983_302},
+			Budget: Budget{AllocsPerOp: 51_707, BytesPerOp: 4_975_547},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: Budget{AllocsPerOp: 258_886, BytesPerOp: 23_912_655},
+			Budget: Budget{AllocsPerOp: 258_125, BytesPerOp: 23_874_650},
 		},
 		{
 			Name:   "remote_shuffle_crash",
 			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
 			Func:   benchRemoteShuffleCrash,
-			Budget: Budget{AllocsPerOp: 67_827, BytesPerOp: 5_898_920},
+			Budget: Budget{AllocsPerOp: 67_690, BytesPerOp: 5_893_570},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -125,19 +125,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: Budget{AllocsPerOp: 34_740, BytesPerOp: 6_375_038},
+			Budget: Budget{AllocsPerOp: 34_700, BytesPerOp: 6_365_788},
 		},
 		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at Workers workers",
 			Func:   benchSweepParallel,
-			Budget: Budget{AllocsPerOp: 56_212, BytesPerOp: 4_636_451},
+			Budget: Budget{AllocsPerOp: 56_052, BytesPerOp: 4_632_882},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: Budget{AllocsPerOp: 1_651_740, BytesPerOp: 256_200_160},
+			Budget: Budget{AllocsPerOp: 1_650_440, BytesPerOp: 253_642_368},
 		},
 	}
 }
