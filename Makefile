@@ -6,7 +6,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test fmt-check race vet lint-test fuzz-smoke bench-alloc bench-smoke chaos chaos-smoke ci clean
+.PHONY: all build test fmt-check race vet lint-test fuzz-smoke bench-alloc bench-smoke chaos chaos-smoke scale-probe ci clean
 
 all: build
 
@@ -53,14 +53,17 @@ lint-test:
 # more with some of those changes batched inside one engine event, so
 # several changes share one deferred allocation. FuzzQueue then searches
 # 10 s of scripts of schedules, stops, reschedules, retimes and runs on
-# the sim's timing wheel against the sorted-list reference loop. Plain
-# `go test` replays only the checked-in corpora (testdata/fuzz/ under
-# internal/fairshare and internal/sim); a crasher found here belongs in
-# its target's corpus.
+# the sim's timing wheel against the sorted-list reference loop.
+# FuzzHostIndex then searches 10 s of scripts of moves and deliveries on
+# a reducer's host index (internal/engine) against a map-per-host
+# oracle. Plain `go test` replays only the checked-in corpora
+# (testdata/fuzz/ under internal/fairshare, internal/sim and
+# internal/engine); a crasher found here belongs in its target's corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocate$$' -fuzztime 10s ./internal/fairshare
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocateBatched$$' -fuzztime 10s ./internal/fairshare
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzHostIndex$$' -fuzztime 10s ./internal/engine
 
 # bench-alloc is the allocation CI gate: runs every entry of the engine
 # harness (internal/perf) through testing.Benchmark and fails if its
@@ -95,6 +98,17 @@ chaos:
 # race detector.
 chaos-smoke:
 	$(GO) run -race ./cmd/almrun -chaos -seed 11 -seeds 8
+
+# scale-probe runs one fault-free SFM terasort job at each of 1,000,
+# 2,000 and 4,000 nodes (20 per rack, 2 maps per node, 100 reducers,
+# seed 11, no trace) and prints host time, CPU time, max RSS, events,
+# HostVisits and virtual duration per size. It is tooling for fetch-choice
+# and memory work, not a CI gate: the 4,000-node job takes tens of
+# seconds. The binary runs directly, not under `go run`, because a
+# process's max RSS starts at its parent's.
+scale-probe:
+	$(GO) build -o bin/almbench ./cmd/almbench
+	bin/almbench -scale-probe
 
 ci: build test fmt-check fuzz-smoke race vet bench-smoke bench-alloc chaos-smoke
 

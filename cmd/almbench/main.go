@@ -15,6 +15,10 @@
 //	                          # perf.Tolerance from its pin
 //	almbench -metrics-dir m/  # dump one Prometheus-text metrics file
 //	                          # per simulated case under m/
+//	almbench -scale-probe -nodes 1000,2000,4000
+//	                          # one SFM terasort job per cluster size:
+//	                          # host time, CPU, max RSS, events,
+//	                          # HostVisits and virtual duration
 package main
 
 import (
@@ -54,6 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format   = fs.String("format", "text", "output format: text | json | csv")
 		perfFlag = fs.Bool("perf", false, "run the engine allocation harness instead of experiments; exit 1 when an entry leaves its pin")
 		metrDir  = fs.String("metrics-dir", "", "directory to dump one Prometheus-text metrics file per simulated case")
+		probe    = fs.Bool("scale-probe", false, "run one SFM terasort job per -nodes size instead of experiments and print host time, CPU, max RSS, events, HostVisits and virtual time")
+		nodeList = fs.String("nodes", "1000,2000,4000", "comma-separated node counts for -scale-probe (multiples of 20, ascending)")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -76,6 +82,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintln(stdout, "every entry matches its allocation pin")
+		return 0
+	}
+
+	if *probe {
+		nodes, err := parseNodes(*nodeList)
+		if err != nil {
+			fmt.Fprintf(stderr, "almbench: %v\n", err)
+			return 2
+		}
+		if err := scaleProbe(nodes, *seed, stdout); err != nil {
+			fmt.Fprintf(stderr, "scale probe: %v\n", err)
+			return 1
+		}
 		return 0
 	}
 

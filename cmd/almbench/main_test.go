@@ -54,3 +54,30 @@ func TestPerfHasNoBaselineFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleProbe: -scale-probe prints a header and one row per -nodes
+// size; a size that is not a positive multiple of the rack size is a
+// usage error raised before any job runs.
+func TestScaleProbe(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale-probe", "-nodes", "20"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "host_visits") {
+		t.Fatalf("want a header and one row, got:\n%s", stdout.String())
+	}
+	if f := strings.Fields(lines[1]); len(f) != 8 || f[0] != "20" || f[1] != "40" {
+		t.Fatalf("row %q: want 8 fields for 20 nodes and 40 maps", lines[1])
+	}
+	for _, bad := range []string{"30", "0", "1000,x"} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run([]string{"-scale-probe", "-nodes", bad}, &stdout, &stderr); code != 2 {
+			t.Errorf("-nodes %s: exit %d, want 2", bad, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-nodes %s: output despite the usage error:\n%s", bad, stdout.String())
+		}
+	}
+}

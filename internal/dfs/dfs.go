@@ -16,6 +16,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -184,48 +185,80 @@ func (d *DFS) place(primary topology.NodeID, n int, scope mr.ReplicationLevel, r
 			return nil, ErrNoPlacement
 		}
 	}
-	replicas := []topology.NodeID{primary}
 	if n <= 1 || scope == mr.ReplicateNode {
-		return replicas, nil
+		return []topology.NodeID{primary}, nil
 	}
-	chosen := map[topology.NodeID]bool{primary: true}
-	candidates := func(pred func(topology.NodeID) bool) []topology.NodeID {
-		var out []topology.NodeID
-		for _, node := range d.topo.Nodes() {
-			if d.usable(node.ID) && !chosen[node.ID] && pred(node.ID) {
-				out = append(out, node.ID)
-			}
-		}
-		return out
-	}
-	pick := func(pool []topology.NodeID) (topology.NodeID, bool) {
-		if len(pool) == 0 {
-			return topology.Invalid, false
-		}
-		id := pool[rng.Intn(len(pool))]
-		chosen[id] = true
-		replicas = append(replicas, id)
-		return id, true
-	}
+	replicas := make([]topology.NodeID, 1, min(n, len(d.topo.Nodes())))
+	replicas[0] = primary
 	for len(replicas) < n {
-		var pool []topology.NodeID
+		class := anyRack
 		switch {
 		case scope == mr.ReplicateRack:
-			pool = candidates(func(id topology.NodeID) bool { return d.topo.SameRack(id, primary) })
+			class = sameRack
 		case len(replicas) == 1:
-			// HDFS default: second replica off-rack.
-			pool = candidates(func(id topology.NodeID) bool { return !d.topo.SameRack(id, primary) })
-			if len(pool) == 0 {
-				pool = candidates(func(topology.NodeID) bool { return true })
-			}
-		default:
-			pool = candidates(func(topology.NodeID) bool { return true })
+			class = offRack // HDFS default: second replica off-rack
 		}
-		if _, ok := pick(pool); !ok {
+		id, ok := d.drawReplica(replicas, class, rng)
+		if !ok && class == offRack {
+			id, ok = d.drawReplica(replicas, anyRack, rng)
+		}
+		if !ok {
 			break // fewer live nodes than requested replicas: best effort
 		}
+		replicas = append(replicas, id)
 	}
 	return replicas, nil
+}
+
+// placeClass narrows a replica's candidates by rack, relative to the
+// primary replica.
+type placeClass uint8
+
+const (
+	anyRack placeClass = iota
+	sameRack
+	offRack
+)
+
+// drawReplica draws the next replica uniformly from the usable nodes of
+// class not in chosen (chosen[0] is the primary), in node order. It
+// counts the candidates, draws an index and walks to it, so no pool is
+// built; it draws nothing when there is no candidate.
+func (d *DFS) drawReplica(chosen []topology.NodeID, class placeClass, rng interface{ Intn(int) int }) (topology.NodeID, bool) {
+	count := 0
+	for _, node := range d.topo.Nodes() {
+		if d.candidate(node.ID, chosen, class) {
+			count++
+		}
+	}
+	if count == 0 {
+		return topology.Invalid, false
+	}
+	k := rng.Intn(count)
+	for _, node := range d.topo.Nodes() {
+		if d.candidate(node.ID, chosen, class) {
+			if k == 0 {
+				return node.ID, true
+			}
+			k--
+		}
+	}
+	panic("dfs: replica candidates changed during a draw")
+}
+
+// candidate reports whether id may hold the next replica: usable, not
+// chosen yet, and in class.
+func (d *DFS) candidate(id topology.NodeID, chosen []topology.NodeID, class placeClass) bool {
+	if !d.usable(id) || slices.Contains(chosen, id) {
+		return false
+	}
+	switch class {
+	case sameRack:
+		return d.topo.SameRack(id, chosen[0])
+	case offRack:
+		return !d.topo.SameRack(id, chosen[0])
+	}
+	return true
 }
 
 // readSource returns the best live replica for a reader: local, then

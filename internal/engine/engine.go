@@ -265,8 +265,8 @@ type EventStats struct {
 	AllocPorts  uint64
 	// IndexUpdates and HostVisits are the reducers' fetch-index work,
 	// summed over every reducer: serving-host re-resolutions of one map
-	// (reindexMap calls), and host buckets pickHost scanned for a
-	// candidate map (non-empty buckets without an open session).
+	// (reindexMap calls), and host lists pickHost scanned for a
+	// candidate map (non-empty lists without an open session).
 	IndexUpdates uint64
 	HostVisits   uint64
 }

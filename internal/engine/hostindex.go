@@ -16,8 +16,9 @@ import (
 // "which pending maps are unreachable?" (unavailablePending). At paper
 // scale — 200 maps x 20 reducers x thousands of fetch sessions — those
 // O(maps) rescans dominate the simulation. The index maintains the same
-// information incrementally: a bitset of pending maps per serving host,
-// updated on delivery, MOF (re)generation and node-reachability flips.
+// information incrementally: a sorted list of pending maps per serving
+// host, updated on delivery, MOF (re)generation and node-reachability
+// flips.
 //
 // The serving host of a pending map m is am.mofHost(m) when the output is
 // reachable (producing node, or an ISS replica), the producing node when
@@ -41,14 +42,21 @@ import (
 //     hot flag)
 //   - rebuildHostIndex — wholesale state replacement (checkpoint restore)
 //
-// Determinism: the index stores map indices in bitsets (iterated in
-// ascending order) and hosts in dense NodeID-indexed slices, so every
-// traversal is reproducible; pickHost reconstructs exactly the candidate
-// list the full scan produced (hosts ordered by their smallest eligible
-// pending map index) before consuming the engine's seeded randomness.
-// It walks only the live hosts — a node bitset of non-empty buckets — in
-// ascending node order; an empty bucket could never yield a candidate,
-// so skipping it leaves the list unchanged.
+// Determinism: every traversal is in ascending index order. A host's
+// pending maps sit in one sorted intrusive list (head[n], then next[m]),
+// pending maps and live hosts in bitsets, hosts in dense NodeID-indexed
+// slices. pickHost reconstructs exactly the candidate list the full scan
+// produced (hosts ordered by their smallest eligible pending map index)
+// before consuming the engine's seeded randomness. It walks only the
+// live hosts — a node bitset of non-empty lists — in ascending node
+// order; an empty list could never yield a candidate, so skipping it
+// leaves the list unchanged.
+//
+// Memory: per reducer, one int32 and one bit per node (head, live) and
+// two int32s and one bit per map (next, serveOf, pending) — linear in
+// nodes + maps, never nodes × maps. A host's list holds only the maps it
+// serves, so walking it costs O(its pending maps), and a sorted insert
+// or unlink in reindexMap walks the same list.
 
 // mapBitset is a fixed-capacity set of map indices (of node indices, for
 // hostIndex.live).
@@ -83,18 +91,15 @@ func (b mapBitset) each(fn func(int) bool) {
 	}
 }
 
-// appendIndices appends the set bits in ascending order.
-func (b mapBitset) appendIndices(dst []int) []int {
-	b.each(func(i int) bool { dst = append(dst, i); return true })
-	return dst
-}
-
 // hostIndex is the reducer's incremental view of where its pending maps
 // are served.
 type hostIndex struct {
-	// byHost[n] holds the pending maps currently served by node n.
-	byHost []mapBitset
-	// live holds the nodes whose byHost bucket is non-empty.
+	// head[n] is the smallest pending map served by node n, or -1; next[m]
+	// is the next larger pending map served by serveOf[m], or -1. Together
+	// they hold one ascending list per host.
+	head []int32
+	next []int32
+	// live holds the nodes whose list is non-empty.
 	live mapBitset
 	// serveOf[m] is the node serving pending map m, or -1.
 	serveOf []int32
@@ -105,18 +110,92 @@ type hostIndex struct {
 
 func newHostIndex(numNodes, numMaps int) *hostIndex {
 	ix := &hostIndex{
-		byHost:  make([]mapBitset, numNodes),
+		head:    make([]int32, numNodes),
+		next:    make([]int32, numMaps),
 		live:    newMapBitset(numNodes),
 		serveOf: make([]int32, numMaps),
 		pending: newMapBitset(numMaps),
 	}
-	for n := range ix.byHost {
-		ix.byHost[n] = newMapBitset(numMaps)
+	for n := range ix.head {
+		ix.head[n] = -1
 	}
 	for m := range ix.serveOf {
+		ix.next[m] = -1
 		ix.serveOf[m] = -1
 	}
 	return ix
+}
+
+// move re-files map m under host nh (-1: no host). The old host's list
+// loses m, the new one gains it at its sorted position, and live tracks
+// which lists are non-empty.
+func (ix *hostIndex) move(m int, nh int32) {
+	old := ix.serveOf[m]
+	if old == nh {
+		return
+	}
+	m32 := int32(m)
+	if old >= 0 {
+		p := &ix.head[old]
+		for *p != m32 {
+			p = &ix.next[*p]
+		}
+		*p = ix.next[m]
+		ix.next[m] = -1
+		if ix.head[old] < 0 {
+			ix.live.clear(int(old))
+		}
+	}
+	if nh >= 0 {
+		p := &ix.head[nh]
+		for *p >= 0 && *p < m32 {
+			p = &ix.next[*p]
+		}
+		ix.next[m] = *p
+		*p = m32
+		ix.live.set(int(nh))
+	}
+	ix.serveOf[m] = nh
+}
+
+// appendOn appends the pending maps node n serves, in ascending order.
+func (ix *hostIndex) appendOn(dst []int, n int) []int {
+	for m := ix.head[n]; m >= 0; m = ix.next[m] {
+		dst = append(dst, int(m))
+	}
+	return dst
+}
+
+// check verifies the lists against serveOf and live: every list strictly
+// ascending and holding exactly the maps serveOf files under its host,
+// and live holding exactly the non-empty lists. It returns "" when the
+// index is consistent.
+func (ix *hostIndex) check() string {
+	listed := 0
+	for n, m := range ix.head {
+		if ix.live.has(n) != (m >= 0) {
+			return "live host set out of sync for node " + itoa(n)
+		}
+		for prev := int32(-1); m >= 0; prev, m = m, ix.next[m] {
+			if m <= prev {
+				return "host " + itoa(n) + " list not ascending at map " + itoa(int(m))
+			}
+			if ix.serveOf[m] != int32(n) {
+				return "map " + itoa(int(m)) + " listed under host " + itoa(n) +
+					", filed under " + itoa(int(ix.serveOf[m]))
+			}
+			listed++
+		}
+	}
+	for _, h := range ix.serveOf {
+		if h >= 0 {
+			listed--
+		}
+	}
+	if listed != 0 {
+		return "host lists and serveOf disagree on the number of served maps"
+	}
+	return ""
 }
 
 // serveHost resolves map m's current serving host, mirroring the checks
@@ -143,34 +222,20 @@ func (r *reduceExec) serveHost(m int) (topology.NodeID, bool) {
 }
 
 // reindexMap recomputes map m's serving host and moves it between host
-// buckets. Pure state maintenance: no events, no randomness.
+// lists. Pure state maintenance: no events, no randomness.
 func (r *reduceExec) reindexMap(m int) {
 	ix := r.hostIdx
 	if ix == nil {
 		return
 	}
 	r.job.indexUpdates++
-	old := ix.serveOf[m]
 	nh := int32(-1)
 	if !r.copied[m] {
 		if h, ok := r.serveHost(m); ok {
 			nh = int32(h)
 		}
 	}
-	if old == nh {
-		return
-	}
-	if old >= 0 {
-		ix.byHost[old].clear(m)
-		if ix.byHost[old].empty() {
-			ix.live.clear(int(old))
-		}
-	}
-	if nh >= 0 {
-		ix.byHost[nh].set(m)
-		ix.live.set(int(nh))
-	}
-	ix.serveOf[m] = nh
+	ix.move(m, nh)
 }
 
 // markCopied records a delivered (or restored) map and drops it from the
@@ -221,7 +286,7 @@ func (r *reduceExec) onReachabilityChanged(_ topology.NodeID, reachable bool) {
 	}
 	r.reindexPending()
 	if reachable {
-		r.job.Eng.Schedule(0, r.fillFetchers)
+		r.job.Eng.Schedule(0, r.fillFn)
 	}
 }
 
@@ -243,7 +308,7 @@ func (r *reduceExec) onTierChanged(m int, parts []int) {
 	case parts == nil || slices.Contains(parts, r.t.idx):
 		r.reindexMap(m)
 	}
-	r.job.Eng.Schedule(0, r.fillFetchers)
+	r.job.Eng.Schedule(0, r.fillFn)
 }
 
 // indexLive reports whether the reducer is shuffling with an index that
@@ -261,9 +326,9 @@ func (r *reduceExec) reindexPending() {
 }
 
 // checkHostIndex verifies the index against a full scan (testing builds
-// only): every pending map must sit in exactly the bucket the live
-// resolution would pick, and the live host set must hold exactly the
-// non-empty buckets.
+// only): every pending map must sit in exactly the list the live
+// resolution would pick, every list must be ascending, and the live host
+// set must hold exactly the non-empty lists.
 func (r *reduceExec) checkHostIndex() {
 	if !invariantsEnabled || r.hostIdx == nil {
 		return
@@ -280,10 +345,8 @@ func (r *reduceExec) checkHostIndex() {
 				": indexed host " + itoa(int(got)) + ", live host " + itoa(int(want)))
 		}
 	}
-	for n, b := range r.hostIdx.byHost {
-		if r.hostIdx.live.has(n) == b.empty() {
-			panic("engine: live host set out of sync for node " + itoa(n))
-		}
+	if msg := r.hostIdx.check(); msg != "" {
+		panic("engine: " + msg)
 	}
 }
 

@@ -49,7 +49,7 @@ type reduceExec struct {
 	candHosts   []topology.NodeID // pickHost scratch, reused per call
 	candMinIdx  []int
 	// hostInSession/hostFailures are dense NodeID-indexed tables (like
-	// hostIndex.byHost): at thousand-node scale the per-reducer maps cost
+	// hostIndex.head): at thousand-node scale the per-reducer maps cost
 	// far more than two flat slices, and slice reads keep the fetch loop
 	// allocation-free.
 	hostInSession    []bool
@@ -142,11 +142,13 @@ type reduceExec struct {
 	fetchNames   []string // per-host fetch flow names, built lazily
 	nameBuf      []byte
 
-	// Pre-bound callbacks for the recurring timers and the reduce-output
-	// emitter, so the hot loops allocate neither method values nor
-	// closures; the paired Timers are re-armed in place by rearm.
+	// Pre-bound callbacks for the recurring timers, the fetcher wake and
+	// the reduce-output emitter, so the hot loops allocate neither method
+	// values nor closures; the paired Timers are re-armed in place by
+	// rearm.
 	algFn     func()
 	ckptFn    func()
+	fillFn    func()
 	emitFn    func(string, string)
 	algTimer  heldTimer
 	ckptTimer heldTimer
@@ -188,6 +190,7 @@ func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 	}
 	r.algFn = r.algTick
 	r.ckptFn = r.ckptTick
+	r.fillFn = r.fillFetchers
 	r.emitFn = func(k, v string) { r.output = append(r.output, mr.Record{Key: k, Value: v}) }
 	return r
 }
@@ -343,15 +346,16 @@ func (r *reduceExec) fillFetchers() {
 // candidate list is ordered exactly as the scan built it: hosts sorted by
 // their smallest pending map index that is not under the SFM wait
 // advisory (first-occurrence order in an ascending map sweep). Only then
-// is the seeded random draw made. Only live hosts (non-empty buckets) are
-// visited; the advisory is still evaluated per bucket at call time, since
+// is the seeded random draw made. Only live hosts (non-empty lists) are
+// visited; the advisory is still evaluated per list at call time, since
 // shouldWait can change without a reindex.
 func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 	r.checkHostIndex()
 	am := r.job.am
+	ix := r.hostIdx
 	hosts := r.candHosts[:0]
 	minIdx := r.candMinIdx[:0]
-	for wi, w := range r.hostIdx.live {
+	for wi, w := range ix.live {
 		for ; w != 0; w &= w - 1 {
 			n := wi<<6 + bits.TrailingZeros64(w)
 			host := topology.NodeID(n)
@@ -359,20 +363,16 @@ func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 				continue
 			}
 			r.job.hostVisits++
-			first := -1
-			r.hostIdx.byHost[n].each(func(m int) bool {
-				if am.shouldWait(m) {
-					return true // SFM advisory: regeneration under way
-				}
-				first = m
-				return false
-			})
+			first := ix.head[n]
+			for first >= 0 && am.shouldWait(int(first)) {
+				first = ix.next[first] // SFM advisory: regeneration under way
+			}
 			if first < 0 {
 				continue
 			}
 			i := len(hosts)
 			hosts = append(hosts, host)
-			minIdx = append(minIdx, first)
+			minIdx = append(minIdx, int(first))
 			for i > 0 && minIdx[i-1] > minIdx[i] {
 				hosts[i], hosts[i-1] = hosts[i-1], hosts[i]
 				minIdx[i], minIdx[i-1] = minIdx[i-1], minIdx[i]
@@ -392,7 +392,7 @@ func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 // map order. The returned slice is scratch, valid only until the next
 // call; callers must not retain it.
 func (r *reduceExec) pendingOn(host topology.NodeID) []int {
-	r.pendScratch = r.hostIdx.byHost[host].appendIndices(r.pendScratch[:0])
+	r.pendScratch = r.hostIdx.appendOn(r.pendScratch[:0], int(host))
 	return r.pendScratch
 }
 
@@ -436,7 +436,7 @@ func (r *reduceExec) runSession(host topology.NodeID) {
 		return
 	}
 	sess := r.newSession(host)
-	sess.batch = r.hostIdx.byHost[host].appendIndices(sess.batch[:0])
+	sess.batch = r.hostIdx.appendOn(sess.batch[:0], int(host))
 	if len(sess.batch) == 0 {
 		r.recycleSession(sess)
 		r.endSession(host)

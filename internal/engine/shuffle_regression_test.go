@@ -61,8 +61,8 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 
 	// Pick any host currently serving pending maps.
 	host := topology.Invalid
-	for n := range r.hostIdx.byHost {
-		if !r.hostIdx.byHost[n].empty() {
+	for n, m := range r.hostIdx.head {
+		if m >= 0 {
 			host = topology.NodeID(n)
 			break
 		}

@@ -42,8 +42,8 @@ func TestConcurrentBidirectionalTransfers(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, testTopo())
 	var d1, d2 sim.Time
-	n.Transfer(0, 1, 1000, func() { d1 = e.Now() })
-	n.Transfer(1, 0, 1000, func() { d2 = e.Now() })
+	transfer(n, 0, 1, 1000, func() { d1 = e.Now() })
+	transfer(n, 1, 0, 1000, func() { d2 = e.Now() })
 	e.RunAll()
 	if d1 > 11*time.Second || d2 > 11*time.Second {
 		t.Fatalf("bidirectional transfers contended: %v %v (want ~10s each)", d1, d2)
@@ -53,7 +53,7 @@ func TestConcurrentBidirectionalTransfers(t *testing.T) {
 func TestTransferNilCallback(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, testTopo())
-	f := n.Transfer(0, 1, 100, nil)
+	f := transfer(n, 0, 1, 100, nil)
 	e.RunAll()
 	if !f.Done() {
 		t.Fatal("transfer with nil callback should still complete")

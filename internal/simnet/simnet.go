@@ -49,15 +49,8 @@ type Network struct {
 	// (min, max) node pair; flakiness is symmetric like a bad cable.
 	flaky map[[2]topology.NodeID]*linkState
 
-	// BytesSent accumulates total payload bytes for which transfers were
-	// started, by source node. Diagnostic only.
-	BytesSent []int64
-
-	// Optional instrumentation (SetMetrics). linkBytes caches one counter
-	// handle per (src, dst) pair, created on first traffic so idle links
-	// never appear in snapshots.
-	mreg         *metrics.Registry
-	linkBytes    []*metrics.Counter
+	// connectFails counts flaky-link connection failures; nil (a no-op)
+	// until SetMetrics.
 	connectFails *metrics.Counter
 }
 
@@ -72,7 +65,6 @@ func New(e *sim.Engine, topo *topology.Topology) *Network {
 		uplinks:   make([]*fairshare.Port, topo.NumRacks()),
 		down:      make([]bool, topo.NumNodes()),
 		nicFactor: make([]float64, topo.NumNodes()),
-		BytesSent: make([]int64, topo.NumNodes()),
 	}
 	for i := range n.nicFactor {
 		n.nicFactor[i] = 1
@@ -243,29 +235,10 @@ func (n *Network) AttemptFails(src, dst topology.NodeID, rng *rand.Rand) bool {
 	return false
 }
 
-// SetMetrics attaches a registry: subsequent transfers count per-link
-// bytes (alm_net_link_bytes_total{src,dst}) and flaky-link connection
-// failures (alm_net_connect_failures_total).
+// SetMetrics attaches a registry: subsequent flaky-link connection
+// failures count into alm_net_connect_failures_total.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
-	n.mreg = reg
-	n.linkBytes = make([]*metrics.Counter, n.topo.NumNodes()*n.topo.NumNodes())
 	n.connectFails = reg.Counter("alm_net_connect_failures_total")
-}
-
-// countLinkBytes feeds the per-link traffic counter, creating the handle
-// on first use.
-func (n *Network) countLinkBytes(src, dst topology.NodeID, bytes int64) {
-	if n.mreg == nil {
-		return
-	}
-	idx := int(src)*n.topo.NumNodes() + int(dst)
-	c := n.linkBytes[idx]
-	if c == nil {
-		c = n.mreg.Counter("alm_net_link_bytes_total",
-			"src", n.topo.Node(src).Name, "dst", n.topo.Node(dst).Name)
-		n.linkBytes[idx] = c
-	}
-	c.Add(float64(bytes))
 }
 
 // PortsFor returns the set of network ports a transfer from src to dst
@@ -293,16 +266,4 @@ func (n *Network) AppendPortsFor(dst0 []*fairshare.Port, src, dst topology.NodeI
 		}
 	}
 	return ports
-}
-
-// Transfer moves bytes from src to dst, invoking done on completion. The
-// caller is responsible for checking Reachable first (a transfer started
-// toward a node that later goes down simply stalls, exactly like a TCP
-// connection to a silently dead host — the MapReduce layer applies its
-// own timeouts on top). Local transfers (src == dst) complete after a
-// negligible loopback delay.
-func (n *Network) Transfer(src, dst topology.NodeID, bytes int64, done func()) *fairshare.Flow {
-	n.BytesSent[src] += bytes
-	n.countLinkBytes(src, dst, bytes)
-	return n.sys.StartFlow(fmt.Sprintf("xfer:%d->%d", src, dst), bytes, n.PortsFor(src, dst), 0, done)
 }

@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"alm/internal/fairshare"
 	"alm/internal/sim"
 	"alm/internal/topology"
 )
@@ -14,13 +16,20 @@ func testTopo() *topology.Topology {
 	return topology.MustNew(topology.Options{Racks: 2, NodesPerRack: 3, HW: hw, Oversubscription: 1.5})
 }
 
+// transfer starts a bytes-long flow from src to dst over the ports
+// PortsFor names, invoking done on completion. Local transfers (src ==
+// dst) cross no port and complete at once.
+func transfer(n *Network, src, dst topology.NodeID, bytes int64, done func()) *fairshare.Flow {
+	return n.System().StartFlow(fmt.Sprintf("xfer:%d->%d", src, dst), bytes, n.PortsFor(src, dst), 0, done)
+}
+
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestIntraRackTransferTime(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, testTopo())
 	var done sim.Time = -1
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if !almostEqual(done.Seconds(), 10, 0.05) {
 		t.Fatalf("transfer completed at %v, want ~10s at 100 B/s", done)
@@ -31,7 +40,7 @@ func TestLocalTransferIsFree(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, testTopo())
 	var done sim.Time = -1
-	n.Transfer(0, 0, 1e9, func() { done = e.Now() })
+	transfer(n, 0, 0, 1e9, func() { done = e.Now() })
 	e.RunAll()
 	if done != 0 {
 		t.Fatalf("local transfer took %v, want 0 (no network ports crossed)", done)
@@ -46,7 +55,7 @@ func TestCrossRackUplinkContention(t *testing.T) {
 	n := New(e, testTopo())
 	var completions []sim.Time
 	for i := 0; i < 3; i++ {
-		n.Transfer(topology.NodeID(i), topology.NodeID(3+i), 1000, func() {
+		transfer(n, topology.NodeID(i), topology.NodeID(3+i), 1000, func() {
 			completions = append(completions, e.Now())
 		})
 	}
@@ -67,7 +76,7 @@ func TestIngressContention(t *testing.T) {
 	n := New(e, testTopo())
 	var completions []sim.Time
 	for i := 1; i <= 2; i++ {
-		n.Transfer(topology.NodeID(i), 0, 500, func() { completions = append(completions, e.Now()) })
+		transfer(n, topology.NodeID(i), 0, 500, func() { completions = append(completions, e.Now()) })
 	}
 	e.RunAll()
 	for _, c := range completions {
@@ -81,7 +90,7 @@ func TestNodeDownStallsAndReachability(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, testTopo())
 	done := false
-	n.Transfer(0, 1, 1000, func() { done = true })
+	transfer(n, 0, 1, 1000, func() { done = true })
 	e.Run(5 * time.Second)
 	n.SetNodeDown(1)
 	if n.Reachable(0, 1) || n.Reachable(1, 0) {
@@ -124,17 +133,6 @@ func TestPortsForComposition(t *testing.T) {
 	}
 	if got := len(n.PortsFor(0, 3)); got != 4 {
 		t.Fatalf("cross-rack PortsFor = %d ports, want 4", got)
-	}
-}
-
-func TestBytesSentAccounting(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, testTopo())
-	n.Transfer(0, 1, 700, nil)
-	n.Transfer(0, 2, 300, nil)
-	e.RunAll()
-	if n.BytesSent[0] != 1000 {
-		t.Fatalf("BytesSent[0] = %d, want 1000", n.BytesSent[0])
 	}
 }
 
@@ -188,14 +186,14 @@ func TestFlakyLinkBandwidthCap(t *testing.T) {
 	n := New(e, testTopo())
 	n.SetLinkFlaky(0, 1, 0, 0.5) // 50 B/s on a 100 B/s NIC pair
 	var done sim.Time = -1
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if !almostEqual(done.Seconds(), 20, 0.1) {
 		t.Fatalf("capped transfer completed at %v, want ~20s at 50 B/s", done)
 	}
 	n.HealLink(0, 1)
 	start := e.Now()
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if got := (done - start).Seconds(); !almostEqual(got, 10, 0.1) {
 		t.Fatalf("healed transfer took %vs, want ~10s at full NIC rate", got)
@@ -207,7 +205,7 @@ func TestNICDegradeAndHeal(t *testing.T) {
 	n := New(e, testTopo())
 	n.SetNICFactor(0, 0.25) // 25 B/s
 	var done sim.Time = -1
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if !almostEqual(done.Seconds(), 40, 0.2) {
 		t.Fatalf("degraded transfer completed at %v, want ~40s at 25 B/s", done)
@@ -217,14 +215,14 @@ func TestNICDegradeAndHeal(t *testing.T) {
 	n.SetNodeDown(0)
 	n.SetNodeUp(0)
 	start := e.Now()
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if got := (done - start).Seconds(); !almostEqual(got, 40, 0.2) {
 		t.Fatalf("bounced NIC transfer took %vs, want ~40s (factor preserved)", got)
 	}
 	n.SetNICFactor(0, 1)
 	start = e.Now()
-	n.Transfer(0, 1, 1000, func() { done = e.Now() })
+	transfer(n, 0, 1, 1000, func() { done = e.Now() })
 	e.RunAll()
 	if got := (done - start).Seconds(); !almostEqual(got, 10, 0.1) {
 		t.Fatalf("healed NIC transfer took %vs, want ~10s", got)
