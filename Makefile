@@ -56,7 +56,10 @@ lint-test:
 # the sim's timing wheel against the sorted-list reference loop.
 # FuzzHostIndex then searches 10 s of scripts of moves and deliveries on
 # a reducer's host index (internal/engine) against a map-per-host
-# oracle. Plain `go test` replays only the checked-in corpora
+# oracle. FuzzRestore then searches 10 s of one-reducer jobs (workload,
+# mode, checkpointing, two reducer failure times) for a completed run
+# whose output differs from the fault-free run's (internal/engine).
+# Plain `go test` replays only the checked-in corpora
 # (testdata/fuzz/ under internal/fairshare, internal/sim and
 # internal/engine); a crasher found here belongs in its target's corpus.
 fuzz-smoke:
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocateBatched$$' -fuzztime 10s ./internal/fairshare
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzHostIndex$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/engine
 
 # bench-alloc is the allocation CI gate: runs every entry of the engine
 # harness (internal/perf) through testing.Benchmark and fails if its

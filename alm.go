@@ -69,8 +69,7 @@ type (
 	// Its Gen, Map, Combine, partitioner and comparators must be pure,
 	// and it must not be modified after its first Run: a workload builds
 	// each input split's map output once and shares it with every later
-	// map attempt, of any job, with the same seed, SamplePerSplit and
-	// NumReduces. It keeps the splits of the last such geometry alive
+	// map attempt, of any job, with the same seed and NumReduces. It keeps the splits of the last such geometry alive
 	// while it lives.
 	Workload = workloads.Workload
 	// Record is one key/value pair.

@@ -13,16 +13,16 @@ type ALGOptions struct {
 	// Replication is the placement scope of reduce-stage HDFS artifacts
 	// (paper Fig. 13; rack is the paper's choice).
 	Replication mr.ReplicationLevel
-	// HDFSReplicas is the replica count for logs and flushed output.
-	HDFSReplicas int
 }
+
+// ALGReplicas is the HDFS replica count of ALG logs and flushed output.
+const ALGReplicas = 2
 
 // DefaultALGOptions returns the paper's settings.
 func DefaultALGOptions() ALGOptions {
 	return ALGOptions{
-		Interval:     10 * time.Second,
-		Replication:  mr.ReplicateRack,
-		HDFSReplicas: 2,
+		Interval:    10 * time.Second,
+		Replication: mr.ReplicateRack,
 	}
 }
 
@@ -30,12 +30,8 @@ func DefaultALGOptions() ALGOptions {
 // snapshot. The engine's reduce attempt implements it.
 type ReduceView interface {
 	Stage() Stage
-	// FetchedMOFIDs lists map IDs whose partitions have been fully
-	// shuffled in, in ascending order. The slice may alias the view's
-	// state, so it is valid only until the view changes; Snapshot copies
-	// it.
-	FetchedMOFIDs() []int
-	ShuffledLogicalBytes() int64
+	// FetchedMOFs counts the map partitions the on-disk files hold.
+	FetchedMOFs() int
 	// SegmentPaths lists on-disk intermediate files. During the reduce
 	// stage its order must match ReducePositions.
 	SegmentPaths() []string
@@ -48,7 +44,7 @@ type ReduceView interface {
 }
 
 // Snapshot builds the stage-appropriate log record from a live view
-// (Fig. 6): shuffle records carry MOF IDs + paths, merge records paths
+// (Fig. 6): shuffle records carry MOF counts + paths, merge records paths
 // only, reduce records the MPQ structure and output watermark.
 func Snapshot(v ReduceView, taskIdx int, attemptID string, seq int) *LogRecord {
 	rec := &LogRecord{
@@ -59,8 +55,7 @@ func Snapshot(v ReduceView, taskIdx int, attemptID string, seq int) *LogRecord {
 	}
 	switch v.Stage() {
 	case StageShuffle:
-		rec.FetchedMOFs = append([]int(nil), v.FetchedMOFIDs()...)
-		rec.ShuffledLogicalBytes = v.ShuffledLogicalBytes()
+		rec.FetchedMOFs = v.FetchedMOFs()
 		rec.SegmentPaths = append([]string(nil), v.SegmentPaths()...)
 	case StageMerge:
 		rec.SegmentPaths = append([]string(nil), v.SegmentPaths()...)

@@ -48,15 +48,14 @@ func TestNewerOrdering(t *testing.T) {
 
 type fakeView struct {
 	stage    Stage
-	mofs     []int
+	mofs     int
 	paths    []string
 	pos      []int
 	procured int64
 }
 
 func (f *fakeView) Stage() Stage                 { return f.stage }
-func (f *fakeView) FetchedMOFIDs() []int         { return f.mofs }
-func (f *fakeView) ShuffledLogicalBytes() int64  { return 42 }
+func (f *fakeView) FetchedMOFs() int             { return f.mofs }
 func (f *fakeView) SegmentPaths() []string       { return f.paths }
 func (f *fakeView) ReducePositions() []int       { return f.pos }
 func (f *fakeView) ProcessedLogicalBytes() int64 { return f.procured }
@@ -66,9 +65,9 @@ func (f *fakeView) FlushedOutputLogical() int64  { return 5 }
 func (f *fakeView) FlushedOutputRecords() int    { return 2 }
 
 func TestSnapshotPerStageFields(t *testing.T) {
-	v := &fakeView{stage: StageShuffle, mofs: []int{1, 2}, paths: []string{"seg.out"}}
+	v := &fakeView{stage: StageShuffle, mofs: 2, paths: []string{"seg.out"}}
 	rec := Snapshot(v, 0, "r_000_0", 1)
-	if len(rec.FetchedMOFs) != 2 || rec.ShuffledLogicalBytes != 42 {
+	if rec.FetchedMOFs != 2 {
 		t.Fatalf("shuffle snapshot missing fields: %+v", rec)
 	}
 	if rec.ProcessedRealRecords != 0 {
@@ -77,7 +76,7 @@ func TestSnapshotPerStageFields(t *testing.T) {
 
 	v.stage = StageMerge
 	rec = Snapshot(v, 0, "r_000_0", 2)
-	if len(rec.FetchedMOFs) != 0 || len(rec.SegmentPaths) != 1 {
+	if rec.FetchedMOFs != 0 || len(rec.SegmentPaths) != 1 {
 		t.Fatalf("merge snapshot fields wrong: %+v", rec)
 	}
 
@@ -150,7 +149,7 @@ func TestAlgorithm1NodeAliveRelaunchesLocally(t *testing.T) {
 }
 
 func TestAlgorithm1LimitLocal(t *testing.T) {
-	// Default LimitLocal is 2 (the failed original + one retry): with two
+	// LimitLocal is 2 (the failed original + one retry): with two
 	// attempts already on the node, no further local relaunch.
 	view := &fakeSched{attemptsOnNode: map[string]int{"2/7": 2}, running: map[int]int{2: 0}}
 	r := FailureReport{SourceNode: 7, NodeAlive: true, FailedReduces: []int{2}}

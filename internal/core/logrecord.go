@@ -46,7 +46,7 @@ func (s Stage) String() string {
 }
 
 // LogRecord is one ALG analytics-progress snapshot. Field presence
-// follows Fig. 6: shuffle-stage records carry fetched MOF IDs and
+// follows Fig. 6: shuffle-stage records carry fetched MOFs and
 // intermediate file paths; merge-stage records carry paths only; reduce-
 // stage records carry the MPQ structure (paths + per-file offsets of the
 // next unprocessed pair) plus the safely-flushed output watermark.
@@ -58,9 +58,9 @@ type LogRecord struct {
 	Seq       int
 	Stage     Stage
 
-	// Shuffle-stage statistics (Fig. 6, left column).
-	FetchedMOFs          []int
-	ShuffledLogicalBytes int64
+	// FetchedMOFs counts the maps the shuffle-stage files hold (Fig. 6,
+	// left column); a restore reads their IDs from the files' metadata.
+	FetchedMOFs int
 
 	// Intermediate file paths (all stages).
 	SegmentPaths []string
@@ -88,9 +88,6 @@ func (r *LogRecord) Validate() error {
 		return fmt.Errorf("core: reduce log record has %d positions for %d segments",
 			len(r.Positions), len(r.SegmentPaths))
 	}
-	if r.Stage == StageShuffle && r.ShuffledLogicalBytes < 0 {
-		return fmt.Errorf("core: negative shuffled bytes")
-	}
 	return nil
 }
 
@@ -116,5 +113,5 @@ func LogPathHDFS(jobID string, taskIdx, seq int) string {
 // EstimateSizeBytes returns the simulated size of a record as stored; log records are small (the paper's "light-weight" property) —
 // a few bytes per referenced file plus a fixed header.
 func (r *LogRecord) EstimateSizeBytes() int64 {
-	return int64(256 + 16*len(r.FetchedMOFs) + 64*len(r.SegmentPaths) + 8*len(r.Positions))
+	return int64(256 + 16*r.FetchedMOFs + 64*len(r.SegmentPaths) + 8*len(r.Positions))
 }

@@ -6,6 +6,12 @@ import (
 	"alm/internal/topology"
 )
 
+// LimitLocal bounds attempts of a reduce on its original node (Algorithm
+// 1 line 10); it counts the failed original too, so 2 means "allow one
+// local relaunch". MaxRunningAttempts is the speculation bound (line 14):
+// the paper spawns a speculative task while running attempts <= 2.
+const LimitLocal, MaxRunningAttempts = 2, 2
+
 // SFMOptions are the tunables of Speculative Fast Migration. The
 // booleans exist for ablation studies; the paper's system has all of them
 // enabled.
@@ -13,13 +19,6 @@ type SFMOptions struct {
 	// FCMCap bounds FCM-mode tasks per job (Algorithm 1 line 16; paper
 	// default 10).
 	FCMCap int
-	// LimitLocal bounds attempts of a reduce on its original node
-	// (Algorithm 1 line 10); it counts the failed original too, so 2
-	// means "allow one local relaunch".
-	LimitLocal int
-	// MaxRunningAttempts is the speculation bound (Algorithm 1 line 14;
-	// the paper spawns a speculative task while running attempts <= 2).
-	MaxRunningAttempts int
 	// ProactiveMapRegen re-executes failed/lost maps at high priority
 	// (Algorithm 1 lines 5-7). Disabling it reverts to fetch-failure-
 	// driven map re-execution.
@@ -37,8 +36,6 @@ type SFMOptions struct {
 func DefaultSFMOptions() SFMOptions {
 	return SFMOptions{
 		FCMCap:              10,
-		LimitLocal:          2,
-		MaxRunningAttempts:  2,
 		ProactiveMapRegen:   true,
 		SpeculativeRecovery: true,
 		WaitAdvisory:        true,
@@ -136,13 +133,13 @@ func Algorithm1(r FailureReport, view SchedulerView, opt SFMOptions) []Action {
 	}
 	fcmInFlight := view.FCMTasksInJob()
 	for _, rd := range r.FailedReduces {
-		if r.NodeAlive && view.AttemptsOnNode(rd, r.SourceNode) < opt.LimitLocal {
+		if r.NodeAlive && view.AttemptsOnNode(rd, r.SourceNode) < LimitLocal {
 			actions = append(actions, Action{Kind: ActionRelaunchLocal, TaskIdx: rd, Node: r.SourceNode})
 		}
 		if !opt.SpeculativeRecovery {
 			continue
 		}
-		if view.RunningAttempts(rd) <= opt.MaxRunningAttempts {
+		if view.RunningAttempts(rd) <= MaxRunningAttempts {
 			if fcmInFlight <= opt.FCMCap {
 				actions = append(actions, Action{Kind: ActionSpeculativeFCM, TaskIdx: rd, AvoidNode: r.SourceNode})
 				fcmInFlight++

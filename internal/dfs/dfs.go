@@ -127,9 +127,6 @@ func (d *DFS) Lookup(name string) (*File, error) {
 	return f, nil
 }
 
-// Delete removes a file. Missing files are ignored.
-func (d *DFS) Delete(name string) { delete(d.files, name) }
-
 // AddFile registers a pre-loaded input file of the given size, split into
 // blockSize blocks, each with `replication` replicas placed like HDFS
 // (first replica round-robin across nodes, second on a different rack,
@@ -394,9 +391,6 @@ func (d *DFS) OpenWrite(name string, writer topology.NodeID, opt WriteOptions) (
 
 // Replicas returns the stream's replica placement.
 func (w *StreamWriter) Replicas() []topology.NodeID { return w.replicas }
-
-// Written returns bytes appended so far (including in-flight).
-func (w *StreamWriter) Written() int64 { return w.written }
 
 // Append charges one pipelined write of the given size; done (optional)
 // runs when this append lands. If the pipeline stalls (a replica died),

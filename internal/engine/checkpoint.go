@@ -27,13 +27,16 @@ type ckptImage struct {
 	stage core.Stage
 	path  string
 
-	// Shuffle/merge state.
-	copied          []bool
-	copiedCount     int
-	shuffledLogical int64
-	onDisk          []*merge.Segment
-	inMem           []*merge.Segment
-	inMemBytes      int64
+	// Shuffle/merge state: the captured segments, each with the maps
+	// whose partitions it holds (onDiskMaps[i] for onDisk[i], inMemMaps[i]
+	// for inMem[i]). A restore marks copied exactly these maps; a map in
+	// a spill or merge still in flight when the image was taken is in
+	// neither list and is fetched again.
+	onDisk     []*merge.Segment
+	onDiskMaps [][]int
+	inMem      []*merge.Segment
+	inMemMaps  []int
+	inMemBytes int64
 
 	// Reduce state.
 	finalSegs     []*merge.Segment
@@ -77,9 +80,10 @@ func (r *reduceExec) maybeCheckpoint(cont func()) {
 	r.nameBuf = buf
 	img.path = name
 	taskIdx := r.t.idx
-	// The snapshot is the task's entire memory image, written
-	// synchronously (the task is frozen while it drains).
-	_, err := r.job.Cluster.DFS.Write(name, r.a.node, r.job.Spec.Checkpoint.ImageBytes,
+	// The snapshot is the task's entire memory image (the whole reduce
+	// heap), written synchronously (the task is frozen while it drains).
+	imageBytes := int64(r.conf.ReduceMemoryMB) << 20
+	_, err := r.job.Cluster.DFS.Write(name, r.a.node, imageBytes,
 		dfs.WriteOptions{Replication: r.conf.DFSReplication, Scope: mr.ReplicateCluster},
 		func(werr error) {
 			r.ckptBusy = false
@@ -104,7 +108,7 @@ func (r *reduceExec) maybeCheckpoint(cont func()) {
 				r.job.checkpoints[taskIdx] = img
 			}
 			r.job.result.Counters.Add("ckpt.snapshots", 1)
-			r.job.result.Counters.Add("ckpt.bytes", r.job.Spec.Checkpoint.ImageBytes*int64(r.conf.DFSReplication))
+			r.job.result.Counters.Add("ckpt.bytes", imageBytes*int64(r.conf.DFSReplication))
 			if cont != nil {
 				cont()
 			}
@@ -120,17 +124,20 @@ func (r *reduceExec) maybeCheckpoint(cont func()) {
 }
 
 // buildImage snapshots the executor's state. Slices are copied; segment
-// objects are shared (they are immutable once built).
+// objects and their map lists are shared (they are immutable once built).
 func (r *reduceExec) buildImage() *ckptImage {
+	local := r.job.local(r.a.node)
 	img := &ckptImage{
-		seq:             r.ckptSeq,
-		stage:           r.stage,
-		copied:          append([]bool{}, r.copied...),
-		copiedCount:     r.copiedCount,
-		shuffledLogical: r.shuffledLogical,
-		onDisk:          append([]*merge.Segment{}, r.onDisk...),
-		inMem:           append([]*merge.Segment{}, r.inMem...),
-		inMemBytes:      r.inMemBytes,
+		seq:        r.ckptSeq,
+		stage:      r.stage,
+		onDisk:     append([]*merge.Segment{}, r.onDisk...),
+		onDiskMaps: make([][]int, len(r.onDisk)),
+		inMem:      append([]*merge.Segment{}, r.inMem...),
+		inMemMaps:  append([]int{}, r.inMemMaps...),
+		inMemBytes: r.inMemBytes,
+	}
+	for i, sg := range r.onDisk {
+		img.onDiskMaps[i] = local.segMaps[sg.Path]
 	}
 	if r.stage == core.StageReduce && r.cursor != nil {
 		img.finalSegs = append([]*merge.Segment{}, r.finalSegs...)
@@ -145,22 +152,30 @@ func (r *reduceExec) buildImage() *ckptImage {
 
 // tryCheckpointRestore loads the newest committed image when this attempt
 // starts; it charges the image read and reports whether state was
-// restored.
+// restored. The image's on-disk segments and their map lists are
+// registered on this node, so later merge passes, ALG snapshots and
+// images read the same lists whichever node wrote the segments.
 func (r *reduceExec) tryCheckpointRestore() bool {
 	img := r.job.checkpoints[r.t.idx]
 	if img == nil {
 		return false
 	}
 	r.ckptSeq = img.seq
-	r.copied = append([]bool{}, img.copied...)
-	r.copiedCount = img.copiedCount
-	// The image wholesale-replaced r.copied; the incremental host index is
+	local := r.job.local(r.a.node)
+	for i, sg := range img.onDisk {
+		local.segments[sg.Path] = sg
+		local.segMaps[sg.Path] = img.onDiskMaps[i]
+		r.holdMaps(img.onDiskMaps[i])
+	}
+	r.holdMaps(img.inMemMaps)
+	// The restored maps bypassed markCopied; the incremental host index is
 	// now stale and must be recomputed before any fetch decision.
 	r.rebuildHostIndex()
-	r.shuffledLogical = img.shuffledLogical
 	r.onDisk = append([]*merge.Segment{}, img.onDisk...)
 	r.inMem = append([]*merge.Segment{}, img.inMem...)
+	r.inMemMaps = append([]int{}, img.inMemMaps...)
 	r.inMemBytes = img.inMemBytes
+	r.shuffledLogical = merge.TotalLogicalBytes(r.onDisk) + merge.TotalLogicalBytes(r.inMem)
 	if img.stage == core.StageReduce {
 		r.finalSegs = append([]*merge.Segment{}, img.finalSegs...)
 		r.totalLogical = merge.TotalLogicalBytes(r.finalSegs)
@@ -194,4 +209,15 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 	r.job.Tracer.Emit(r.job.Eng.Now(), "ckpt-restored", r.a.id, r.a.nodeName(r.job), img.stage.String())
 	r.job.result.Counters.Add("ckpt.restores", 1)
 	return true
+}
+
+// holdMaps marks the maps a restored image holds as copied, before the
+// host index is rebuilt from copied.
+func (r *reduceExec) holdMaps(maps []int) {
+	for _, m := range maps {
+		if !r.copied[m] {
+			r.copied[m] = true
+			r.copiedCount++
+		}
+	}
 }

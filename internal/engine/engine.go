@@ -84,9 +84,7 @@ type JobSpec struct {
 	DecisionTrace bool
 	ALG           core.ALGOptions
 	SFM           core.SFMOptions
-	// SamplePerSplit bounds real records materialised per input split.
-	SamplePerSplit int
-	Seed           int64
+	Seed          int64
 
 	// ISS enables Intermediate Storage System semantics (Ko et al.,
 	// SoCC'10 — the paper's related work): every MOF is additionally
@@ -120,23 +118,21 @@ type ShuffleOptions struct {
 	MaxQueue    int
 }
 
-// ISSOptions configures intermediate-data replication.
+// ISSOptions configures intermediate-data replication. An enabled ISS
+// writes issCopies HDFS copies of each MOF besides the local one.
 type ISSOptions struct {
 	Enabled bool
-	// Replicas for each MOF on HDFS (besides the local copy). Zero means
-	// 1 when enabled.
-	Replicas int
 }
+
+const issCopies = 1
 
 // CheckpointOptions configures heavyweight checkpoint/restart.
 type CheckpointOptions struct {
 	Enabled bool
-	// Interval between snapshots. Zero means 30s when enabled.
+	// Interval between snapshots. Zero means 30s when enabled. Each
+	// snapshot is the full reduce heap (ReduceMemoryMB), the paper's
+	// "tasks with several GBs of heap memory" case.
 	Interval time.Duration
-	// ImageBytes is the logical size of one memory snapshot. Zero means
-	// the full reduce heap (ReduceMemoryMB), the paper's "tasks with
-	// several GBs of heap memory" case.
-	ImageBytes int64
 }
 
 // Defaulted fills zero fields with defaults and validates.
@@ -156,28 +152,17 @@ func (s JobSpec) Defaulted() (JobSpec, error) {
 	if s.Conf.BlockSizeBytes == 0 {
 		s.Conf = mr.DefaultConfig()
 	}
-	if s.SamplePerSplit <= 0 {
-		s.SamplePerSplit = 48
-	}
 	if s.ALG.Interval == 0 {
 		s.ALG = core.DefaultALGOptions()
 	}
 	if s.SFM.FCMCap == 0 {
 		s.SFM = core.DefaultSFMOptions()
 	}
-	if s.ISS.Enabled && s.ISS.Replicas <= 0 {
-		s.ISS.Replicas = 1
-	}
 	if s.Shuffle.Remote && s.ISS.Enabled {
 		return s, fmt.Errorf("engine: ISS and Shuffle.Remote are mutually exclusive")
 	}
-	if s.Checkpoint.Enabled {
-		if s.Checkpoint.Interval <= 0 {
-			s.Checkpoint.Interval = 30 * time.Second
-		}
-		if s.Checkpoint.ImageBytes <= 0 {
-			s.Checkpoint.ImageBytes = int64(s.Conf.ReduceMemoryMB) << 20
-		}
+	if s.Checkpoint.Enabled && s.Checkpoint.Interval <= 0 {
+		s.Checkpoint.Interval = 30 * time.Second
 	}
 	if s.Policy == "" {
 		s.Policy = s.Mode.String()
@@ -349,7 +334,7 @@ func (c algCommit) flushedLogical() int64 {
 // HDFS does.
 func (j *Job) reduceWriteOptions() dfs.WriteOptions {
 	if j.Spec.Mode.ALGEnabled() {
-		return dfs.WriteOptions{Replication: j.Spec.ALG.HDFSReplicas, Scope: j.Spec.ALG.Replication}
+		return dfs.WriteOptions{Replication: core.ALGReplicas, Scope: j.Spec.ALG.Replication}
 	}
 	return dfs.WriteOptions{Replication: j.Spec.Conf.DFSReplication, Scope: mr.ReplicateCluster}
 }

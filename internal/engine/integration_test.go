@@ -29,7 +29,7 @@ func directOutput(spec JobSpec) []mr.Record {
 	buckets := make([][]mr.Record, spec.NumReduces)
 	for s := 0; s < numSplits; s++ {
 		rng := rand.New(rand.NewSource(spec.Seed*1_000_003 + int64(s)))
-		for _, rec := range w.Gen(rng, spec.SamplePerSplit) {
+		for _, rec := range w.Gen(rng, workloads.SamplePerSplit) {
 			w.Map(rec.Key, rec.Value, func(k, v string) {
 				p := part(k, spec.NumReduces)
 				buckets[p] = append(buckets[p], mr.Record{Key: k, Value: v})

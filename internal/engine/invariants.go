@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"alm/internal/sim"
 )
@@ -11,9 +10,8 @@ import (
 // invariantsEnabled turns on internal consistency checks that are too
 // expensive for production runs: the reducer host-index cross-check
 // against a full scan (checkHostIndex), the disk-op accounting
-// assertion (assertDiskOps, which is also why diskOps is kept), the
-// on-disk MOF list cross-check (assertDiskMOFs), and the checks that an
-// attempt tracks each timer once (assertUntracked) and that a killed
+// assertion (assertDiskOps, which is also why diskOps is kept), and the
+// checks that an attempt tracks each timer once (assertUntracked) and that a killed
 // attempt leaves nothing armed (assertQuiet). The engine's own test
 // binary flips it on in an init (see invariants_test.go), so every
 // simulation the test suite runs — including failure-injection
@@ -81,23 +79,6 @@ func (r *reduceExec) assertDiskOps() {
 	if active > r.pendingDiskOps {
 		panic(fmt.Sprintf("engine: %s has %d in-flight disk ops but pendingDiskOps=%d",
 			r.a.id, active, r.pendingDiskOps))
-	}
-}
-
-// assertDiskMOFs verifies (testing builds only) that the incrementally
-// kept diskMOFs equals a full recompute: every on-disk segment's map IDs,
-// sorted. FetchedMOFIDs calls it after merging the pending IDs in, so a
-// segment that lands without being recorded, or a list kept across a
-// replaced onDisk or node-local store, panics at the next snapshot.
-func (r *reduceExec) assertDiskMOFs() {
-	if !invariantsEnabled {
-		return
-	}
-	want := r.appendDiskMOFs(nil)
-	sort.Ints(want)
-	if !slices.Equal(r.diskMOFs, want) {
-		panic(fmt.Sprintf("engine: %s on-disk MOF list drifted: kept %v, recomputed %v",
-			r.a.id, r.diskMOFs, want))
 	}
 }
 

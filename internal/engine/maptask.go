@@ -110,7 +110,7 @@ func (m *mapExec) afterWrite(outBytes int64) {
 		// the availability/overhead trade the paper's related work makes.
 		name := "iss/" + m.job.Spec.Name + "/" + m.a.id
 		replicas, err := m.job.Cluster.DFS.Write(name, m.a.node, outBytes,
-			dfs.WriteOptions{Replication: 1 + m.job.Spec.ISS.Replicas, Scope: mr.ReplicateCluster},
+			dfs.WriteOptions{Replication: 1 + issCopies, Scope: mr.ReplicateCluster},
 			func(werr error) {
 				if m.dead {
 					return
@@ -128,7 +128,7 @@ func (m *mapExec) afterWrite(outBytes int64) {
 			return
 		}
 		m.issReplicas = replicas[1:]
-		m.job.result.Counters.Add("iss.replicated.bytes", outBytes*int64(m.job.Spec.ISS.Replicas))
+		m.job.result.Counters.Add("iss.replicated.bytes", outBytes*issCopies)
 		return
 	}
 	m.job.am.mapFinished(m.t, m.a, parts)
@@ -149,7 +149,7 @@ func (m *mapExec) commitISS(parts []*merge.Segment, outBytes int64) {
 // writes or appends to Segment.Records.
 func (m *mapExec) buildPartitions(outBytes int64) []*merge.Segment {
 	spec := m.job.Spec
-	parts := spec.Workload.MapOutput(spec.Seed, m.t.idx, spec.SamplePerSplit, spec.NumReduces)
+	parts := spec.Workload.MapOutput(spec.Seed, m.t.idx, spec.NumReduces)
 	perPartBytes := outBytes / int64(spec.NumReduces)
 	if perPartBytes < 1 {
 		perPartBytes = 1

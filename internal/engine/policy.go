@@ -114,7 +114,6 @@ type PolicyContext interface {
 	NumTasks(typ faults.TaskType) int
 	TaskDone(typ faults.TaskType, idx int) bool
 	LiveAttempts(typ faults.TaskType, idx int) int
-	TotalAttempts(typ faults.TaskType, idx int) int
 	RunningAttemptInfo(typ faults.TaskType, idx int) (AttemptInfo, bool)
 	MOFAvailable(mapIdx int) bool
 	MapsWithMOFOn(node topology.NodeID) []int

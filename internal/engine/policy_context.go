@@ -62,10 +62,6 @@ func (am *appMaster) LiveAttempts(typ faults.TaskType, idx int) int {
 	return am.task(typ, idx).liveAttempts()
 }
 
-func (am *appMaster) TotalAttempts(typ faults.TaskType, idx int) int {
-	return len(am.task(typ, idx).attempts)
-}
-
 func (am *appMaster) RunningAttemptInfo(typ faults.TaskType, idx int) (AttemptInfo, bool) {
 	a := am.task(typ, idx).runningAttempt()
 	if a == nil {

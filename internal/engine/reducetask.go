@@ -56,33 +56,25 @@ type reduceExec struct {
 	hostFailures     []int
 	lastFetchSuccess sim.Time
 	sessions         int
-	inMem            []*merge.Segment
-	inMemMaps        map[*merge.Segment][]int
-	inMemBytes       int64
-	onDisk           []*merge.Segment
-	shuffledLogical  int64
-	memoryLimit      int64
-	inMemMergeBusy   bool
-	spillSeq         int
+	// inMem holds fetched segments still in the shuffle buffer, each one
+	// map's partition; inMemMaps[i] is the map whose partition inMem[i]
+	// is. A spilled segment's maps are in its node's segMaps. Those two
+	// are the only record of which maps the attempt holds: every restore
+	// derives its copied set from the segments it restores.
+	inMem           []*merge.Segment
+	inMemMaps       []int
+	inMemBytes      int64
+	onDisk          []*merge.Segment
+	shuffledLogical int64
+	memoryLimit     int64
+	inMemMergeBusy  bool
+	spillSeq        int
 	// pendingDiskOps counts in-flight spills and in-memory merges; the
 	// final merge must not start until they all land.
 	pendingDiskOps int
 	mergeStarted   bool
 	// shufflePort caps this reducer's aggregate ingest rate.
 	shufflePort *fairshare.Port
-
-	// diskMOFs is the sorted multiset of local.segMaps over onDisk, the
-	// list FetchedMOFIDs reports, computed against the node-local store
-	// diskMOFsLocal. Segments that land append their map IDs to
-	// diskMOFsPending, and FetchedMOFIDs merges those in, so a mode that
-	// never snapshots never sorts. Merge passes leave the multiset
-	// unchanged (a merged run's IDs are its inputs' IDs). The first call
-	// computes the list in full, which covers the restore paths that
-	// replace onDisk (they all run in begin, before any snapshot), and so
-	// does the first call after a crash wipe replaces the store.
-	diskMOFs        []int
-	diskMOFsPending []int
-	diskMOFsLocal   *localNode
 
 	// Merge stage.
 	mergeNeeded int64
@@ -168,7 +160,6 @@ func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 		attemptRun:    attemptRun{job: j, t: t, a: a},
 		conf:          j.Spec.Conf,
 		copied:        make([]bool, len(j.am.maps)),
-		inMemMaps:     make(map[*merge.Segment][]int),
 		hostInSession: make([]bool, len(j.locals)),
 		hostFailures:  make([]int, len(j.locals)),
 		stage:         core.StageShuffle,
@@ -727,7 +718,6 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 			}
 			cp.Spill(path)
 			r.onDisk = append(r.onDisk, cp)
-			r.diskMOFsPending = append(r.diskMOFsPending, mapIdx)
 			local := r.job.local(r.a.node)
 			local.segments[path] = cp
 			local.segMaps[path] = []int{mapIdx}
@@ -737,7 +727,7 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 		return
 	}
 	r.inMem = append(r.inMem, cp)
-	r.inMemMaps[cp] = []int{mapIdx}
+	r.inMemMaps = append(r.inMemMaps, mapIdx)
 	r.inMemBytes += cp.LogicalBytes
 	if float64(r.inMemBytes) >= r.conf.InMemMergeThreshold*float64(r.memoryLimit) && !r.inMemMergeBusy {
 		r.mergeInMemory(nil)
@@ -758,11 +748,8 @@ func (r *reduceExec) mergeInMemory(done func()) {
 	bytes := r.inMemBytes
 	r.inMem = nil
 	r.inMemBytes = 0
-	mapIDs := make([]int, 0, len(segs))
-	for _, sg := range segs {
-		mapIDs = append(mapIDs, r.inMemMaps[sg]...)
-		delete(r.inMemMaps, sg)
-	}
+	mapIDs := append(make([]int, 0, len(r.inMemMaps)), r.inMemMaps...)
+	r.inMemMaps = r.inMemMaps[:0]
 	sort.Ints(mapIDs)
 	r.spillSeq++
 	path := r.seqPath(r.mergedPrefix, r.spillSeq)
@@ -780,7 +767,6 @@ func (r *reduceExec) mergeInMemory(done func()) {
 			}
 			merged.Spill(path)
 			r.onDisk = append(r.onDisk, merged)
-			r.diskMOFsPending = append(r.diskMOFsPending, mapIDs...)
 			local := r.job.local(r.a.node)
 			local.segments[path] = merged
 			local.segMaps[path] = mapIDs
@@ -1060,54 +1046,18 @@ func (r *reduceExec) consumedReal() int {
 // core.ReduceView implementation.
 func (r *reduceExec) Stage() core.Stage { return r.stage }
 
-// FetchedMOFIDs reports the maps whose data is durably on local disk —
+// FetchedMOFs counts the map partitions held in on-disk segments —
 // exactly what a restored attempt can reuse. Data still in memory (or
-// mid-spill) is deliberately excluded: it dies with the attempt. The
-// list is sorted and aliases the exec's state (see core.ReduceView).
-func (r *reduceExec) FetchedMOFIDs() []int {
-	if local := r.job.local(r.a.node); local != r.diskMOFsLocal {
-		r.diskMOFs = r.appendDiskMOFs(r.diskMOFs[:0])
-		sort.Ints(r.diskMOFs)
-		r.diskMOFsPending = r.diskMOFsPending[:0]
-		r.diskMOFsLocal = local
-	} else if len(r.diskMOFsPending) > 0 {
-		r.diskMOFs = mergeSorted(r.diskMOFs, r.diskMOFsPending)
-		r.diskMOFsPending = r.diskMOFsPending[:0]
-	}
-	r.assertDiskMOFs()
-	return r.diskMOFs
-}
-
-// appendDiskMOFs appends the map IDs of every on-disk segment to dst,
-// in onDisk order.
-func (r *reduceExec) appendDiskMOFs(dst []int) []int {
+// mid-spill) is deliberately excluded: it dies with the attempt.
+func (r *reduceExec) FetchedMOFs() int {
 	local := r.job.local(r.a.node)
+	n := 0
 	for _, sg := range r.onDisk {
-		dst = append(dst, local.segMaps[sg.Path]...)
+		n += len(local.segMaps[sg.Path])
 	}
-	return dst
+	return n
 }
 
-// mergeSorted merges add (any order; sorted in place) into the sorted
-// dst, in place from the back, and returns the grown dst.
-func mergeSorted(dst, add []int) []int {
-	sort.Ints(add)
-	i, j := len(dst)-1, len(add)-1
-	dst = append(dst, add...)
-	for k := len(dst) - 1; j >= 0; k-- {
-		if i >= 0 && dst[i] > add[j] {
-			dst[k] = dst[i]
-			i--
-		} else {
-			dst[k] = add[j]
-			j--
-		}
-	}
-	return dst
-}
-
-// ShuffledLogicalBytes counts the durably spilled portion of the shuffle.
-func (r *reduceExec) ShuffledLogicalBytes() int64 { return merge.TotalLogicalBytes(r.onDisk) }
 func (r *reduceExec) SegmentPaths() []string {
 	segs := r.onDisk
 	if r.stage == core.StageReduce {
@@ -1217,6 +1167,10 @@ func (r *reduceExec) flushedRecords() []mr.Record {
 
 // tryLocalRestore replays the latest local log record when this attempt
 // runs on the node that wrote it and the referenced segments survive.
+// A shuffle- or merge-stage record, and a reduce-stage record with no
+// committed snapshot, restore the record's segments as onDisk and mark
+// copied exactly the maps those segments hold (their node-local
+// segMaps), so every other map is fetched again.
 func (r *reduceExec) tryLocalRestore() bool {
 	local := r.job.local(r.a.node)
 	rec := local.algLogs[r.t.idx]
@@ -1234,21 +1188,27 @@ func (r *reduceExec) tryLocalRestore() bool {
 		}
 		return segs, true
 	}
-	restored := false
-	switch rec.Stage {
-	case core.StageShuffle, core.StageMerge:
+	restoreShuffled := func() bool {
 		segs, ok := lookup(rec.SegmentPaths)
 		if !ok {
 			return false
 		}
 		r.onDisk = segs
-		for _, m := range rec.FetchedMOFs {
-			if m >= 0 && m < len(r.copied) {
-				r.markCopied(m)
-			}
+		r.shuffledLogical = merge.TotalLogicalBytes(segs)
+		var held []int
+		for _, s := range segs {
+			held = append(held, local.segMaps[s.Path]...)
 		}
-		r.shuffledLogical = rec.ShuffledLogicalBytes
-		restored = true
+		sort.Ints(held)
+		for _, m := range held {
+			r.markCopied(m)
+		}
+		return true
+	}
+	restored := false
+	switch rec.Stage {
+	case core.StageShuffle, core.StageMerge:
+		restored = restoreShuffled()
 	case core.StageReduce:
 		// Resume the MPQ from the committed snapshot so the flushed
 		// output prefix and the cursor position agree exactly.
@@ -1256,15 +1216,7 @@ func (r *reduceExec) tryLocalRestore() bool {
 		if c.rec == nil {
 			// No committed reduce snapshot: fall back to reusing the
 			// shuffled segments and redoing the reduce stage from zero.
-			segs, ok := lookup(rec.SegmentPaths)
-			if !ok {
-				return false
-			}
-			r.onDisk = segs
-			for m := range r.copied {
-				r.markCopied(m)
-			}
-			restored = true
+			restored = restoreShuffled()
 			break
 		}
 		segs, ok := lookup(c.rec.SegmentPaths)

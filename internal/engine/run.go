@@ -36,9 +36,10 @@ type ClusterSpec struct {
 	// MaxVirtualTime aborts runs that exceed this much simulated time
 	// (deadlock guard). Zero means 6 hours.
 	MaxVirtualTime time.Duration
-	// MaxEvents aborts runaway simulations. Zero means 50 million.
-	MaxEvents uint64
 }
+
+// maxEvents aborts runaway simulations.
+const maxEvents = 50_000_000
 
 // DefaultClusterSpec returns the paper-testbed layout.
 func DefaultClusterSpec() ClusterSpec {
@@ -190,14 +191,11 @@ func (cs ClusterSpec) Validate() error {
 func (cs ClusterSpec) defaulted() ClusterSpec {
 	if cs.Racks == 0 {
 		d := DefaultClusterSpec()
-		d.MaxVirtualTime, d.MaxEvents = cs.MaxVirtualTime, cs.MaxEvents
+		d.MaxVirtualTime = cs.MaxVirtualTime
 		cs = d
 	}
 	if cs.MaxVirtualTime == 0 {
 		cs.MaxVirtualTime = 6 * time.Hour
-	}
-	if cs.MaxEvents == 0 {
-		cs.MaxEvents = 50_000_000
 	}
 	return cs
 }
@@ -213,7 +211,7 @@ func (cs ClusterSpec) topology() (*topology.Topology, error) {
 
 // assemble builds a fresh simulated cluster from cs and one job per spec
 // on it, none started: the event engine is seeded with seed and capped
-// at cs.MaxEvents, and the cluster's heartbeat and node expiry come from
+// at maxEvents, and the cluster's heartbeat and node expiry come from
 // the first job's defaulted Conf. Job i gets its own clone of plans[i]
 // (missing or nil: fault-free), because the engine consumes injection
 // state (Done/Fired) as the run progresses and the caller's plan must
@@ -232,7 +230,7 @@ func assemble(cs ClusterSpec, seed int64, specs []JobSpec, plans []*faults.Plan)
 		return nil, nil, err
 	}
 	eng := sim.NewEngine(seed)
-	eng.SetMaxEvents(cs.MaxEvents)
+	eng.SetMaxEvents(maxEvents)
 	cl := cluster.New(eng, topo, cluster.Options{
 		HeartbeatInterval: first.Conf.HeartbeatInterval,
 		NodeExpiry:        first.Conf.NodeExpiry,

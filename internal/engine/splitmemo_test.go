@@ -92,8 +92,8 @@ func checkMemo(t *testing.T, shared *workloads.Workload, spec engine.JobSpec) {
 	}
 	maps := int(spec.InputBytes / spec.Conf.BlockSizeBytes)
 	for s := 0; s < maps; s++ {
-		got := shared.MapOutput(spec.Seed, s, spec.SamplePerSplit, spec.NumReduces)
-		want := fresh.MapOutput(spec.Seed, s, spec.SamplePerSplit, spec.NumReduces)
+		got := shared.MapOutput(spec.Seed, s, spec.NumReduces)
+		want := fresh.MapOutput(spec.Seed, s, spec.NumReduces)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s split %d: memo differs from a fresh build", shared.Name, s)
 		}

@@ -86,37 +86,37 @@ func Benchmarks() []Bench {
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: Budget{AllocsPerOp: 46_473, BytesPerOp: 4_593_587},
+			Budget: Budget{AllocsPerOp: 44_392, BytesPerOp: 4_412_980},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: Budget{AllocsPerOp: 50_375, BytesPerOp: 4_928_430},
+			Budget: Budget{AllocsPerOp: 47_609, BytesPerOp: 4_691_162},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: Budget{AllocsPerOp: 6_618, BytesPerOp: 846_170},
+			Budget: Budget{AllocsPerOp: 6_587, BytesPerOp: 843_530},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: Budget{AllocsPerOp: 50_499, BytesPerOp: 4_934_271},
+			Budget: Budget{AllocsPerOp: 47_731, BytesPerOp: 4_696_924},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: Budget{AllocsPerOp: 251_471, BytesPerOp: 23_635_267},
+			Budget: Budget{AllocsPerOp: 238_109, BytesPerOp: 22_478_666},
 		},
 		{
 			Name:   "remote_shuffle_crash",
 			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
 			Func:   benchRemoteShuffleCrash,
-			Budget: Budget{AllocsPerOp: 60_967, BytesPerOp: 5_760_854},
+			Budget: Budget{AllocsPerOp: 58_835, BytesPerOp: 5_551_757},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -125,19 +125,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: Budget{AllocsPerOp: 32_371, BytesPerOp: 6_266_058},
+			Budget: Budget{AllocsPerOp: 31_262, BytesPerOp: 6_162_130},
 		},
 		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at Workers workers",
 			Func:   benchSweepParallel,
-			Budget: Budget{AllocsPerOp: 54_885, BytesPerOp: 4_563_540},
+			Budget: Budget{AllocsPerOp: 54_661, BytesPerOp: 4_551_147},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: Budget{AllocsPerOp: 1_523_340, BytesPerOp: 165_853_032},
+			Budget: Budget{AllocsPerOp: 1_322_239, BytesPerOp: 149_102_528},
 		},
 	}
 }

@@ -41,8 +41,8 @@ type Options struct {
 	MaxQueue int
 	// HotFactor flags a tier node as a hot spot when its cumulative
 	// ingest exceeds HotFactor × the mean of the other tier nodes (and a
-	// minimum volume); fetches then prefer its peers. Zero disables
-	// organic detection.
+	// minimum volume); fetches then prefer its peers. Zero means 3; a
+	// negative value disables organic detection.
 	HotFactor float64
 }
 
@@ -251,16 +251,6 @@ func (t *Tier) Nodes() []topology.NodeID {
 		ids[o] = tn.id
 	}
 	return ids
-}
-
-// IsTierNode reports whether the topology node hosts a tier service.
-func (t *Tier) IsTierNode(id topology.NodeID) bool {
-	for _, tn := range t.nodes {
-		if tn.id == id {
-			return true
-		}
-	}
-	return false
 }
 
 // PrimaryNode is the topology node of partition r's primary replica.

@@ -23,7 +23,7 @@ import (
 // Workload bundles a benchmark's user code and size model.
 //
 // A split's map output is a pure function of the workload, the seed, the
-// split index, the sample size and the reducer count, so MapOutput builds
+// split index and the reducer count, so MapOutput builds
 // it once and every later map attempt of any job with the same geometry
 // shares it. That makes two demands of the code a workload carries:
 //
@@ -35,9 +35,8 @@ import (
 //     function would not reach the splits already built.
 //
 // A workload may be shared by any number of jobs, concurrently too. It
-// keeps the splits of one geometry (seed, sample size, reducer count)
-// alive for as long as it lives; a job with another geometry replaces
-// them.
+// keeps the splits of one geometry (seed, reducer count) alive for as
+// long as it lives; a job with another geometry replaces them.
 type Workload struct {
 	Name string
 
@@ -84,16 +83,20 @@ type splitMemo struct {
 	rng *rand.Rand
 }
 
+// SamplePerSplit is the number of real records materialised per input
+// split: the split's logical size drives the virtual-time charges, these
+// records the real sort, shuffle, merge and reduce.
+const SamplePerSplit = 48
+
 // geometry is what a split's map output depends on besides the workload
 // and the split index.
 type geometry struct {
 	seed       int64
-	sample     int
 	numReduces int
 }
 
 // MapOutput returns the map output of input split split for a job with
-// the given seed, SamplePerSplit and NumReduces: the split's sample
+// the given seed and NumReduces: the split's SamplePerSplit sample
 // records from Gen, mapped, partitioned over numReduces, combined per key
 // when the workload has a combiner, and stably sorted by Cmp within each
 // partition. Element r holds partition r.
@@ -105,14 +108,14 @@ type geometry struct {
 // build runs under the workload's lock, so concurrent callers share one
 // generator and wait for a split another caller is building; the
 // workload's own functions must therefore not call MapOutput.
-func (w *Workload) MapOutput(seed int64, split, sample, numReduces int) [][]mr.Record {
+func (w *Workload) MapOutput(seed int64, split, numReduces int) [][]mr.Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.splits == nil {
 		w.splits = &splitMemo{rng: rand.New(rand.NewSource(seed))}
 	}
 	m := w.splits
-	if g := (geometry{seed, sample, numReduces}); m.geo != g {
+	if g := (geometry{seed, numReduces}); m.geo != g {
 		m.geo = g
 		clear(m.parts)
 		m.parts = m.parts[:0]
@@ -124,15 +127,15 @@ func (w *Workload) MapOutput(seed int64, split, sample, numReduces int) [][]mr.R
 		return out
 	}
 	m.rng.Seed(seed*1_000_003 + int64(split))
-	out := w.buildSplit(m.rng, sample, numReduces)
+	out := w.buildSplit(m.rng, numReduces)
 	m.parts[split] = out
 	return out
 }
 
 // buildSplit generates one split's sample records from rng and runs them
 // through Map, the partitioner, the combiner and a stable sort.
-func (w *Workload) buildSplit(rng *rand.Rand, sample, numReduces int) [][]mr.Record {
-	inputs := w.Gen(rng, sample)
+func (w *Workload) buildSplit(rng *rand.Rand, numReduces int) [][]mr.Record {
+	inputs := w.Gen(rng, SamplePerSplit)
 	part := w.Part()
 	buckets := make([][]mr.Record, numReduces)
 	emit := func(k, v string) {

@@ -200,12 +200,12 @@ func TestSizeModelsSane(t *testing.T) {
 // sum), that a repeated call returns the memoised slices, and that a new
 // geometry replaces them.
 func TestMapOutputMemo(t *testing.T) {
-	const seed, sample, reduces = 11, 48, 5
+	const seed, reduces = 11, 5
 	for _, w := range []*Workload{Terasort(), Wordcount(), Secondarysort()} {
 		for split := 0; split < 3; split++ {
-			got := w.MapOutput(seed, split, sample, reduces)
+			got := w.MapOutput(seed, split, reduces)
 			want := make([][]mr.Record, reduces)
-			for _, in := range w.Gen(rand.New(rand.NewSource(seed*1_000_003+int64(split))), sample) {
+			for _, in := range w.Gen(rand.New(rand.NewSource(seed*1_000_003+int64(split))), SamplePerSplit) {
 				w.Map(in.Key, in.Value, func(k, v string) {
 					p := w.Part()(k, reduces)
 					want[p] = append(want[p], mr.Record{Key: k, Value: v})
@@ -225,13 +225,13 @@ func TestMapOutputMemo(t *testing.T) {
 					}
 				}
 			}
-			if again := w.MapOutput(seed, split, sample, reduces); &again[0] != &got[0] {
+			if again := w.MapOutput(seed, split, reduces); &again[0] != &got[0] {
 				t.Fatalf("%s split %d: repeated call rebuilt the split", w.Name, split)
 			}
 		}
-		first := w.MapOutput(seed, 0, sample, reduces)
-		w.MapOutput(seed+1, 0, sample, reduces)
-		if again := w.MapOutput(seed, 0, sample, reduces); &again[0] == &first[0] {
+		first := w.MapOutput(seed, 0, reduces)
+		w.MapOutput(seed+1, 0, reduces)
+		if again := w.MapOutput(seed, 0, reduces); &again[0] == &first[0] {
 			t.Fatalf("%s: a new geometry did not replace the memo", w.Name)
 		}
 	}
