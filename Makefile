@@ -52,7 +52,7 @@ lint-test:
 # certificate (DESIGN.md §10). FuzzAllocateBatched then searches 10 s
 # more with some of those changes batched inside one engine event, so
 # several changes share one deferred allocation. FuzzQueue then searches
-# 10 s of scripts of schedules, stops, reschedules, retimes and runs on
+# 10 s of scripts of schedules, posts, stops, reschedules, retimes and runs on
 # the sim's timing wheel against the sorted-list reference loop.
 # FuzzHostIndex then searches 10 s of scripts of moves and deliveries on
 # a reducer's host index (internal/engine) against a map-per-host

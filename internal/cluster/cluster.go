@@ -183,7 +183,7 @@ func New(e *sim.Engine, topo *topology.Topology, opt Options) *Cluster {
 		})
 	}
 	if opt.HeartbeatInterval > 0 && opt.NodeExpiry > 0 {
-		e.Schedule(opt.HeartbeatInterval, c.heartbeatTick)
+		e.Post(opt.HeartbeatInterval, c.heartbeatTick)
 	}
 	return c
 }
@@ -202,7 +202,7 @@ func (c *Cluster) heartbeatTick() {
 			c.declareLost(n)
 		}
 	}
-	c.Eng.Schedule(c.opt.HeartbeatInterval, c.heartbeatTick)
+	c.Eng.Post(c.opt.HeartbeatInterval, c.heartbeatTick)
 }
 
 func (c *Cluster) declareLost(n *nodeState) {
@@ -308,7 +308,7 @@ func (c *Cluster) Restore(id topology.NodeID) {
 		c.mNodesRestored.Inc()
 		c.notifyReachability(id, true)
 	}
-	c.Eng.Schedule(0, c.serve)
+	c.Eng.Post(0, c.serve)
 }
 
 // Allocate submits a container request; Grant is called (possibly at a
@@ -322,7 +322,7 @@ func (c *Cluster) Allocate(req *Request) (cancel func()) {
 	heap.Push(&c.queue, req)
 	// Serve asynchronously so the grant never re-enters the caller's
 	// stack frame.
-	c.Eng.Schedule(0, c.serve)
+	c.Eng.Post(0, c.serve)
 	canceled := false
 	return func() {
 		if canceled || req.index < 0 {
@@ -388,7 +388,7 @@ func (c *Cluster) Release(ct *Container) {
 	n := c.nodes[ct.Node]
 	delete(n.containers, ct)
 	n.freeMemMB += ct.MemMB
-	c.Eng.Schedule(0, c.serve)
+	c.Eng.Post(0, c.serve)
 }
 
 // FreeMemMB reports a node's unallocated memory (test/diagnostic hook).

@@ -287,10 +287,10 @@ func (d *DFS) readSource(b *Block, reader topology.NodeID) (topology.NodeID, err
 // ReadBlock streams one block to the reader node, invoking done when the
 // last byte lands. The flow crosses the source disk read port plus the
 // network path when the source is remote.
-func (d *DFS) ReadBlock(b *Block, reader topology.NodeID, done func(err error)) (*fairshare.Flow, error) {
+func (d *DFS) ReadBlock(b *Block, reader topology.NodeID, done func(err error)) (fairshare.Flow, error) {
 	src, err := d.readSource(b, reader)
 	if err != nil {
-		return nil, err
+		return fairshare.Flow{}, err
 	}
 	ports := d.net.AppendPortsFor([]*fairshare.Port{d.disks.ReadPort(src)}, src, reader)
 	if b.flowName == "" {
@@ -356,7 +356,7 @@ type StreamWriter struct {
 	priority        float64
 	written         int64
 	pending         int
-	flows           []*fairshare.Flow
+	flows           []fairshare.Flow // appends in flight
 	commit          func(error)
 	commitRequested bool
 	committed       bool
@@ -400,7 +400,7 @@ func (w *StreamWriter) Replicas() []topology.NodeID { return w.replicas }
 func (w *StreamWriter) Append(bytes int64, done func()) {
 	if w.aborted || bytes <= 0 {
 		if done != nil {
-			w.d.eng.Schedule(0, done)
+			w.d.eng.Post(0, done)
 		}
 		return
 	}
@@ -418,16 +418,16 @@ func (w *StreamWriter) startAppendFlow(bytes int64, done func()) {
 		w.drainSyncWaiters()
 		w.maybeFinishCommit()
 	})
-	w.flows = append(w.flows, f)
+	w.flows = append(slices.DeleteFunc(w.flows, fairshare.Flow.Ended), f)
 	w.watchAppend(f, f.Remaining(), done)
 }
 
 // watchAppend monitors one append flow; when it makes no progress for the
 // pipeline timeout, the pipeline is rebuilt without the dead replicas and
 // the flow's remaining bytes are restarted.
-func (w *StreamWriter) watchAppend(f *fairshare.Flow, lastRemaining float64, done func()) {
-	w.d.eng.Schedule(w.d.PipelineTimeout, func() {
-		if w.aborted || f.Done() || f.Canceled() {
+func (w *StreamWriter) watchAppend(f fairshare.Flow, lastRemaining float64, done func()) {
+	w.d.eng.Post(w.d.PipelineTimeout, func() {
+		if w.aborted || f.Ended() {
 			return
 		}
 		rem := f.Remaining()
@@ -484,7 +484,7 @@ func (w *StreamWriter) Sync(done func()) {
 		return
 	}
 	if w.pending == 0 || w.aborted {
-		w.d.eng.Schedule(0, done)
+		w.d.eng.Post(0, done)
 		return
 	}
 	w.syncWaiters = append(w.syncWaiters, done)
@@ -522,7 +522,7 @@ func (w *StreamWriter) maybeFinishCommit() {
 	// complete it even if its local replica finished. Retry until the
 	// node recovers or the stream is aborted.
 	if w.d.net.NodeDown(w.writer) || !w.d.alive[w.writer] {
-		w.d.eng.Schedule(w.d.PipelineTimeout, w.maybeFinishCommit)
+		w.d.eng.Post(w.d.PipelineTimeout, w.maybeFinishCommit)
 		return
 	}
 	w.committed = true

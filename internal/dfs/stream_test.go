@@ -153,3 +153,24 @@ func TestPlacementAvoidsUnreachableNodes(t *testing.T) {
 	}
 	_ = topo
 }
+
+// TestStreamWriterTracksInFlightAppends: a long-lived writer (an ALG log,
+// a reducer's output) appends thousands of times. Its list of flows must
+// follow the appends in flight, not every append it ever issued.
+func TestStreamWriterTracksInFlightAppends(t *testing.T) {
+	e, _, _, _, d := rig(1, 2)
+	w, _ := d.OpenWrite("out", 0, WriteOptions{Replication: 1})
+	for i := 0; i < 1000; i++ {
+		w.Append(50, nil)
+		w.Append(50, nil)
+		if len(w.flows) > 2 {
+			t.Fatalf("append %d: writer holds %d flows with at most 2 in flight", 2*i+2, len(w.flows))
+		}
+		e.Run(e.Now() + 3*time.Second) // both land: 100 B at 50 B/s
+	}
+	w.Commit(nil)
+	e.RunAll()
+	if f, err := d.Lookup("out"); err != nil || f.Bytes() != 100_000 {
+		t.Fatalf("committed file: %v %v", f, err)
+	}
+}

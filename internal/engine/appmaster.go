@@ -206,7 +206,7 @@ func (am *appMaster) start() {
 	for _, t := range am.maps {
 		am.launchMap(t, false, topology.Invalid)
 	}
-	am.job.Eng.Schedule(am.conf.HeartbeatInterval, am.monitorTick)
+	am.job.Eng.Post(am.conf.HeartbeatInterval, am.monitorTick)
 }
 
 func (am *appMaster) task(typ faults.TaskType, idx int) *taskState {
@@ -790,7 +790,7 @@ func (am *appMaster) monitorTick() {
 	}
 	am.assertLaunchTimes()
 	am.policy.OnStragglerTick(am)
-	am.job.Eng.Schedule(am.conf.HeartbeatInterval, am.monitorTick)
+	am.job.Eng.Post(am.conf.HeartbeatInterval, am.monitorTick)
 }
 
 // nodeWithMOFsButNoReduce picks the node hosting the most MOFs among

@@ -22,7 +22,7 @@ type attemptRun struct {
 	a    *attempt
 	dead bool
 
-	flows  []*fairshare.Flow
+	flows  []fairshare.Flow
 	timers []*sim.Timer
 	held   *heldTimer
 
@@ -58,12 +58,10 @@ func reap[T any](s []T, finished func(T) bool) []T {
 	return s
 }
 
-func flowFinished(f *fairshare.Flow) bool { return f.Done() || f.Canceled() }
-
 func timerIdle(t *sim.Timer) bool { return !t.Active() }
 
-func (r *attemptRun) addFlow(f *fairshare.Flow) {
-	r.flows = append(reap(r.flows, flowFinished), f)
+func (r *attemptRun) addFlow(f fairshare.Flow) {
+	r.flows = append(reap(r.flows, fairshare.Flow.Ended), f)
 }
 
 // after arms a one-shot timer.

@@ -5,6 +5,7 @@ import (
 	"alm/internal/dfs"
 	"alm/internal/merge"
 	"alm/internal/mr"
+	"alm/internal/trace"
 )
 
 // Heavyweight system-level checkpoint/restart — the approach the paper's
@@ -206,7 +207,7 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 		r.ckptRestoring = false
 		return false
 	}
-	r.job.Tracer.Emit(r.job.Eng.Now(), "ckpt-restored", r.a.id, r.a.nodeName(r.job), img.stage.String())
+	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindCkptRestored, r.a.id, r.a.nodeName(r.job), img.stage.String())
 	r.job.result.Counters.Add("ckpt.restores", 1)
 	return true
 }

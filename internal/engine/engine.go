@@ -419,7 +419,7 @@ func (j *Job) Start(onFinish func()) error {
 	j.am = newAppMaster(j, inputName)
 	j.am.start()
 	j.scheduleTimedInjections()
-	j.Eng.Schedule(2*time.Second, j.sampleTick)
+	j.Eng.Post(2*time.Second, j.sampleTick)
 	return nil
 }
 
@@ -567,7 +567,7 @@ func (j *Job) sampleTick() {
 	j.Tracer.Sample("fetch-retries", now, float64(j.result.FetchRetries))
 	j.observeSample(now)
 	j.checkInjections()
-	j.Eng.Schedule(2*time.Second, j.sampleTick)
+	j.Eng.Post(2*time.Second, j.sampleTick)
 }
 
 func (j *Job) scheduleTimedInjections() {
@@ -577,7 +577,7 @@ func (j *Job) scheduleTimedInjections() {
 	for _, inj := range j.plan.Injections {
 		if inj.When.Kind == faults.AtTime {
 			inj := inj
-			j.Eng.Schedule(sim.Time(inj.When.Time), func() { j.fire(inj) })
+			j.Eng.Post(sim.Time(inj.When.Time), func() { j.fire(inj) })
 		}
 	}
 }
@@ -619,7 +619,7 @@ func (j *Job) fire(inj *faults.Injection) {
 	}
 	inj.Fired++
 	if inj.When.Kind == faults.AtTime && inj.Every > 0 && inj.Fired < inj.MaxFirings() {
-		j.Eng.Schedule(sim.Time(inj.Every), func() { j.fire(inj) })
+		j.Eng.Post(sim.Time(inj.Every), func() { j.fire(inj) })
 	} else {
 		inj.Done = true
 	}
@@ -652,7 +652,7 @@ func (j *Job) apply(do faults.Action) {
 		} else {
 			j.Cluster.StopNetwork(node)
 			if do.HealAfter > 0 {
-				j.Eng.Schedule(sim.Time(do.HealAfter), func() { j.healNode(node) })
+				j.Eng.Post(sim.Time(do.HealAfter), func() { j.healNode(node) })
 			}
 		}
 	case faults.HealNode:
@@ -683,7 +683,7 @@ func (j *Job) apply(do faults.Action) {
 			fmt.Sprintf("injected slow disks x%.2f", do.Factor))
 		j.Cluster.SlowDisks(node, do.Factor)
 		if do.HealAfter > 0 {
-			j.Eng.Schedule(sim.Time(do.HealAfter), func() {
+			j.Eng.Post(sim.Time(do.HealAfter), func() {
 				if j.finished {
 					return
 				}
@@ -700,7 +700,7 @@ func (j *Job) apply(do faults.Action) {
 			fmt.Sprintf("injected NIC degrade x%.2f", do.Factor))
 		j.Cluster.Net.SetNICFactor(node, do.Factor)
 		if do.HealAfter > 0 {
-			j.Eng.Schedule(sim.Time(do.HealAfter), func() {
+			j.Eng.Post(sim.Time(do.HealAfter), func() {
 				if j.finished {
 					return
 				}
@@ -714,7 +714,7 @@ func (j *Job) apply(do faults.Action) {
 			fmt.Sprintf("link to %s flaky p=%.2f bw=x%.2f", j.Cluster.Topo.Node(b).Name, do.FailProb, do.Factor))
 		j.Cluster.Net.SetLinkFlaky(a, b, do.FailProb, do.Factor)
 		if do.HealAfter > 0 {
-			j.Eng.Schedule(sim.Time(do.HealAfter), func() {
+			j.Eng.Post(sim.Time(do.HealAfter), func() {
 				if j.finished {
 					return
 				}
@@ -730,7 +730,7 @@ func (j *Job) apply(do faults.Action) {
 		ord := do.Node
 		j.tier.CrashOrdinal(ord)
 		if do.HealAfter > 0 {
-			j.Eng.Schedule(sim.Time(do.HealAfter), func() {
+			j.Eng.Post(sim.Time(do.HealAfter), func() {
 				if !j.finished {
 					j.tier.RestoreOrdinal(ord)
 				}
@@ -745,7 +745,7 @@ func (j *Job) apply(do faults.Action) {
 		j.tier.MarkHotPartition(part, true)
 		j.Cluster.SlowDisks(primary, do.Factor)
 		if do.HealAfter > 0 {
-			j.Eng.Schedule(sim.Time(do.HealAfter), func() {
+			j.Eng.Post(sim.Time(do.HealAfter), func() {
 				if j.finished {
 					return
 				}

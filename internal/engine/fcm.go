@@ -103,7 +103,7 @@ func (f *fcmExec) progress() float64 {
 	}
 	var remaining float64
 	for _, fl := range f.flows {
-		if !fl.Done() && !fl.Canceled() {
+		if !fl.Ended() {
 			remaining += fl.Remaining()
 		}
 	}

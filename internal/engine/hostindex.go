@@ -286,7 +286,7 @@ func (r *reduceExec) onReachabilityChanged(_ topology.NodeID, reachable bool) {
 	}
 	r.reindexPending()
 	if reachable {
-		r.job.Eng.Schedule(0, r.fillFn)
+		r.job.Eng.Post(0, r.fillFn)
 	}
 }
 
@@ -308,7 +308,7 @@ func (r *reduceExec) onTierChanged(m int, parts []int) {
 	case parts == nil || slices.Contains(parts, r.t.idx):
 		r.reindexMap(m)
 	}
-	r.job.Eng.Schedule(0, r.fillFn)
+	r.job.Eng.Post(0, r.fillFn)
 }
 
 // indexLive reports whether the reducer is shuffling with an index that

@@ -72,7 +72,7 @@ func (r *reduceExec) assertDiskOps() {
 	}
 	active := 0
 	for _, f := range r.diskOps {
-		if !flowFinished(f) {
+		if !f.Ended() {
 			active++
 		}
 	}
@@ -117,7 +117,7 @@ func (r *attemptRun) assertQuiet() {
 		panic(fmt.Sprintf("engine: killed attempt %s left a timer armed", r.a.id))
 	}
 	for _, f := range r.flows {
-		if !flowFinished(f) {
+		if !f.Ended() {
 			panic(fmt.Sprintf("engine: killed attempt %s left flow %s running", r.a.id, f.Name()))
 		}
 	}

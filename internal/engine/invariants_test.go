@@ -21,7 +21,7 @@ func TestKillMidCPULeavesMapQuiet(t *testing.T) {
 		for _, ts := range job.am.maps {
 			for _, a := range ts.attempts {
 				m, ok := a.exec.(*mapExec)
-				if ok && !m.dead && len(m.flows) > 0 && m.flows[0].Done() && m.timers[len(m.timers)-1].Active() {
+				if ok && !m.dead && len(m.flows) > 0 && m.flows[0].Ended() && m.timers[len(m.timers)-1].Active() {
 					victim = m
 				}
 			}

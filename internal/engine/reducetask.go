@@ -38,7 +38,7 @@ type reduceExec struct {
 	// diskOps tracks the in-flight disk-op flows counted by
 	// pendingDiskOps, in checked builds only, so assertDiskOps can
 	// check the two agree.
-	diskOps []*fairshare.Flow
+	diskOps []fairshare.Flow
 
 	stage core.Stage
 
@@ -218,10 +218,10 @@ func (r *reduceExec) kill() {
 
 // addDiskFlow registers a flow whose completion decrements
 // pendingDiskOps; checked builds also keep it in diskOps.
-func (r *reduceExec) addDiskFlow(f *fairshare.Flow) {
+func (r *reduceExec) addDiskFlow(f fairshare.Flow) {
 	r.addFlow(f)
 	if invariantsEnabled {
-		r.diskOps = append(slices.DeleteFunc(r.diskOps, flowFinished), f)
+		r.diskOps = append(slices.DeleteFunc(r.diskOps, fairshare.Flow.Ended), f)
 	}
 }
 
@@ -479,13 +479,13 @@ func (r *reduceExec) runSession(host topology.NodeID) {
 type fetchWatch struct {
 	r             *reduceExec
 	host          topology.NodeID
-	flow          *fairshare.Flow
+	flow          fairshare.Flow
 	lastRemaining float64
 	tm            heldTimer
 	fn            func()
 }
 
-func (r *reduceExec) startWatch(host topology.NodeID, flow *fairshare.Flow) {
+func (r *reduceExec) startWatch(host topology.NodeID, flow fairshare.Flow) {
 	var w *fetchWatch
 	if n := len(r.watchFree); n > 0 {
 		w = r.watchFree[n-1]
@@ -505,7 +505,7 @@ func (r *reduceExec) startWatch(host topology.NodeID, flow *fairshare.Flow) {
 // FetchConnectTimeout for every in-flight fetch.
 func (w *fetchWatch) tick() {
 	r := w.r
-	if r.dead || w.flow.Done() || w.flow.Canceled() {
+	if r.dead || w.flow.Ended() {
 		w.recycle()
 		return
 	}
@@ -522,7 +522,7 @@ func (w *fetchWatch) tick() {
 }
 
 func (w *fetchWatch) recycle() {
-	w.flow = nil
+	w.flow = fairshare.Flow{}
 	w.r.watchFree = append(w.r.watchFree, w)
 }
 

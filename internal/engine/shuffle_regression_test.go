@@ -195,7 +195,7 @@ func TestKillCancelsInFlightDiskOps(t *testing.T) {
 	spec.Conf.ReduceMemoryMB = 512
 	eng, job := newSteppingJob(t, spec, nil)
 	r := stepUntilExec(t, eng, job, func(r *reduceExec) bool { return r.pendingDiskOps > 0 })
-	ops := append([]*fairshare.Flow(nil), r.diskOps...)
+	ops := append([]fairshare.Flow(nil), r.diskOps...)
 	if len(ops) == 0 {
 		t.Fatal("checked build tracks no in-flight disk op")
 	}
@@ -203,7 +203,7 @@ func TestKillCancelsInFlightDiskOps(t *testing.T) {
 
 	r.kill()
 	for _, f := range ops {
-		if !f.Canceled() && !f.Done() {
+		if !f.Ended() {
 			t.Fatalf("disk op %s still running after kill", f.Name())
 		}
 	}

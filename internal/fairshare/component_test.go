@@ -19,7 +19,7 @@ func TestUntouchedComponentKeepsRates(t *testing.T) {
 	bOut, bIn := s.NewPort("node-03/out", 1000), s.NewPort("node-04/in", 1000.0/3)
 	bDisk := s.NewPort("node-04/disk-w", 250)
 	s.StartFlow("a", 1e12, []*Port{aOut, aIn}, 0, nil)
-	b := []*Flow{
+	b := []Flow{
 		s.StartFlow("b", 1e12, []*Port{bOut, bIn}, 0, nil),
 		s.StartFlow("b", 1e12, []*Port{bOut, bDisk}, 0, nil),
 		s.StartFlow("b", 1e12, []*Port{bIn, bDisk}, 100, nil),
@@ -87,12 +87,13 @@ func TestCapRemovalLeavesUnconstrainedFlow(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass keeps Flow in the 112 B allocation size class, as the
-// comments on Flow.epoch and Flow.dead claim: one more word moved it to
-// 128 B and raised the paper sweep's peak RSS by about 4%.
+// TestFlowSizeClass keeps flow storage in the 112 B allocation size
+// class, as the comments on flow.epoch, flow.dead and flow.gen claim: one
+// more word moved it to 128 B and raised the paper sweep's peak RSS by
+// about 4%.
 func TestFlowSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}); n > 112 {
-		t.Fatalf("Flow is %d B, over the 112 B size class", n)
+	if n := unsafe.Sizeof(flow{}); n > 112 {
+		t.Fatalf("flow is %d B, over the 112 B size class", n)
 	}
 }
 
@@ -100,7 +101,7 @@ func TestFlowSizeClass(t *testing.T) {
 // tags and checks every rate against a system that never wraps.
 func TestPassTagWrap(t *testing.T) {
 	var sys [2]*System
-	var flows [2][]*Flow
+	var flows [2][]Flow
 	var ports [2][]*Port
 	for i := range sys {
 		sys[i] = NewSystem(sim.NewEngine(1))

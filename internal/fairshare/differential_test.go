@@ -180,10 +180,15 @@ type diffRig struct {
 	os     *oracleSystem
 	nPorts []*Port
 	oPorts []*oraclePort
-	nFlows []*Flow
+	nFlows []Flow
 	oFlows []*oracleFlow
 	nDone  []completion
 	oDone  []completion
+	// nCanceled records, per System flow, that a Cancel found it running.
+	// A handle reports only Ended, so this and the completions in nDone
+	// are what the rig compares with the oracle's canceled and finished
+	// flags.
+	nCanceled []bool
 	// batched is set once a step has run inside an event. Until then
 	// every event changes flows at most once, so System must report
 	// exactly the oracle's eager work.
@@ -241,8 +246,12 @@ func (r *diffRig) applySystem(o op) {
 		}
 		id := len(r.nFlows)
 		r.nFlows = append(r.nFlows, r.ns.StartFlow(o.name, o.bytes, sel, o.value, func() {
+			if !r.nFlows[id].Ended() {
+				r.t.Fatalf("flow %d: handle not ended when its callback runs", id)
+			}
 			r.nDone = append(r.nDone, completion{id, r.ne.Now()})
 		}))
+		r.nCanceled = append(r.nCanceled, false)
 	case opSetCapacity:
 		if len(r.nPorts) > 0 {
 			r.nPorts[o.port%len(r.nPorts)].SetCapacity(o.value)
@@ -253,7 +262,11 @@ func (r *diffRig) applySystem(o op) {
 		}
 	case opCancel:
 		if len(r.nFlows) > 0 {
-			r.nFlows[o.flow%len(r.nFlows)].Cancel()
+			i := o.flow % len(r.nFlows)
+			if !r.nFlows[i].Ended() {
+				r.nCanceled[i] = true
+			}
+			r.nFlows[i].Cancel()
 		}
 	}
 }
@@ -336,18 +349,34 @@ func (r *diffRig) compare(step int, o op) {
 	if got, want := r.ns.ActiveFlows(), len(r.os.flows); got != want {
 		fail("%d active flows, oracle %d", got, want)
 	}
+	// Every handle the script made is kept, ended ones included, and the
+	// script's cancels and rate caps land on ended handles as often as on
+	// running ones: a stale handle must read as ended and change nothing,
+	// even once its storage runs a later flow.
+	fired := make([]bool, len(r.nFlows))
+	for _, c := range r.nDone {
+		fired[c.flow] = true
+	}
 	for i, f := range r.nFlows {
 		g := r.oFlows[i]
 		if math.Float64bits(f.Rate()) != math.Float64bits(g.Rate()) {
 			fail("flow %d rate %v, oracle %v", i, f.Rate(), g.Rate())
 		}
-		if f.Done() != g.finished || f.Canceled() != g.canceled {
-			fail("flow %d done/canceled %v/%v, oracle %v/%v", i, f.Done(), f.Canceled(), g.finished, g.canceled)
+		if f.Ended() != (g.finished || g.canceled) {
+			fail("flow %d ended %v, oracle finished/canceled %v/%v", i, f.Ended(), g.finished, g.canceled)
 		}
-		if !f.Done() && !f.Canceled() {
-			if math.Float64bits(f.Remaining()) != math.Float64bits(g.Remaining()) {
-				fail("flow %d remaining %v, oracle %v", i, f.Remaining(), g.Remaining())
+		if r.nCanceled[i] != g.canceled {
+			fail("flow %d canceled %v, oracle %v", i, r.nCanceled[i], g.canceled)
+		}
+		if fired[i] && (!g.finished || g.canceled) {
+			fail("flow %d completed, oracle finished/canceled %v/%v", i, g.finished, g.canceled)
+		}
+		if f.Ended() {
+			if f.Remaining() != 0 || f.Name() != "" {
+				fail("ended flow %d reports remaining %v, name %q", i, f.Remaining(), f.Name())
 			}
+		} else if math.Float64bits(f.Remaining()) != math.Float64bits(g.Remaining()) {
+			fail("flow %d remaining %v, oracle %v", i, f.Remaining(), g.Remaining())
 		}
 	}
 	for i, p := range r.nPorts {

@@ -79,9 +79,9 @@ func TestNaNCapacityPanics(t *testing.T) {
 			c.call()
 		}()
 	}
-	if p.Capacity() != 100 || f.capPort.Capacity() != 10 || f.Rate() != 10 || s.ActiveFlows() != 1 {
+	if p.Capacity() != 100 || f.f.capPort.Capacity() != 10 || f.Rate() != 10 || s.ActiveFlows() != 1 {
 		t.Fatalf("capacity %v, cap %v, rate %v, %d flows after the panics, want 100, 10, 10, 1",
-			p.Capacity(), f.capPort.Capacity(), f.Rate(), s.ActiveFlows())
+			p.Capacity(), f.f.capPort.Capacity(), f.Rate(), s.ActiveFlows())
 	}
 }
 
@@ -102,9 +102,12 @@ func TestCancelFinishedFlowIsNoop(t *testing.T) {
 	p := s.NewPort("p", 100)
 	f := s.StartFlow("f", 10, []*Port{p}, 0, nil)
 	e.RunAll()
+	if !f.Ended() {
+		t.Fatal("finished flow has not ended")
+	}
 	f.Cancel() // already done; must not corrupt state
-	if f.Canceled() {
-		t.Fatal("finished flow must not become canceled")
+	if s.ActiveFlows() != 0 || e.Pending() {
+		t.Fatalf("cancel after completion left %d flows, pending events %v", s.ActiveFlows(), e.Pending())
 	}
 }
 

@@ -22,6 +22,7 @@ package fairshare
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"alm/internal/sim"
@@ -58,7 +59,7 @@ type Port struct {
 
 // crossing is a port's record of one flow crossing it.
 type crossing struct {
-	f    *Flow
+	f    *flow
 	link int // index into f.links of the link to this port
 }
 
@@ -142,9 +143,24 @@ func (p *Port) drop(slot int) {
 	p.flows = p.flows[:last]
 }
 
-// Flow is an in-progress transfer of a fixed number of bytes across a set
-// of ports.
+// Flow is a handle to a transfer of a fixed number of bytes across a set
+// of ports. It is a small value: copy it freely, keep it as long as you
+// like. While the transfer runs the handle reaches it; once it has
+// completed or been canceled the handle is stale: Ended reports true,
+// Rate and Remaining report 0, Name reports "", and Cancel and
+// SetPriorityCap do nothing. The zero Flow is stale.
+//
+// A stale handle stays inert even after its System has reused the
+// transfer's storage for a later flow: each reuse bumps the storage's
+// generation, and the handle's copy no longer matches.
 type Flow struct {
+	f   *flow
+	gen uint32
+}
+
+// flow is the storage of one in-progress transfer. A System recycles it
+// (release) when the transfer completes or is canceled.
+type flow struct {
 	name string
 	seq  uint64
 	sys  *System
@@ -160,25 +176,47 @@ type Flow struct {
 	remaining float64
 	rate      float64
 	done      func()
-	finished  bool
-	canceled  bool
 	// frozen is allocate() scratch: whether the flow's rate is fixed in
 	// the current progressive-filling pass.
 	frozen bool
 	// dead counts the flow's links to ports that do not carry (see
-	// carries); the flow is stalled while it is positive. It packs into
-	// the word the flags above leave open, so the struct keeps its size
-	// class (112 B; TestFlowSizeClass).
+	// carries); the flow is stalled while it is positive.
 	dead int32
+	// gen is the storage's generation: a handle reaches the flow while
+	// its gen matches, and release bumps it. With the flags above it
+	// keeps the struct in the 112 B size class (TestFlowSizeClass).
+	gen uint32
 }
 
-// Name returns the flow's diagnostic name.
-func (f *Flow) Name() string { return f.name }
+// live returns the flow h reaches, or nil when h is stale.
+func (h Flow) live() *flow {
+	if h.f == nil || h.f.gen != h.gen {
+		return nil
+	}
+	return h.f
+}
+
+// Ended reports whether the flow has completed or been canceled. It is
+// true from the moment the flow leaves the system: a completed flow's
+// handle already reads ended when its completion callback runs.
+func (h Flow) Ended() bool { return h.live() == nil }
+
+// Name returns the flow's diagnostic name, "" once it has ended.
+func (h Flow) Name() string {
+	if f := h.live(); f != nil {
+		return f.name
+	}
+	return ""
+}
 
 // Rate returns the flow's current allocated rate in bytes/second, 0 once
-// the flow has finished or been canceled. Inside an event handler that
-// has changed the flow set, it runs the pending allocation first.
-func (f *Flow) Rate() float64 {
+// the flow has ended. Inside an event handler that has changed the flow
+// set, it runs the pending allocation first.
+func (h Flow) Rate() float64 {
+	f := h.live()
+	if f == nil {
+		return 0
+	}
 	if f.sys.dirty {
 		f.sys.flush()
 	}
@@ -186,37 +224,38 @@ func (f *Flow) Rate() float64 {
 }
 
 // Remaining returns the bytes left to transfer as of the current virtual
-// instant.
-func (f *Flow) Remaining() float64 {
+// instant, 0 once the flow has ended.
+func (h Flow) Remaining() float64 {
+	f := h.live()
+	if f == nil {
+		return 0
+	}
 	f.sys.advance()
 	return f.remaining
 }
 
-// Done reports whether the flow completed normally.
-func (f *Flow) Done() bool { return f.finished }
-
-// Canceled reports whether the flow was canceled.
-func (f *Flow) Canceled() bool { return f.canceled }
-
 // Cancel removes the flow without invoking its completion callback.
-// Canceling a finished or already-canceled flow is a no-op.
-func (f *Flow) Cancel() {
-	if f.finished || f.canceled {
+// Canceling an ended flow is a no-op.
+func (h Flow) Cancel() {
+	f := h.live()
+	if f == nil {
 		return
 	}
-	f.sys.advance()
-	f.canceled = true
-	f.sys.remove(f)
-	f.sys.reschedule()
+	s := f.sys
+	s.advance()
+	s.remove(f)
+	s.reschedule()
 }
 
 // SetPriorityCap changes the flow's private rate cap (bytes/second).
-// A cap <= 0 removes the cap; a NaN cap panics.
-func (f *Flow) SetPriorityCap(rate float64) {
-	checkCapacity(rate, f.name, "/cap")
-	if f.finished || f.canceled {
+// A cap <= 0 removes the cap; a NaN cap on a running flow panics. On an
+// ended flow it is a no-op.
+func (h Flow) SetPriorityCap(rate float64) {
+	f := h.live()
+	if f == nil {
 		return
 	}
+	checkCapacity(rate, f.name, "/cap")
 	f.sys.advance()
 	if rate <= 0 {
 		if f.capPort != nil {
@@ -251,7 +290,7 @@ func (f *Flow) SetPriorityCap(rate float64) {
 }
 
 // attach links the flow, which must be live, to p.
-func (f *Flow) attach(p *Port) {
+func (f *flow) attach(p *Port) {
 	f.links = append(f.links, link{port: p, slot: len(p.flows)})
 	p.flows = append(p.flows, crossing{f: f, link: len(f.links) - 1})
 	if !carries(p.capacity) {
@@ -262,7 +301,7 @@ func (f *Flow) attach(p *Port) {
 
 // addDead moves the live flow's count of non-carrying links by d and
 // the System's stalled count with it when the flow stalls or unstalls.
-func (f *Flow) addDead(d int32) {
+func (f *flow) addDead(d int32) {
 	was := f.dead > 0
 	f.dead += d
 	if now := f.dead > 0; now != was {
@@ -275,7 +314,7 @@ func (f *Flow) addDead(d int32) {
 }
 
 // firstLink returns the index of the flow's first link to p, or -1.
-func (f *Flow) firstLink(p *Port) int {
+func (f *flow) firstLink(p *Port) int {
 	for k, l := range f.links {
 		if l.port == p {
 			return k
@@ -308,7 +347,7 @@ type Stats struct {
 // System ties ports and flows to a simulation engine.
 type System struct {
 	eng        *sim.Engine
-	flows      []*Flow
+	flows      []*flow
 	lastUpdate sim.Time
 	completion *sim.Timer
 	nextSeq    uint64
@@ -341,8 +380,14 @@ type System struct {
 	allocEpoch uint64
 	heap       bottleneckHeap
 
-	// onCompletion scratch, reused across completion events.
-	finishedScratch []*Flow
+	// onCompletion scratch, reused across completion events: the flows
+	// that finish, then their callbacks.
+	finishedScratch []*flow
+	doneScratch     []func()
+
+	// flowFree recycles the storage of ended flows (release), links
+	// backing arrays included; StartFlow takes from it first.
+	flowFree []*flow
 
 	// capPortFree recycles the private rate-cap ports that capped flows
 	// create and abandon on completion. The event loop is single-
@@ -388,17 +433,21 @@ func (s *System) newPortInternal(name string, capacity float64) *Port {
 }
 
 // newCapPort returns a private rate-cap port, reusing a recycled struct
-// (and its emptied flow list) when one is available. The name string is
-// rebuilt identically either way and the creation number is fresh, so
-// pooling does not perturb the bottleneck tie-break.
+// (and its emptied flow list) when one is available. The name reads
+// flowName+"/cap" either way, and the creation number is fresh, so
+// pooling does not perturb the bottleneck tie-break. A recycled port
+// whose name already reads so (the common case: a node's merges share
+// one flow name) keeps its string instead of building a new one.
 func (s *System) newCapPort(flowName string, rate float64) *Port {
 	if n := len(s.capPortFree); n > 0 {
 		p := s.capPortFree[n-1]
 		s.capPortFree[n-1] = nil
 		s.capPortFree = s.capPortFree[:n-1]
 		s.nextPort++
-		p.name = flowName + "/cap"
-		p.prefix = namePrefix(p.name)
+		if !isCapName(p.name, flowName) {
+			p.name = flowName + "/cap"
+			p.prefix = namePrefix(p.name)
+		}
 		p.seq = s.nextPort
 		p.capacity = rate
 		return p
@@ -406,32 +455,37 @@ func (s *System) newCapPort(flowName string, rate float64) *Port {
 	return s.newPortInternal(flowName+"/cap", rate)
 }
 
+// isCapName reports whether name reads flowName+"/cap", without building
+// that string.
+func isCapName(name, flowName string) bool {
+	return len(name) == len(flowName)+len("/cap") &&
+		strings.HasPrefix(name, flowName) && strings.HasSuffix(name, "/cap")
+}
+
 // StartFlow begins transferring bytes across the given ports, calling
 // done (if non-nil) when the last byte arrives. maxRate > 0 imposes a
 // private rate cap; a NaN maxRate panics. A flow of zero (or negative)
-// bytes completes at the current instant, with done deferred to a fresh
-// engine event.
-func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate float64, done func()) *Flow {
+// bytes, or one with neither ports nor a cap, completes at the current
+// instant: its handle has already ended, and done runs in a fresh engine
+// event.
+func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate float64, done func()) Flow {
 	checkCapacity(maxRate, name, "/cap")
 	s.advance()
 	s.nextSeq++
-	f := &Flow{name: name, seq: s.nextSeq, sys: s, remaining: float64(bytes), done: done}
-	if len(ports) == 0 && maxRate <= 0 {
-		// Unconstrained (e.g., node-local loopback): instantaneous.
-		f.remaining = 0
-	}
-	if f.remaining <= 0 {
-		f.finished = true
+	if bytes <= 0 || (len(ports) == 0 && maxRate <= 0) {
+		// Empty, or unconstrained (e.g., node-local loopback):
+		// instantaneous.
 		if done != nil {
-			s.eng.Schedule(0, done)
+			s.eng.Post(0, done)
 		}
-		return f
+		return Flow{}
 	}
+	f := s.newFlow(len(ports) + 1)
+	f.name, f.seq, f.remaining, f.done = name, s.nextSeq, float64(bytes), done
 	// The flow joins s.flows before it attaches, so attach can count it
 	// as stalled.
 	f.idx = int32(len(s.flows))
 	s.flows = append(s.flows, f)
-	f.links = make([]link, 0, len(ports)+1)
 	for _, p := range ports {
 		if p == nil {
 			panic("fairshare: nil port in StartFlow")
@@ -444,23 +498,54 @@ func (s *System) StartFlow(name string, bytes int64, ports []*Port, maxRate floa
 		f.attach(cp)
 	}
 	s.reschedule()
+	return Flow{f: f, gen: f.gen}
+}
+
+// newFlow returns empty flow storage whose links can hold n entries
+// without growing: recycled storage when there is some, else new.
+func (s *System) newFlow(n int) *flow {
+	var f *flow
+	if k := len(s.flowFree); k > 0 {
+		f = s.flowFree[k-1]
+		s.flowFree[k-1] = nil
+		s.flowFree = s.flowFree[:k-1]
+	} else {
+		f = &flow{sys: s, gen: 1}
+	}
+	if cap(f.links) < n {
+		f.links = make([]link, 0, n)
+	}
 	return f
+}
+
+// release recycles the storage of a flow that has left the system.
+// Bumping gen makes every handle to it stale. Every other field
+// is reset: epoch goes back to 0, the tag no pass uses, because allocate
+// skips a flow whose tag equals the pass's. Storage whose generation
+// wraps is dropped instead of parked: generations start at 1, so its
+// stale handles (1 to 2^32-1) can never match it again.
+func (s *System) release(f *flow) {
+	gen := f.gen + 1
+	links := f.links[:cap(f.links)]
+	clear(links)
+	*f = flow{sys: s, gen: gen, links: links[:0]}
+	if gen != 0 {
+		s.flowFree = append(s.flowFree, f)
+	}
 }
 
 // ActiveFlows returns the number of in-flight flows.
 func (s *System) ActiveFlows() int { return len(s.flows) }
 
-func (s *System) remove(f *Flow) {
+// remove takes the live flow f out of the system, out of s.flows and off
+// its ports, and releases its storage: every handle to it goes stale.
+func (s *System) remove(f *flow) {
 	last := len(s.flows) - 1
 	moved := s.flows[last]
 	s.flows[f.idx] = moved
 	moved.idx = f.idx
 	s.flows[last] = nil
 	s.flows = s.flows[:last]
-	// A flow that left carries nothing. Zeroing the rate also keeps it
-	// independent of whether the passes of the event that removed it
-	// ran one by one or as one.
-	f.rate = 0
 	if f.dead > 0 {
 		s.stalled--
 	}
@@ -475,8 +560,8 @@ func (s *System) remove(f *Flow) {
 		// The private cap port is reachable only through this flow;
 		// recycle it (its flow list is empty again after the loop above).
 		s.capPortFree = append(s.capPortFree, f.capPort)
-		f.capPort = nil
 	}
+	s.release(f)
 }
 
 // advance applies progress at the current rates since the last update.
@@ -588,29 +673,31 @@ func (s *System) onCompletion() {
 	}
 	// Completion callbacks fire in flow-creation order: removals permute
 	// s.flows, so sort by sequence number to keep simulations
-	// reproducible.
+	// reproducible. Each callback is read before remove releases its
+	// flow.
 	sortFlows(finished)
+	dones := s.doneScratch[:0]
 	for _, f := range finished {
-		f.finished = true
+		dones = append(dones, f.done)
 		s.remove(f)
 	}
+	clear(finished)
+	s.finishedScratch = finished[:0]
 	s.reschedule()
-	for _, f := range finished {
-		if f.done != nil {
-			f.done()
+	for _, done := range dones {
+		if done != nil {
+			done()
 		}
 	}
-	// Drop flow references before parking the scratch so the pool does
-	// not pin completed flows (and their done closures) for the run.
-	for i := range finished {
-		finished[i] = nil
-	}
-	s.finishedScratch = finished[:0]
+	// Drop the callbacks before parking the scratch so it does not pin
+	// their closures for the run.
+	clear(dones)
+	s.doneScratch = dones[:0]
 }
 
 const completionEpsilon = 0.5 // half a byte
 
-func sortFlows(fs []*Flow) {
+func sortFlows(fs []*flow) {
 	// Insertion sort: the finished set is nearly always tiny.
 	for i := 1; i < len(fs); i++ {
 		for j := i; j > 0 && fs[j].seq < fs[j-1].seq; j-- {
@@ -642,7 +729,7 @@ func (s *System) gather(p *Port) {
 // (crossed by f alone, once) only the least in the heap's order: until
 // f freezes a solo port's key is its capacity, so no other solo port of
 // f can bind.
-func (s *System) visit(f *Flow, epoch uint32) {
+func (s *System) visit(f *flow, epoch uint32) {
 	f.epoch = epoch
 	f.rate = 0
 	f.frozen = false

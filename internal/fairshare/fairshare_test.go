@@ -119,8 +119,8 @@ func TestCancelDoesNotCallDone(t *testing.T) {
 	if called {
 		t.Fatal("done callback ran for a canceled flow")
 	}
-	if !f.Canceled() || f.Done() {
-		t.Fatalf("flow state: canceled=%v done=%v", f.Canceled(), f.Done())
+	if !f.Ended() || f.Remaining() != 0 || f.Rate() != 0 {
+		t.Fatalf("canceled flow: ended=%v remaining=%v rate=%v", f.Ended(), f.Remaining(), f.Rate())
 	}
 }
 
@@ -152,8 +152,8 @@ func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	p := s.NewPort("nic", 100)
 	done := false
 	f := s.StartFlow("f", 0, []*Port{p}, 0, func() { done = true })
-	if !f.Done() {
-		t.Fatal("zero-byte flow should report done synchronously")
+	if !f.Ended() {
+		t.Fatal("zero-byte flow should report ended synchronously")
 	}
 	e.RunAll()
 	if !done {
@@ -234,7 +234,7 @@ func TestQuickCapacityConservation(t *testing.T) {
 		for i := range ports {
 			ports[i] = s.NewPort("p", float64(rng.Intn(900)+100))
 		}
-		load := make(map[*Port][]*Flow)
+		load := make(map[*Port][]Flow)
 		for i := 0; i < 20; i++ {
 			k := rng.Intn(3) + 1
 			sel := make([]*Port, 0, k)
@@ -289,7 +289,7 @@ func TestCompletionPastHorizonArmsNoTimer(t *testing.T) {
 			e.SetMaxEvents(50)
 			s := NewSystem(e)
 			p := s.NewPort("slow", 5) // 1e12 bytes need 2e11 s; 100 need 20 s
-			var f *Flow
+			var f Flow
 			start := func() { f = s.StartFlow("f", tc.bytes, []*Port{p}, 0, nil) }
 			if tc.inEvent {
 				e.At(tc.at, start)
@@ -299,7 +299,7 @@ func TestCompletionPastHorizonArmsNoTimer(t *testing.T) {
 				start()
 			}
 			e.RunAll()
-			if f.Done() {
+			if f.Ended() {
 				t.Fatal("flow finished although its completion lies past the horizon")
 			}
 			if got := f.Remaining(); got != float64(tc.bytes) {

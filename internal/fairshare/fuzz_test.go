@@ -41,7 +41,7 @@ func certifyMaxMin(r *diffRig, step int, o op) {
 	load := make(map[*Port]float64)
 	fastest := make(map[*Port]float64)
 	for _, f := range r.ns.flows {
-		rate := f.Rate()
+		rate := f.rate
 		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
 			t.Fatalf("step %d %v: flow %q has rate %v", step, o, f.name, rate)
 		}

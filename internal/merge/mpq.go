@@ -18,10 +18,11 @@ type MPQ struct {
 	startTotal int // sum of resume offsets at construction
 }
 
+// mpqEntry is a segment's next record. Equal keys pop in segment order:
+// less breaks ties on segIdx, so the merge is deterministic.
 type mpqEntry struct {
 	segIdx int
 	rec    mr.Record
-	tie    int // segment index as deterministic tie-break
 }
 
 // mpqHeap is a typed binary min-heap. The merge loop pushes and pops one
@@ -40,7 +41,7 @@ func (h *mpqHeap) less(a, b *mpqEntry) bool {
 	if c != 0 {
 		return c < 0
 	}
-	return a.tie < b.tie
+	return a.segIdx < b.segIdx
 }
 
 func (h *mpqHeap) push(e mpqEntry) {
@@ -112,7 +113,7 @@ func NewMPQ(cmp mr.KeyComparator, segments []*Segment, start Positions) *MPQ {
 		cmp:  cmp,
 		segs: segments,
 		pos:  make([]int, len(segments)),
-		h:    mpqHeap{cmp: cmp},
+		h:    mpqHeap{cmp: cmp, entries: make([]mpqEntry, 0, len(segments))},
 	}
 	for i := range segments {
 		if start != nil {
@@ -120,7 +121,7 @@ func NewMPQ(cmp mr.KeyComparator, segments []*Segment, start Positions) *MPQ {
 			q.startTotal += start[i]
 		}
 		if q.pos[i] < len(segments[i].Records) {
-			q.h.entries = append(q.h.entries, mpqEntry{segIdx: i, rec: segments[i].Records[q.pos[i]], tie: i})
+			q.h.entries = append(q.h.entries, mpqEntry{segIdx: i, rec: segments[i].Records[q.pos[i]]})
 			q.pos[i]++
 		}
 	}
@@ -145,7 +146,7 @@ func (q *MPQ) NextFrom() (rec mr.Record, segIdx int, ok bool) {
 	e := q.h.pop()
 	i := e.segIdx
 	if q.pos[i] < len(q.segs[i].Records) {
-		q.h.push(mpqEntry{segIdx: i, rec: q.segs[i].Records[q.pos[i]], tie: i})
+		q.h.push(mpqEntry{segIdx: i, rec: q.segs[i].Records[q.pos[i]]})
 		q.pos[i]++
 	}
 	return e.rec, i, true

@@ -86,37 +86,37 @@ func Benchmarks() []Bench {
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: Budget{AllocsPerOp: 44_392, BytesPerOp: 4_412_980},
+			Budget: Budget{AllocsPerOp: 32_925, BytesPerOp: 3_185_886},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: Budget{AllocsPerOp: 47_609, BytesPerOp: 4_691_162},
+			Budget: Budget{AllocsPerOp: 34_599, BytesPerOp: 3_363_938},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: Budget{AllocsPerOp: 6_587, BytesPerOp: 843_530},
+			Budget: Budget{AllocsPerOp: 5_648, BytesPerOp: 772_001},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: Budget{AllocsPerOp: 47_731, BytesPerOp: 4_696_924},
+			Budget: Budget{AllocsPerOp: 34_721, BytesPerOp: 3_369_648},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: Budget{AllocsPerOp: 238_109, BytesPerOp: 22_478_666},
+			Budget: Budget{AllocsPerOp: 165_883, BytesPerOp: 14_898_088},
 		},
 		{
 			Name:   "remote_shuffle_crash",
 			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
 			Func:   benchRemoteShuffleCrash,
-			Budget: Budget{AllocsPerOp: 58_835, BytesPerOp: 5_551_757},
+			Budget: Budget{AllocsPerOp: 38_983, BytesPerOp: 3_892_758},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -125,19 +125,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: Budget{AllocsPerOp: 31_262, BytesPerOp: 6_162_130},
+			Budget: Budget{AllocsPerOp: 26_145, BytesPerOp: 5_717_752},
 		},
 		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at Workers workers",
 			Func:   benchSweepParallel,
-			Budget: Budget{AllocsPerOp: 54_661, BytesPerOp: 4_551_147},
+			Budget: Budget{AllocsPerOp: 37_357, BytesPerOp: 3_033_482},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: Budget{AllocsPerOp: 1_322_239, BytesPerOp: 149_102_528},
+			Budget: Budget{AllocsPerOp: 1_055_046, BytesPerOp: 120_935_592},
 		},
 	}
 }

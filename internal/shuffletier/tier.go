@@ -92,7 +92,7 @@ type pushReq struct {
 	srcNode  topology.NodeID // resolved read-side node (for cancellation)
 	queued   bool
 	queuedAt sim.Time
-	flow     *fairshare.Flow
+	flow     fairshare.Flow
 }
 
 // tierNode is the shuffle service instance on one topology node.
@@ -488,7 +488,7 @@ func (t *Tier) maybeCommit(m int, ms *mapState) {
 	t.tr.Emit(t.eng.Now(), trace.KindTierCommitted, "", "", segDetail("all partitions stored,", m, t.numParts-1))
 	if cb := ms.onCommit; cb != nil {
 		ms.onCommit = nil
-		t.eng.Schedule(0, cb)
+		t.eng.Post(0, cb)
 	}
 	t.reconcileMap(m, ms) // restore redundancy if the push ran degraded
 }

@@ -74,3 +74,21 @@ func TestCascadeAllocFree(t *testing.T) {
 		t.Fatalf("cascade allocs/op = %v, want <= 2 (the timers themselves)", allocs)
 	}
 }
+
+// TestPostAllocFree pins Post's recycling: once a posted timer has fired,
+// Step parks it and the next Post reuses it, so a steady stream of
+// fire-and-forget events (serve loops, heartbeats, watchdog probes)
+// allocates nothing.
+func TestPostAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	e.Post(time.Second, fn)
+	e.RunAll()
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Post(time.Second, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post+Step allocs/op = %v, want 0", allocs)
+	}
+}

@@ -9,8 +9,8 @@ import (
 
 // Differential tester: drive the engine's timing wheel and refLoop, a
 // reference event loop kept deliberately naive, through the same
-// randomized script of mixed Schedule / Stop / Reschedule / Retime / Run
-// operations and assert bit-identical behaviour — firing sequence,
+// randomized script of mixed Schedule / Post / Stop / Reschedule /
+// Retime / Run operations and assert bit-identical behaviour — firing sequence,
 // virtual clock, Stop return values, queue accounting. refLoop is the
 // oracle: a sorted list of pending events, ordered by (at, seq) with its
 // own comparison so a fault in the wheel's ordering key cannot hide in
@@ -24,7 +24,7 @@ import (
 // bursts, level boundaries, and beyond-horizon overflow times.
 
 const (
-	dopSchedule = iota // schedule into a slot
+	dopSchedule = iota // schedule into a slot, or post (diffOp.post)
 	dopStop            // stop the timer in a slot
 	dopResched         // reschedule the timer in a slot (any state)
 	dopRetime          // retime the timer in a slot, if it is pending
@@ -36,10 +36,14 @@ const (
 	dactNone     = iota
 	dactSchedule // from inside the callback, schedule a child
 	dactStop     // from inside the callback, stop another slot
+	dactPost     // from inside the callback, post a child
 )
 
 type diffOp struct {
-	kind    int
+	kind int
+	// post makes a dopSchedule a Post: no handle, so the slot keeps the
+	// timer it held, and the wheel recycles the Timer once it fires.
+	post    bool
 	slot    int
 	delay   Time
 	id      int
@@ -75,14 +79,19 @@ func genScript(rng *rand.Rand, ops, slots int) []diffOp {
 		switch r := rng.Intn(100); {
 		case r < 45:
 			op.kind = dopSchedule
+			op.post = rng.Intn(4) == 0
 			// A third of scheduled events do something inside their callback.
-			switch a := rng.Intn(9); {
+			switch a := rng.Intn(12); {
 			case a < 2:
 				op.act, op.actSlot, op.actDly = dactSchedule, rng.Intn(slots), delay()
 				op.childID = nextID
 				nextID++
 			case a < 3:
 				op.act, op.actSlot = dactStop, rng.Intn(slots)
+			case a < 4:
+				op.act, op.actDly = dactPost, delay()
+				op.childID = nextID
+				nextID++
 			}
 		case r < 65:
 			op.kind = dopStop
@@ -176,6 +185,9 @@ func (r *refLoop) Schedule(delay Time, fn func()) *refTimer {
 	return t
 }
 
+// Post is Schedule with the handle dropped.
+func (r *refLoop) Post(delay Time, fn func()) { r.Schedule(delay, fn) }
+
 func (t *refTimer) Stop() bool {
 	if t == nil || !t.pending {
 		return false
@@ -250,6 +262,7 @@ type diffTimer interface {
 
 type diffEngine[T diffTimer] interface {
 	Schedule(delay Time, fn func()) T
+	Post(delay Time, fn func())
 	Run(until Time)
 	RunAll()
 	Now() Time
@@ -273,6 +286,9 @@ func runScript[T diffTimer](e diffEngine[T], script []diffOp, slots int) diffOut
 			case dactSchedule:
 				child := diffOp{kind: dopSchedule, slot: op.actSlot, delay: op.actDly, id: op.childID}
 				timers[child.slot] = e.Schedule(child.delay, callback(child))
+			case dactPost:
+				child := diffOp{kind: dopSchedule, post: true, delay: op.actDly, id: op.childID}
+				e.Post(child.delay, callback(child))
 			case dactStop:
 				out.stops = append(out.stops, timers[op.actSlot].Stop())
 			}
@@ -281,7 +297,11 @@ func runScript[T diffTimer](e diffEngine[T], script []diffOp, slots int) diffOut
 	for _, op := range script {
 		switch op.kind {
 		case dopSchedule:
-			timers[op.slot] = e.Schedule(op.delay, callback(op))
+			if op.post {
+				e.Post(op.delay, callback(op))
+			} else {
+				timers[op.slot] = e.Schedule(op.delay, callback(op))
+			}
 		case dopStop:
 			out.stops = append(out.stops, timers[op.slot].Stop())
 		case dopResched:

@@ -27,7 +27,8 @@ const maxFuzzOps = 1024
 // operation:
 //   - byte 0: the kind (low 3 bits: schedule ×3, stop, reschedule,
 //     retime, run, run-all) and, for a schedule, what its callback does
-//     (next 2 bits: 1 schedules a child, 2 stops a slot, else nothing);
+//     (next 2 bits: 1 schedules a child, 2 stops a slot, 3 posts a
+//     child, 0 nothing) and whether it is a Post (bit 5);
 //   - byte 1: the slot (mod slots) and the callback's slot (high nibble);
 //   - byte 2: the delay, an index into the diffDelays grid;
 //   - byte 3: the child's delay, an index into the same grid.
@@ -47,6 +48,7 @@ func decodeQueueScript(data []byte) ([]diffOp, int) {
 		switch data[0] % 8 {
 		case 0, 1, 2:
 			op.kind = dopSchedule
+			op.post = data[0]&(1<<5) != 0
 			switch (data[0] >> 3) % 4 {
 			case 1:
 				op.act, op.actSlot, op.actDly = dactSchedule, int(data[1]>>4)%slots, grid(data[3])
@@ -54,6 +56,10 @@ func decodeQueueScript(data []byte) ([]diffOp, int) {
 				nextID++
 			case 2:
 				op.act, op.actSlot = dactStop, int(data[1]>>4)%slots
+			case 3:
+				op.act, op.actDly = dactPost, grid(data[3])
+				op.childID = nextID
+				nextID++
 			}
 		case 3:
 			op.kind = dopStop

@@ -50,13 +50,18 @@ const (
 //
 // The struct is laid out to stay within one 64-byte allocation class —
 // the timer_churn benchmark budget (64 B/op, zero tolerance) pins that.
+//
+// A timer armed by Engine.Post has no handle outside the engine: once it
+// fires, Step parks it on the engine's free list, and the next Schedule,
+// At or Post reuses it.
 type Timer struct {
 	eng *Engine
 	at  Time
 	seq uint64
 	fn  func()
 	// prev/next link the timer into a wheel bucket's intrusive
-	// doubly-linked list while loc == locBucket; nil otherwise.
+	// doubly-linked list while loc == locBucket; next also links the
+	// engine's free list while the timer is parked there; nil otherwise.
 	prev, next *Timer
 	// idx is the timer's position inside a timerHeap while loc is
 	// locReady or locOverflow; -1 otherwise.
@@ -68,6 +73,8 @@ type Timer struct {
 	// unlinking can fix the bucket's head/tail and occupancy bit in O(1).
 	lvl  uint8
 	slot uint8
+	// posted marks a timer armed by Post, which Step recycles.
+	posted bool
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
@@ -162,6 +169,10 @@ type Engine struct {
 	q       *wheelQueue
 	rng     *rand.Rand
 	stopped bool
+	// inEvent is true while Step runs an event handler (not its
+	// after-event hooks). It shares stopped's word, which keeps the
+	// Engine in the 128 B size class with free below.
+	inEvent bool
 	// Processed counts events that have fired; useful for loop guards in
 	// tests and as a sanity metric.
 	processed uint64
@@ -182,14 +193,15 @@ type Engine struct {
 	interruptFn    func() bool
 	interruptEvery uint64
 	interruptLeft  uint64
-	// inEvent is true while Step runs an event handler (not its
-	// after-event hooks).
-	inEvent bool
 	// afterEvent holds the hooks registered by the running handler, in
 	// registration order. Step runs and clears them once the handler
 	// returns; the slice keeps its capacity, so registering costs no
 	// allocation in the steady state.
 	afterEvent []func()
+	// free heads a list, linked through Timer.next, of posted timers
+	// that have fired: no handle reaches them, so the next arming
+	// reuses one.
+	free *Timer
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -249,11 +261,38 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
+	return e.arm(t, fn, false)
+}
+
+// Post runs fn after delay of virtual time, like Schedule, but returns no
+// handle, so the event cannot be stopped or re-armed. In exchange its
+// Timer is recycled: Step parks it once it has taken fn, and the next
+// Schedule, At or Post reuses it. Post consumes a sequence number and a
+// queue slot exactly as Schedule does, so swapping one for the other
+// where the handle is discarded moves no event. A negative delay is
+// treated as zero.
+func (e *Engine) Post(delay Time, fn func()) {
+	if fn == nil {
+		panic("sim: Post called with nil callback")
+	}
+	e.arm(e.now+max(delay, 0), fn, true)
+}
+
+// arm queues fn at t (clamped to now) on a parked timer when there is
+// one, else on a new one.
+func (e *Engine) arm(t Time, fn func(), posted bool) *Timer {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	tm := &Timer{eng: e, at: t, seq: e.seq, fn: fn}
+	tm := e.free
+	if tm != nil {
+		e.free = tm.next
+		tm.next = nil
+		tm.at, tm.seq, tm.fn, tm.posted = t, e.seq, fn, posted
+	} else {
+		tm = &Timer{eng: e, at: t, seq: e.seq, fn: fn, posted: posted}
+	}
 	e.enqueue(tm)
 	return tm
 }
@@ -307,6 +346,10 @@ func (e *Engine) Step() bool {
 	}
 	fn := tm.fn
 	tm.fn = nil
+	if tm.posted {
+		tm.next = e.free
+		e.free = tm
+	}
 	e.inEvent = true
 	fn()
 	e.inEvent = false

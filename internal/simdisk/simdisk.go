@@ -134,7 +134,7 @@ func (d *Disks) WritePort(id topology.NodeID) *fairshare.Port { return d.write[i
 
 // Write charges a local disk write of the given size and calls done when
 // it completes.
-func (d *Disks) Write(id topology.NodeID, bytes int64, done func()) *fairshare.Flow {
+func (d *Disks) Write(id topology.NodeID, bytes int64, done func()) fairshare.Flow {
 	d.BytesWritten[id] += bytes
 	d.countWrite(id, bytes)
 	ports := append(d.portScratch[:0], d.write[id])
@@ -146,7 +146,7 @@ func (d *Disks) Write(id topology.NodeID, bytes int64, done func()) *fairshare.F
 // ReadWrite charges a combined read-modify-write (e.g., an on-disk merge
 // pass reads inputs and writes the merged output concurrently): a single
 // flow of the given size crossing both the read and write ports.
-func (d *Disks) ReadWrite(id topology.NodeID, bytes int64, done func()) *fairshare.Flow {
+func (d *Disks) ReadWrite(id topology.NodeID, bytes int64, done func()) fairshare.Flow {
 	d.BytesRead[id] += bytes
 	d.BytesWritten[id] += bytes
 	d.countRead(id, bytes)

@@ -55,7 +55,7 @@ func TestTransferNilCallback(t *testing.T) {
 	n := New(e, testTopo())
 	f := transfer(n, 0, 1, 100, nil)
 	e.RunAll()
-	if !f.Done() {
+	if !f.Ended() {
 		t.Fatal("transfer with nil callback should still complete")
 	}
 }

@@ -19,7 +19,7 @@ func testTopo() *topology.Topology {
 // transfer starts a bytes-long flow from src to dst over the ports
 // PortsFor names, invoking done on completion. Local transfers (src ==
 // dst) cross no port and complete at once.
-func transfer(n *Network, src, dst topology.NodeID, bytes int64, done func()) *fairshare.Flow {
+func transfer(n *Network, src, dst topology.NodeID, bytes int64, done func()) fairshare.Flow {
 	return n.System().StartFlow(fmt.Sprintf("xfer:%d->%d", src, dst), bytes, n.PortsFor(src, dst), 0, done)
 }
 

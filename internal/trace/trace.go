@@ -25,6 +25,7 @@ const (
 	KindMapRescheduled Kind = "map-rescheduled"
 	KindLogSnapshot    Kind = "alg-log-snapshot"
 	KindLogRestored    Kind = "alg-log-restored"
+	KindCkptRestored   Kind = "ckpt-restored"
 	KindFCMStarted     Kind = "fcm-started"
 	KindWaitAdvisory   Kind = "wait-advisory"
 	KindNodeHealed     Kind = "node-healed"
