@@ -50,9 +50,9 @@ lint-test:
 # flows, capacity changes, rate caps and cancels, each step checked
 # against the map-based oracle allocator and a max-min fairness
 # certificate (DESIGN.md §10). FuzzAllocateBatched then searches 10 s
-# more with some of those changes batched inside one engine event, so
-# several changes share one deferred allocation. FuzzQueue then searches
-# 10 s of scripts of schedules, posts, stops, reschedules, retimes and runs on
+# more with some of those changes batched at one instant, in one engine
+# event or several, so several changes share one deferred allocation.
+# FuzzQueue then searches 10 s of scripts of schedules, posts, stops, reschedules, retimes and runs on
 # the sim's timing wheel against the sorted-list reference loop.
 # FuzzHostIndex then searches 10 s of scripts of moves and deliveries on
 # a reducer's host index (internal/engine) against a map-per-host

@@ -14,49 +14,72 @@
 //
 //	almrun -chaos -seeds 50          # seeds 11..60 (from -seed)
 //	almrun -chaos -seed 1234 -seeds 1 -v   # reproduce one seed, verbose
+//
+// -cost appends the simulator's work counters for the job
+// (Result.Events: events fired, allocator passes, ...), one per line.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 
 	"alm"
 	"alm/internal/chaos"
+	"alm/internal/engine"
 	"alm/internal/metrics"
 	"alm/internal/metrics/lint"
 	"alm/internal/tournament"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs what they ask for, prints to stdout and stderr,
+// and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("almrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "wordcount", "terasort | wordcount | secondarysort")
-		sizeGB   = flag.Float64("size-gb", 10, "input size in GB (logical, paper scale)")
-		reduces  = flag.Int("reduces", 1, "number of ReduceTasks")
-		modeStr  = flag.String("mode", "yarn", "yarn | alg | sfm | alm")
-		failKind = flag.String("fail", "none", "none | reduce-task | map-task | node-of-reduce | mof-node | concurrent-reduces | slow-node")
-		at       = flag.Float64("at", 0.5, "progress fraction at which the fault fires")
-		count    = flag.Int("count", 1, "task count for concurrent-reduces")
-		seed     = flag.Int64("seed", 11, "simulation seed")
-		events   = flag.Bool("events", false, "dump the failure/recovery event trace")
-		timeline = flag.Bool("timeline", false, "dump the reduce-progress timeline")
-		iss      = flag.Bool("iss", false, "enable ISS intermediate-data replication (related work)")
-		ckpt     = flag.Bool("checkpoint", false, "enable heavyweight full-image checkpointing (related work)")
-		slow     = flag.Float64("slow-factor", 0, "with -fail slow-node: disk bandwidth multiplier (e.g. 0.05)")
-		shuffle  = flag.String("shuffle", "local", "local | remote: shuffle data path (remote pushes MOFs to the replicated shuffle tier; with -chaos, sweeps the remote invariant matrix)")
-		chaosRun = flag.Bool("chaos", false, "run the chaos invariant checker instead of a single job")
-		tourney  = flag.Bool("tournament", false, "race the recovery-policy set head-to-head under seeded chaos schedules and print a league table per fault class")
-		standing = flag.Bool("standings", false, "with -tournament: print the regret-weighted overall standings instead of the per-class league table")
-		seedDet  = flag.Int64("seed-detail", -1, "with -tournament: print the drill-down (schedule + per-policy outcomes) for this seed instead of the league table")
-		policies = flag.String("policies", "", "with -tournament: comma-separated policy names (default: every registered policy)")
-		seeds    = flag.Int("seeds", 50, "with -chaos/-tournament: how many consecutive seeds to sweep (starting at -seed)")
-		workers  = flag.Int("workers", runtime.NumCPU(), "with -chaos/-tournament: parallel sweep engines (output is byte-identical at any worker count)")
-		verbose  = flag.Bool("v", false, "with -chaos/-tournament: print each generated schedule")
-		metricsP = flag.String("metrics", "", "write the run's metrics snapshot to this path (Prometheus text; .json suffix switches to JSON)")
+		workload = fs.String("workload", "wordcount", "terasort | wordcount | secondarysort")
+		sizeGB   = fs.Float64("size-gb", 10, "input size in GB (logical, paper scale)")
+		reduces  = fs.Int("reduces", 1, "number of ReduceTasks")
+		modeStr  = fs.String("mode", "yarn", "yarn | alg | sfm | alm")
+		failKind = fs.String("fail", "none", "none | reduce-task | map-task | node-of-reduce | mof-node | concurrent-reduces | slow-node")
+		at       = fs.Float64("at", 0.5, "progress fraction at which the fault fires")
+		count    = fs.Int("count", 1, "task count for concurrent-reduces")
+		seed     = fs.Int64("seed", 11, "simulation seed")
+		events   = fs.Bool("events", false, "dump the failure/recovery event trace")
+		timeline = fs.Bool("timeline", false, "dump the reduce-progress timeline")
+		iss      = fs.Bool("iss", false, "enable ISS intermediate-data replication (related work)")
+		ckpt     = fs.Bool("checkpoint", false, "enable heavyweight full-image checkpointing (related work)")
+		slow     = fs.Float64("slow-factor", 0, "with -fail slow-node: disk bandwidth multiplier (e.g. 0.05)")
+		shuffle  = fs.String("shuffle", "local", "local | remote: shuffle data path (remote pushes MOFs to the replicated shuffle tier; with -chaos, sweeps the remote invariant matrix)")
+		chaosRun = fs.Bool("chaos", false, "run the chaos invariant checker instead of a single job")
+		tourney  = fs.Bool("tournament", false, "race the recovery-policy set head-to-head under seeded chaos schedules and print a league table per fault class")
+		standing = fs.Bool("standings", false, "with -tournament: print the regret-weighted overall standings instead of the per-class league table")
+		seedDet  = fs.Int64("seed-detail", -1, "with -tournament: print the drill-down (schedule + per-policy outcomes) for this seed instead of the league table")
+		policies = fs.String("policies", "", "with -tournament: comma-separated policy names (default: every registered policy)")
+		seeds    = fs.Int("seeds", 50, "with -chaos/-tournament: how many consecutive seeds to sweep (starting at -seed)")
+		workers  = fs.Int("workers", runtime.NumCPU(), "with -chaos/-tournament: parallel sweep engines (output is byte-identical at any worker count)")
+		verbose  = fs.Bool("v", false, "with -chaos/-tournament: print each generated schedule")
+		metricsP = fs.String("metrics", "", "write the run's metrics snapshot to this path (Prometheus text; .json suffix switches to JSON)")
+		cost     = fs.Bool("cost", false, "print the job's work counters (Result.Events), one per line")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "almrun:", err)
+		return 2
+	}
 
 	remote := false
 	switch *shuffle {
@@ -64,18 +87,21 @@ func main() {
 	case "remote":
 		remote = true
 	default:
-		fatal(fmt.Errorf("unknown shuffle path %q", *shuffle))
+		return fatal(fmt.Errorf("unknown shuffle path %q", *shuffle))
+	}
+	if *cost && (*chaosRun || *tourney) {
+		return fatal(errors.New("-cost prints one job's counters; it does not combine with -chaos or -tournament"))
 	}
 	if *chaosRun {
-		os.Exit(runChaos(*seed, *seeds, *workers, remote, *verbose, *metricsP))
+		return runChaos(stdout, stderr, *seed, *seeds, *workers, remote, *verbose, *metricsP)
 	}
 	if *tourney {
-		os.Exit(runTournament(*seed, *seeds, *workers, *policies, *verbose, *standing, *seedDet))
+		return runTournament(stdout, stderr, *seed, *seeds, *workers, *policies, *verbose, *standing, *seedDet)
 	}
 
 	w, err := alm.WorkloadByName(*workload)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	var mode alm.Mode
 	switch *modeStr {
@@ -88,7 +114,7 @@ func main() {
 	case "alm":
 		mode = alm.ModeALM
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeStr))
+		return fatal(fmt.Errorf("unknown mode %q", *modeStr))
 	}
 	var plan *alm.FaultPlan
 	switch *failKind {
@@ -110,7 +136,7 @@ func main() {
 		}
 		plan = alm.SlowNodeOfTaskAtReduceProgress(alm.ReduceTask, 0, *at, factor)
 	default:
-		fatal(fmt.Errorf("unknown fault kind %q", *failKind))
+		return fatal(fmt.Errorf("unknown fault kind %q", *failKind))
 	}
 
 	spec := alm.JobSpec{
@@ -135,51 +161,65 @@ func main() {
 	}
 	res, err := alm.Run(spec, alm.DefaultClusterSpec(), opts...)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *metricsP != "" {
 		if err := writeMetrics(*metricsP, res.Metrics); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("metrics         written to %s\n", *metricsP)
+		fmt.Fprintf(stdout, "metrics         written to %s\n", *metricsP)
 	}
 
-	fmt.Printf("workload        %s (%.1f GB, %d reducers, mode %v)\n", *workload, *sizeGB, *reduces, mode)
+	fmt.Fprintf(stdout, "workload        %s (%.1f GB, %d reducers, mode %v)\n", *workload, *sizeGB, *reduces, mode)
 	if res.Completed {
-		fmt.Printf("status          completed in %v (virtual time)\n", res.Duration)
+		fmt.Fprintf(stdout, "status          completed in %v (virtual time)\n", res.Duration)
 	} else {
-		fmt.Printf("status          FAILED: %s\n", res.FailReason)
+		fmt.Fprintf(stdout, "status          FAILED: %s\n", res.FailReason)
 	}
-	fmt.Printf("map phase       done at %v\n", res.MapPhaseDone)
-	fmt.Printf("output          %d records, %d logical bytes\n", len(res.Output), res.OutputLogicalBytes)
-	fmt.Printf("failures        map attempts %d, reduce attempts %d (additional on healthy nodes: %d)\n",
+	fmt.Fprintf(stdout, "map phase       done at %v\n", res.MapPhaseDone)
+	fmt.Fprintf(stdout, "output          %d records, %d logical bytes\n", len(res.Output), res.OutputLogicalBytes)
+	fmt.Fprintf(stdout, "failures        map attempts %d, reduce attempts %d (additional on healthy nodes: %d)\n",
 		res.MapAttemptFailures, res.ReduceAttemptFailures, res.AdditionalReduceFailures)
 	if len(res.Counters) > 0 {
-		fmt.Printf("counters        %v\n", res.Counters)
+		fmt.Fprintf(stdout, "counters        %v\n", res.Counters)
 	}
 	if *events {
-		fmt.Println("\nevents:")
-		fmt.Print(res.Trace.Dump())
+		fmt.Fprintln(stdout, "\nevents:")
+		fmt.Fprint(stdout, res.Trace.Dump())
 	}
 	if *timeline {
-		fmt.Println("\nreduce-progress timeline:")
+		fmt.Fprintln(stdout, "\nreduce-progress timeline:")
 		for _, p := range res.Trace.Series("reduce-progress") {
-			fmt.Printf("  %7.1fs %6.1f%%\n", p.At.Seconds(), p.Value*100)
+			fmt.Fprintf(stdout, "  %7.1fs %6.1f%%\n", p.At.Seconds(), p.Value*100)
 		}
 	}
+	if *cost {
+		fmt.Fprintln(stdout, "\ncost:")
+		printCost(stdout, res.Events)
+	}
 	if !res.Completed {
-		os.Exit(1)
+		return 1
+	}
+	return 0
+}
+
+// printCost prints each of the job's work counters (Result.Events) on
+// its own line: the field name, then the value.
+func printCost(w io.Writer, ev engine.EventStats) {
+	v := reflect.ValueOf(ev)
+	for i := 0; i < v.NumField(); i++ {
+		fmt.Fprintf(w, "  %-14s %v\n", v.Type().Field(i).Name, v.Field(i))
 	}
 }
 
 // runChaos sweeps n consecutive chaos seeds (chaos.Sweep prints the
 // transcript) and returns the process exit code.
-func runChaos(first int64, n, workers int, remote, verbose bool, metricsPath string) int {
+func runChaos(stdout, stderr io.Writer, first int64, n, workers int, remote, verbose bool, metricsPath string) int {
 	reg := metrics.NewRegistry()
-	bad := chaos.Sweep(os.Stdout, first, n, workers, remote, verbose, reg)
+	bad := chaos.Sweep(stdout, first, n, workers, remote, verbose, reg)
 	if metricsPath != "" {
 		if err := writeMetrics(metricsPath, reg.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "almrun:", err)
+			fmt.Fprintln(stderr, "almrun:", err)
 			return 2
 		}
 	}
@@ -195,7 +235,7 @@ func runChaos(first int64, n, workers int, remote, verbose bool, metricsPath str
 // TestLeagueGolden pins it against a checked-in golden), the
 // regret-weighted standings (-standings), or one seed's drill-down
 // (-seed-detail). Returns the process exit code.
-func runTournament(first int64, n, workers int, policiesCSV string, verbose, standings bool, seedDetail int64) int {
+func runTournament(stdout, stderr io.Writer, first int64, n, workers int, policiesCSV string, verbose, standings bool, seedDetail int64) int {
 	opts := tournament.Options{FirstSeed: first, Seeds: n, Workers: workers}
 	if policiesCSV != "" {
 		for _, p := range strings.Split(policiesCSV, ",") {
@@ -208,21 +248,21 @@ func runTournament(first int64, n, workers int, policiesCSV string, verbose, sta
 		sh, _ := chaos.CheckShape()
 		for seed := first; seed < first+int64(n); seed++ {
 			sched := chaos.Generate(seed, chaos.DefaultBudget(), sh)
-			fmt.Print(sched.String())
+			fmt.Fprint(stdout, sched.String())
 		}
 	}
 	res, err := tournament.Run(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "almrun:", err)
+		fmt.Fprintln(stderr, "almrun:", err)
 		return 2
 	}
 	switch {
 	case seedDetail >= 0:
-		fmt.Print(res.FormatSeedDetail(seedDetail))
+		fmt.Fprint(stdout, res.FormatSeedDetail(seedDetail))
 	case standings:
-		fmt.Print(res.FormatStandings())
+		fmt.Fprint(stdout, res.FormatStandings())
 	default:
-		fmt.Print(res.Format())
+		fmt.Fprint(stdout, res.Format())
 	}
 	return 0
 }
@@ -242,9 +282,4 @@ func writeMetrics(path string, snap *alm.MetricsSnapshot) error {
 		data = snap.JSON()
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "almrun:", err)
-	os.Exit(2)
 }

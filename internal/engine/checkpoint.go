@@ -176,7 +176,6 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 	r.inMem = append([]*merge.Segment{}, img.inMem...)
 	r.inMemMaps = append([]int{}, img.inMemMaps...)
 	r.inMemBytes = img.inMemBytes
-	r.shuffledLogical = merge.TotalLogicalBytes(r.onDisk) + merge.TotalLogicalBytes(r.inMem)
 	if img.stage == core.StageReduce {
 		r.finalSegs = append([]*merge.Segment{}, img.finalSegs...)
 		r.totalLogical = merge.TotalLogicalBytes(r.finalSegs)

@@ -242,8 +242,11 @@ type EventStats struct {
 	// AllocPasses, AllocRounds, AllocFlows and AllocPorts are the
 	// fair-share allocator's work (fairshare.Stats): max-min allocations
 	// run, and bottleneck ports frozen, flows allocated and ports keyed
-	// into the bottleneck heap across them. A pass allocates only the
-	// components that hold a port changed since the previous one.
+	// into the bottleneck heap across them. The allocator runs about
+	// once per simulated instant that changes flows, not once per event
+	// or per change (fairshare.Stats.Passes has the exact rule), and a
+	// pass allocates only the components that hold a port changed since
+	// the previous one.
 	AllocPasses uint64
 	AllocRounds uint64
 	AllocFlows  uint64

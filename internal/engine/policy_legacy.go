@@ -215,7 +215,9 @@ func (p *sfmPolicy) ShouldWait(pc PolicyContext, mapIdx int) bool {
 	if !p.opts.WaitAdvisory {
 		return false
 	}
-	return !pc.MOFAvailable(mapIdx) && pc.RerunScheduled(mapIdx)
+	// RerunScheduled first: a slice read, false throughout a fault-free
+	// run, where MOFAvailable would ask the cluster for every candidate.
+	return pc.RerunScheduled(mapIdx) && !pc.MOFAvailable(mapIdx)
 }
 
 // runAlgorithm1 executes the SFM policy decisions, recording one

@@ -61,14 +61,13 @@ type reduceExec struct {
 	// is. A spilled segment's maps are in its node's segMaps. Those two
 	// are the only record of which maps the attempt holds: every restore
 	// derives its copied set from the segments it restores.
-	inMem           []*merge.Segment
-	inMemMaps       []int
-	inMemBytes      int64
-	onDisk          []*merge.Segment
-	shuffledLogical int64
-	memoryLimit     int64
-	inMemMergeBusy  bool
-	spillSeq        int
+	inMem          []*merge.Segment
+	inMemMaps      []int
+	inMemBytes     int64
+	onDisk         []*merge.Segment
+	memoryLimit    int64
+	inMemMergeBusy bool
+	spillSeq       int
 	// pendingDiskOps counts in-flight spills and in-memory merges; the
 	// final merge must not start until they all land.
 	pendingDiskOps int
@@ -534,7 +533,6 @@ func (r *reduceExec) sessionDone(s *fetchSession) {
 	}
 	host := s.host
 	am := r.job.am
-	var delivered int64
 	anyDelivered := false
 	for i, m := range s.batch {
 		if r.copied[m] {
@@ -546,17 +544,14 @@ func (r *reduceExec) sessionDone(s *fetchSession) {
 		}
 		seg := mof.parts[r.t.idx]
 		r.markCopied(m)
-		delivered += seg.LogicalBytes
 		anyDelivered = true
 		r.deliver(m, seg)
 	}
 	r.recycleSession(s)
-	// Credit only the segments actually delivered: maps regenerated (or
-	// re-delivered by a racing session) mid-transfer still need fetching,
-	// so counting their bytes would overstate shuffle progress — and a
-	// session that delivered nothing is no evidence the host is healthy,
-	// so it must not reset the stall clock or the host's strike count.
-	r.shuffledLogical += delivered
+	// A session that delivered nothing (every map in it regenerated
+	// mid-transfer or delivered by a racing session) is no evidence the
+	// host is healthy, so it must not reset the stall clock or the
+	// host's strike count.
 	if anyDelivered {
 		r.lastFetchSuccess = r.job.Eng.Now()
 		r.hostFailures[host] = 0
@@ -1194,7 +1189,6 @@ func (r *reduceExec) tryLocalRestore() bool {
 			return false
 		}
 		r.onDisk = segs
-		r.shuffledLogical = merge.TotalLogicalBytes(segs)
 		var held []int
 		for _, s := range segs {
 			held = append(held, local.segMaps[s.Path]...)

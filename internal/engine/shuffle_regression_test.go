@@ -6,6 +6,7 @@ import (
 	"alm/internal/core"
 	"alm/internal/fairshare"
 	"alm/internal/faults"
+	"alm/internal/merge"
 	"alm/internal/mr"
 	"alm/internal/sim"
 	"alm/internal/topology"
@@ -46,6 +47,14 @@ func stepUntilExec(t *testing.T, eng *sim.Engine, job *Job, cond func(*reduceExe
 	return nil
 }
 
+// heldLogical is the logical bytes of the shuffled segments r holds: in
+// the shuffle buffer and spilled to disk. A segment on its way to disk
+// (a direct spill or an in-memory merge) is in neither, so callers check
+// that none is in flight.
+func heldLogical(r *reduceExec) int64 {
+	return r.inMemBytes + merge.TotalLogicalBytes(r.onDisk)
+}
+
 // A fetch session that raced with MOF regeneration must not credit the
 // skipped segments: the regenerated maps still need fetching, so the
 // session's bytes must not count as shuffle progress, and a session that
@@ -76,7 +85,7 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 		t.Fatal("pendingOn returned nothing for an indexed host")
 	}
 
-	preShuffled := r.shuffledLogical
+	preHeld, preDiskOps := heldLogical(r), r.pendingDiskOps
 	preCopied := r.copiedCount
 	preSuccess := r.lastFetchSuccess
 	r.hostFailures[host] = 2
@@ -87,11 +96,14 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 	}
 	r.sessionDone(sess)
 
+	if r.pendingDiskOps != preDiskOps {
+		t.Fatalf("stale session started %d disk ops", r.pendingDiskOps-preDiskOps)
+	}
 	if r.copiedCount != preCopied {
 		t.Errorf("stale session delivered %d maps, want 0", r.copiedCount-preCopied)
 	}
-	if r.shuffledLogical != preShuffled {
-		t.Errorf("stale session credited %d logical bytes, want 0", r.shuffledLogical-preShuffled)
+	if held := heldLogical(r); held != preHeld {
+		t.Errorf("stale session credited %d logical bytes, want 0", held-preHeld)
 	}
 	if r.lastFetchSuccess != preSuccess {
 		t.Error("stale session reset the fetch-stall clock")
@@ -113,10 +125,13 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 		want += job.am.mofs[m].parts[r.t.idx].LogicalBytes
 	}
 	r.sessionDone(sess2)
+	if r.pendingDiskOps != preDiskOps {
+		t.Fatalf("fresh session started %d disk ops: its bytes left the shuffle buffer", r.pendingDiskOps-preDiskOps)
+	}
 	if r.copiedCount != preCopied+nBatch2 {
 		t.Errorf("fresh session delivered %d maps, want %d", r.copiedCount-preCopied, nBatch2)
 	}
-	if got := r.shuffledLogical - preShuffled; got != want {
+	if got := heldLogical(r) - preHeld; got != want {
 		t.Errorf("fresh session credited %d bytes, want %d", got, want)
 	}
 	if r.hostFailures[host] != 0 {

@@ -14,7 +14,7 @@ import (
 // host, so any drift is a change in what the simulator does: a moved
 // event count, queue high-water mark or stop count means event order
 // changed, a moved allocator count means the fair-share layer does more
-// or less work per event, and a moved index count means the reducers'
+// or less work per instant, and a moved index count means the reducers'
 // fetch index re-resolves or scans more or less per notification.
 func TestWorkCountersPinned(t *testing.T) {
 	cases := []struct {
@@ -35,7 +35,11 @@ func TestWorkCountersPinned(t *testing.T) {
 		// from 81,054 to 25,091 and the flows allocated from 111,786 to
 		// AllocFlows 55,806, with the same passes. Keying each flow's
 		// least solo port instead of all of them took AllocPorts from
-		// 239,361 to 78,437 and moved no other count.
+		// 239,361 to 78,437 and moved no other count. Allocating once
+		// per instant instead of once per event took AllocPasses from
+		// 3,466 to 419, AllocRounds from 25,091 to 5,156, AllocFlows
+		// from 55,806 to 10,131 and AllocPorts from 78,437 to 12,607,
+		// and left the event counts as they were.
 		name: "scale_1000",
 		spec: JobSpec{
 			Workload:   workloads.Terasort(),
@@ -49,10 +53,10 @@ func TestWorkCountersPinned(t *testing.T) {
 			Processed:    5748,
 			MaxQueue:     3079,
 			Stopped:      7893,
-			AllocPasses:  3466,
-			AllocRounds:  25091,
-			AllocFlows:   55806,
-			AllocPorts:   78437,
+			AllocPasses:  419,
+			AllocRounds:  5156,
+			AllocFlows:   10131,
+			AllocPorts:   12607,
 			IndexUpdates: 3600,
 			HostVisits:   54900,
 		},
@@ -65,7 +69,10 @@ func TestWorkCountersPinned(t *testing.T) {
 		// took HostVisits from 4,594 to 8. Per-component allocation took
 		// AllocRounds from 9,054 to 2,145 and the flows allocated from
 		// 10,299 to AllocFlows 2,896. The solo fold took AllocPorts
-		// from 7,219 to 4,060.
+		// from 7,219 to 4,060. Allocating once per instant took
+		// AllocPasses from 1,270 to 633, AllocRounds from 2,145 to
+		// 1,602, AllocFlows from 2,896 to 2,143 and AllocPorts from
+		// 4,060 to 2,983.
 		name: "tier_crash",
 		spec: remoteSpec(workloads.Terasort(), ModeALM, 8),
 		cs:   smallCluster(),
@@ -74,10 +81,10 @@ func TestWorkCountersPinned(t *testing.T) {
 			Processed:    2085,
 			MaxQueue:     841,
 			Stopped:      1790,
-			AllocPasses:  1270,
-			AllocRounds:  2145,
-			AllocFlows:   2896,
-			AllocPorts:   4060,
+			AllocPasses:  633,
+			AllocRounds:  1602,
+			AllocFlows:   2143,
+			AllocPorts:   2983,
 			IndexUpdates: 560,
 			HostVisits:   8,
 		},

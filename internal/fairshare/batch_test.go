@@ -9,17 +9,22 @@ import (
 	"alm/internal/sim"
 )
 
-// The batched differential runs several changes inside one engine event.
-// System defers their allocation to one pass after the handler returns;
-// the oracle still allocates on every change. The rig (compare) checks
-// rates, remaining bytes and completions bit for bit, both engines'
-// processed, stopped and queue counts, the stalled count against a
-// recount, and System's Stats against the oracle's coalesced model.
+// The batched differential runs several changes at one instant, inside
+// one engine event or spread over several. System defers their
+// allocation to one pass at the end of the instant, or before its
+// placeholder completion timer would pop; the oracle still allocates on
+// every change. The rig (compare) checks rates, remaining bytes,
+// completions and the rates read inside events bit for bit, both
+// engines' processed, stopped and queue counts, the stalled count
+// against a recount, and System's Stats against the oracle's coalesced
+// model.
 
 // randomBatchedScript is randomScript with some steps replaced by
-// batches of two to six non-run steps.
+// batches of two to six non-run steps: changes, rate reads, and the
+// splits that spread a batch over several events.
 func randomBatchedScript(rng *rand.Rand, n int) []op {
-	kinds := []opKind{opNewPort, opStartFlow, opStartFlow, opStartFlow, opSetCapacity, opSetPriorityCap, opCancel}
+	kinds := []opKind{opNewPort, opStartFlow, opStartFlow, opStartFlow, opSetCapacity, opSetPriorityCap, opCancel,
+		opYield, opPost, opRate}
 	next := func() int { return rng.Intn(256) }
 	ops := randomScript(rng, n)
 	for i := range ops {
@@ -88,6 +93,64 @@ func TestBatchedOnePassPerEvent(t *testing.T) {
 	d := passDeltas(t, ops)
 	if d[4] != 1 {
 		t.Fatalf("the batch ran %d passes, want 1", d[4])
+	}
+}
+
+// TestBatchedOnePassPerInstant: changes spread over events queued
+// ahead of the instant's placeholder share one pass. An event posted
+// after a change fires after the placeholder, so the pass runs between
+// them, and so does a rate read.
+func TestBatchedOnePassPerInstant(t *testing.T) {
+	ports := []op{
+		{kind: opNewPort, name: "node-01/out", value: 1.25e9},
+		{kind: opNewPort, name: "node-02/in", value: 1.25e9},
+		{kind: opNewPort, name: "rack-0/uplink", value: 7.5e8},
+		{kind: opStartFlow, name: "xfer:1->2", bytes: 1e7, ports: []int{0, 1}},
+	}
+	start := func(bytes int64, p ...int) op {
+		return op{kind: opStartFlow, name: "xfer:1->2", bytes: bytes, ports: p}
+	}
+	cases := []struct {
+		name   string
+		batch  []op
+		passes uint64
+	}{
+		{"queued events", []op{
+			start(4e6, 0, 1, 2), {kind: opYield},
+			start(5e6, 0, 2), {kind: opYield},
+			{kind: opCancel, flow: 0}, {kind: opSetCapacity, port: 2, value: 1.25e9},
+		}, 1},
+		{"posted event", []op{
+			start(4e6, 0, 1, 2), {kind: opPost},
+			start(5e6, 0, 2), {kind: opCancel, flow: 0},
+		}, 2},
+		// The queued event fires before the posted one, and its change
+		// re-arms the placeholder behind it.
+		{"posted event overtaken", []op{
+			start(4e6, 0, 1, 2), {kind: opPost},
+			start(5e6, 0, 2), {kind: opYield},
+			{kind: opCancel, flow: 0},
+		}, 1},
+		{"posted ahead of a change", []op{
+			{kind: opPost}, start(4e6, 0, 1, 2), {kind: opPost}, start(5e6, 0, 2),
+		}, 2},
+		{"rate read", []op{
+			start(4e6, 0, 1, 2), {kind: opYield},
+			start(5e6, 0, 2), {kind: opRate, flow: 1}, {kind: opYield},
+			{kind: opCancel, flow: 0},
+		}, 2},
+		{"rate read with nothing pending", []op{
+			{kind: opRate, flow: 0}, start(4e6, 0, 1, 2), {kind: opYield}, {kind: opRate, flow: 1},
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ops := append(append([]op{}, ports...),
+				op{kind: opBatch, batch: c.batch}, op{kind: opRun, dt: sim.Time(time.Second)})
+			if d := passDeltas(t, ops); d[len(ports)] != c.passes {
+				t.Fatalf("the instant ran %d passes, want %d (all steps: %v)", d[len(ports)], c.passes, d)
+			}
+		})
 	}
 }
 

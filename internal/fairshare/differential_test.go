@@ -25,9 +25,22 @@ const (
 	opCancel
 	opRun
 	numOpKinds
-	// opBatch applies its steps inside one engine event. decodeScript
-	// and randomScript never emit it; decodeBatchedScript does.
+	// opBatch applies its steps at the current instant, inside one
+	// engine event or, split by opYield and opPost, several.
+	// decodeScript and randomScript never emit it; decodeBatchedScript
+	// does.
 	opBatch = numOpKinds
+	// opYield ends a batch's event; the next one was queued with
+	// Post(0) before the instant began, so it fires ahead of the
+	// placeholder completion timer the instant arms.
+	opYield = numOpKinds + 1
+	// opPost ends a batch's event by posting the next one with Post(0):
+	// it fires after the placeholder the event's changes armed, so the
+	// deferred pass runs between the two.
+	opPost = numOpKinds + 2
+	// opRate reads a flow's rate inside a batch's event; the rig
+	// compares the reads with the oracle's.
+	opRate = numOpKinds + 3
 )
 
 // op is one script step. Port and flow indexes are taken modulo the
@@ -57,7 +70,13 @@ func (o op) String() string {
 	case opCancel:
 		return fmt.Sprintf("flow %d Cancel()", o.flow)
 	case opBatch:
-		return fmt.Sprintf("in one event %v", o.batch)
+		return fmt.Sprintf("at one instant %v", o.batch)
+	case opYield:
+		return "next queued event"
+	case opPost:
+		return "next posted event"
+	case opRate:
+		return fmt.Sprintf("flow %d Rate()", o.flow)
 	default:
 		if o.dt < 0 {
 			return "RunAll()"
@@ -103,11 +122,24 @@ func decodeScript(data []byte) []op {
 }
 
 // batchKinds are the steps a decoded batch draws from: every change,
-// none of the runs.
-var batchKinds = []opKind{opNewPort, opStartFlow, opSetCapacity, opSetPriorityCap, opCancel}
+// none of the runs, then the steps that split the batch into events and
+// read a rate inside one.
+var batchKinds = []opKind{opNewPort, opStartFlow, opSetCapacity, opSetPriorityCap, opCancel, opYield, opPost, opRate}
+
+// batchKind maps a choice to a batch step. A choice below 128 picks one
+// of the changes, as it did when a batch was one event, so the corpus
+// entries written for that form keep their meaning; from 128 up it
+// picks any step.
+func batchKind(v int) opKind {
+	if v < 128 {
+		return batchKinds[v%5]
+	}
+	return batchKinds[v%len(batchKinds)]
+}
 
 // decodeBatchedScript is decodeScript with batches: one more kind,
-// opBatch, holds two to six changes that run inside one engine event.
+// opBatch, holds two to six steps that run at one instant, in one
+// engine event or several.
 func decodeBatchedScript(data []byte) []op {
 	src := &byteSource{data: data}
 	var ops []op
@@ -119,7 +151,7 @@ func decodeBatchedScript(data []byte) []op {
 		}
 		b := op{kind: opBatch}
 		for n := 2 + src.next()%5; n > 0; n-- {
-			b.batch = append(b.batch, decodeOp(src.next, batchKinds[src.next()%len(batchKinds)]))
+			b.batch = append(b.batch, decodeOp(src.next, batchKind(src.next())))
 		}
 		ops = append(ops, b)
 	}
@@ -147,7 +179,7 @@ func decodeOp(next func() int, kind opKind) op {
 	case opSetPriorityCap:
 		o.flow = next()
 		o.value = rateCaps[next()%len(rateCaps)]
-	case opCancel:
+	case opCancel, opRate:
 		o.flow = next()
 	case opRun:
 		o.dt = runSteps[next()%len(runSteps)]
@@ -184,6 +216,9 @@ type diffRig struct {
 	oFlows []*oracleFlow
 	nDone  []completion
 	oDone  []completion
+	// nRates and oRates are the rates opRate read inside events, in
+	// order.
+	nRates, oRates []float64
 	// nCanceled records, per System flow, that a Cancel found it running.
 	// A handle reports only Ended, so this and the completions in nDone
 	// are what the rig compares with the oracle's canceled and finished
@@ -211,24 +246,50 @@ func (r *diffRig) apply(o op) {
 		r.ne.Run(r.ne.Now() + o.dt)
 		r.oe.Run(r.oe.Now() + o.dt)
 	case opBatch:
-		// One event on each engine applies every step to its own
-		// system; running to the current instant fires it.
+		// The same events on each engine apply the steps to its own
+		// system; running to the current instant fires them.
 		r.batched = true
-		r.ne.Schedule(0, func() {
-			for _, b := range o.batch {
-				r.applySystem(b)
-			}
-		})
-		r.oe.Schedule(0, func() {
-			for _, b := range o.batch {
-				r.applyOracle(b)
-			}
-		})
+		queueInstant(o.batch, func(fn func()) { r.ne.Post(0, fn) }, r.applySystem)
+		queueInstant(o.batch, r.os.post, r.applyOracle)
 		r.ne.Run(r.ne.Now())
 		r.oe.Run(r.oe.Now())
 	default:
 		r.applySystem(o)
 		r.applyOracle(o)
+	}
+}
+
+// queueInstant queues a batch's events at the current instant through
+// post, each applying its steps with apply. The first event, and each
+// that an opYield starts, is queued now, in order; an event that an
+// opPost starts is posted by the one before it, as its last act.
+func queueInstant(steps []op, post func(func()), apply func(op)) {
+	events := [][]op{nil}
+	posted := []bool{false} // posted[i]: event i-1 posts event i
+	for _, st := range steps {
+		switch st.kind {
+		case opYield, opPost:
+			events = append(events, nil)
+			posted = append(posted, st.kind == opPost)
+		default:
+			events[len(events)-1] = append(events[len(events)-1], st)
+		}
+	}
+	fns := make([]func(), len(events))
+	for i := len(events) - 1; i >= 0; i-- {
+		fns[i] = func() {
+			for _, st := range events[i] {
+				apply(st)
+			}
+			if i+1 < len(events) && posted[i+1] {
+				post(fns[i+1])
+			}
+		}
+	}
+	for i, fn := range fns {
+		if !posted[i] {
+			post(fn)
+		}
 	}
 }
 
@@ -268,6 +329,10 @@ func (r *diffRig) applySystem(o op) {
 			}
 			r.nFlows[i].Cancel()
 		}
+	case opRate:
+		if len(r.nFlows) > 0 {
+			r.nRates = append(r.nRates, r.nFlows[o.flow%len(r.nFlows)].Rate())
+		}
 	}
 }
 
@@ -298,6 +363,10 @@ func (r *diffRig) applyOracle(o op) {
 	case opCancel:
 		if len(r.oFlows) > 0 {
 			r.oFlows[o.flow%len(r.oFlows)].Cancel()
+		}
+	case opRate:
+		if len(r.oFlows) > 0 {
+			r.oRates = append(r.oRates, r.oFlows[o.flow%len(r.oFlows)].Rate())
 		}
 	}
 }
@@ -345,6 +414,9 @@ func (r *diffRig) compare(step int, o op) {
 		fail("engine processed/stopped/max queue/queue %d/%d/%d/%d, oracle's %d/%d/%d/%d",
 			r.ne.Processed(), r.ne.StoppedEvents(), r.ne.MaxQueueLen(), r.ne.QueueLen(),
 			r.oe.Processed(), r.oe.StoppedEvents(), r.oe.MaxQueueLen(), r.oe.QueueLen())
+	}
+	if !slices.EqualFunc(r.nRates, r.oRates, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		fail("rates read inside events %v, oracle %v", r.nRates, r.oRates)
 	}
 	if got, want := r.ns.ActiveFlows(), len(r.os.flows); got != want {
 		fail("%d active flows, oracle %d", got, want)

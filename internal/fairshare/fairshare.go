@@ -7,12 +7,13 @@
 // crosses a single disk port. At any instant, flow rates are the max-min
 // fair allocation subject to every port's capacity. Whenever the flow set
 // or a capacity changes, rates are recomputed and the next completion
-// event is rescheduled — at most once per engine event: changes made
-// inside one event handler share a single allocation, run when the
-// handler returns. An allocation recomputes only the connected components
-// (flows joined by shared ports) that hold a port changed since the last
-// one; every other flow keeps its rate, which is bit-identical to what a
-// whole-system pass would give it (DESIGN.md §10).
+// event is rescheduled — about once per simulated instant: changes made
+// by the event handlers of one instant share a single allocation, run
+// before the clock moves. An allocation recomputes only the connected
+// components (flows joined by shared ports) that hold a port changed
+// since the last one; every other flow keeps its rate, which is
+// bit-identical to what a whole-system pass would give it (DESIGN.md
+// §10).
 //
 // This is the standard flow-level abstraction used by cluster simulators:
 // it captures bandwidth contention (the dominant effect in bulk MapReduce
@@ -327,9 +328,12 @@ func (f *flow) firstLink(p *Port) int {
 // of flow and capacity changes, never on the host.
 type Stats struct {
 	// Passes is the number of max-min allocations over a non-empty flow
-	// set: at most one per event that changes flows, plus one per change
-	// made outside an event or while every flow is stalled, and one per
-	// Flow.Rate call that finds an allocation pending.
+	// set: at most one per instant that changes flows, plus one per
+	// change made outside an event or while every flow is stalled, one
+	// per Flow.Rate call that finds an allocation pending, and one each
+	// time the pending completion placeholder reaches the head of the
+	// event queue before the instant ends (an event at the same instant
+	// scheduled after the last deferred change is about to fire).
 	Passes uint64
 	// Rounds is the number of bottleneck ports frozen, summed over all
 	// passes. A pass freezes ports only in the components it allocates.
@@ -367,7 +371,8 @@ type System struct {
 	// which is what makes deferring it exact (reschedule).
 	stalled int
 	// dirty is set while an allocation deferred by reschedule waits for
-	// flush, which runs after the current event's handler returns.
+	// flush, which runs at the end of the current instant, or earlier
+	// when the completion placeholder reaches the head of the queue.
 	dirty bool
 
 	// touched lists the ports changed since the last allocation pass,
@@ -589,17 +594,20 @@ func (s *System) advance() {
 // completion time, so the eager code would re-arm the timer here with
 // Reschedule; reschedule makes the same Reschedule call with a
 // placeholder delay of zero — the same sequence number, stop count and
-// queue length — and flush, run once after the handler returns, does
-// the one allocation and moves the timer to its real deadline with
-// Retime, which keeps the sequence number. Every other change runs the
-// allocation now, as the eager code did.
+// queue length — and flush, run once at the end of the instant
+// (sim.Engine.AfterInstant), does the one allocation and moves the
+// timer to its real deadline with Retime, which keeps the sequence
+// number. The timer is guarded (sim.Timer.Guard), so should the
+// placeholder reach the head of the queue first, flush runs before it
+// can pop. Every other change runs the allocation now, as the eager
+// code did.
 func (s *System) reschedule() {
 	s.advance()
 	if s.eng.InEvent() && len(s.flows) > s.stalled {
 		s.arm(0)
 		if !s.dirty {
 			s.dirty = true
-			s.eng.AfterEvent(s.flushFn)
+			s.eng.AfterInstant(s.flushFn)
 		}
 		return
 	}
@@ -618,10 +626,12 @@ func (s *System) reschedule() {
 // arm re-arms the single completion timer after delay. Reschedule is
 // ordering-equivalent to Stop-then-Schedule but reuses the timer and
 // the pre-bound onCompletionFn, which together were the top allocation
-// sites under fetch-session churn.
+// sites under fetch-session churn. The timer is guarded once, when it
+// is made: a placeholder never pops before flush moves it.
 func (s *System) arm(delay time.Duration) {
 	if s.completion == nil {
 		s.completion = s.eng.Schedule(delay, s.onCompletionFn)
+		s.completion.Guard()
 	} else {
 		s.completion.Reschedule(delay, s.onCompletionFn)
 	}

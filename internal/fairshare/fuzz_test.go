@@ -18,10 +18,11 @@ func FuzzAllocate(f *testing.F) {
 }
 
 // FuzzAllocateBatched is FuzzAllocate over decodeBatchedScript, whose
-// batches run several changes inside one event: the ports they touch
-// build up across the changes and one allocation, when the handler
-// returns, must reach every component they changed. Its corpus is
-// testdata/fuzz/FuzzAllocateBatched.
+// batches run several changes at one instant, in one event or several
+// (queued ahead or posted by the event before), with rate reads between
+// them: the ports they touch build up across the changes and the
+// instant's deferred allocation must reach every component they
+// changed. Its corpus is testdata/fuzz/FuzzAllocateBatched.
 func FuzzAllocateBatched(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, decodeBatchedScript(data), certifyMaxMin)

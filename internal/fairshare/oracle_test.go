@@ -37,14 +37,23 @@ type oracleSystem struct {
 
 	// coalesced is the work System should report for the same changes:
 	// every pass made outside an event or while every flow is stalled,
-	// plus, for each event that defers, the last deferred pass (System
-	// runs it once, when the handler returns). deferred holds that pass
-	// while pending is set. Both count over the ports in untallied: those
-	// changed since the last pass coalesced counted.
+	// plus each deferred pass System runs. A deferred pass is pending
+	// from the change that defers it until settle counts it: at the end
+	// of the instant, before the completion timer fires at the instant
+	// (it is guarded, as System's is), before an event the rig posted
+	// after the change fires, or at a Rate read; deferred holds its
+	// work while pending is set. Both count over the ports in untallied:
+	// those changed since the last pass coalesced counted.
 	coalesced Stats
 	deferred  Stats
 	pending   bool
 	untallied map[*oraclePort]struct{}
+	// stamp numbers, in scheduling order, the changes that defer and
+	// the rig's events (post); deferStamp is the latest deferring
+	// change's. An event stamped after it fires after System's
+	// placeholder, which the change armed, and System runs the pass
+	// before the placeholder can pop.
+	stamp, deferStamp uint64
 
 	// The latest pass's components: oraclePort.comp indexes compRounds,
 	// compFlows and compPorts while the port's allocEpoch is current.
@@ -100,7 +109,14 @@ type oracleFlow struct {
 	frozen    bool
 }
 
-func (f *oracleFlow) Rate() float64 { return f.rate }
+// Rate returns the flow's rate. On a running flow it first counts a
+// pending deferred pass, as System's Flow.Rate runs it.
+func (f *oracleFlow) Rate() float64 {
+	if f.sys.pending && !f.finished && !f.canceled {
+		f.sys.settle()
+	}
+	return f.rate
+}
 
 func (f *oracleFlow) Remaining() float64 {
 	f.sys.advance()
@@ -264,9 +280,11 @@ func (s *oracleSystem) reschedule() {
 	deferred := s.eng.InEvent() && len(s.flows) > s.stalledFlows()
 	if deferred {
 		s.deferred = pass
+		s.stamp++
+		s.deferStamp = s.stamp
 		if !s.pending {
 			s.pending = true
-			s.eng.AfterEvent(s.settle)
+			s.eng.AfterInstant(s.settle)
 		}
 	} else {
 		s.pending = false
@@ -289,6 +307,7 @@ func (s *oracleSystem) reschedule() {
 		// find the completion out of sim.Time's range, then stops it.
 		if s.completion == nil {
 			s.completion = s.eng.Schedule(delay, s.onCompletionFn)
+			s.completion.Guard()
 		} else {
 			s.completion.Reschedule(delay, s.onCompletionFn)
 		}
@@ -313,7 +332,21 @@ func (s *oracleSystem) stalledFlows() int {
 	return n
 }
 
-// settle counts the pass an event deferred, once its handler returns.
+// post queues fn at the current instant for the rig, stamped: if a
+// deferred pass is still pending when it fires and was deferred before
+// fn was posted, the pass is counted first.
+func (s *oracleSystem) post(fn func()) {
+	s.stamp++
+	st := s.stamp
+	s.eng.Schedule(0, func() {
+		if st > s.deferStamp {
+			s.settle()
+		}
+		fn()
+	})
+}
+
+// settle counts the pending deferred pass, if there is one.
 func (s *oracleSystem) settle() {
 	if s.pending {
 		s.pending = false

@@ -113,10 +113,13 @@ func Benchmarks() []Bench {
 			Budget: Budget{AllocsPerOp: 165_883, BytesPerOp: 14_898_088},
 		},
 		{
-			Name:   "remote_shuffle_crash",
-			Desc:   "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
-			Func:   benchRemoteShuffleCrash,
-			Budget: Budget{AllocsPerOp: 38_983, BytesPerOp: 3_892_758},
+			Name: "remote_shuffle_crash",
+			Desc: "remote shuffle tier under a MOF-node crash: push/commit, tier fetches, repair without map rerun",
+			Func: benchRemoteShuffleCrash,
+			// A fair-share pass keys the ports of every change in its
+			// instant at once; on this job that grows the bottleneck
+			// heap's scratch by about 4.7 kB per op.
+			Budget: Budget{AllocsPerOp: 38_987, BytesPerOp: 3_897_525},
 		},
 		{
 			Name: "alg_reduce_snapshots",

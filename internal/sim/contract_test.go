@@ -112,29 +112,60 @@ func TestRescheduleContract(t *testing.T) {
 	})
 }
 
-// TestAfterEventContract pins the after-event hooks: they run once, in
-// registration order, after the handler that registered them returns
-// and before the next event is popped — so a hook that re-times a
-// placeholder timer is done before Run(until) peeks at the queue.
+// TestAfterEventContract pins the end-of-instant hooks (AfterInstant):
+// they run once, in registration order, after every event due at the
+// instant they were registered in has fired, and before the clock
+// moves, before a guarded timer pops and before the queue is found
+// empty — so a hook that re-times a placeholder is done before
+// Run(until) peeks at the queue, and a guarded placeholder never fires
+// unmoved.
 func TestAfterEventContract(t *testing.T) {
 	t.Run("order", func(t *testing.T) {
 		e := NewEngine(1)
 		var got []string
 		e.Schedule(time.Second, func() {
 			got = append(got, "a")
-			e.AfterEvent(func() { got = append(got, "a.hook1") })
-			e.AfterEvent(func() { got = append(got, "a.hook2") })
+			e.AfterInstant(func() { got = append(got, "a.hook1") })
+			e.AfterInstant(func() { got = append(got, "a.hook2") })
 			got = append(got, "a.end")
+			e.Post(0, func() { got = append(got, "a.post") })
 		})
-		e.Schedule(time.Second, func() { got = append(got, "b") })
+		e.Schedule(time.Second, func() {
+			got = append(got, "b")
+			e.AfterInstant(func() { got = append(got, "b.hook") })
+		})
 		e.Schedule(2*time.Second, func() {
 			got = append(got, "c")
-			e.AfterEvent(func() { got = append(got, "c.hook") })
+			e.AfterInstant(func() { got = append(got, "c.hook") })
 		})
 		e.RunAll()
-		want := []string{"a", "a.end", "a.hook1", "a.hook2", "b", "c", "c.hook"}
+		want := []string{"a", "a.end", "b", "a.post", "a.hook1", "a.hook2", "b.hook", "c", "c.hook"}
 		if !slices.Equal(got, want) {
 			t.Fatalf("ran %v, want %v", got, want)
+		}
+	})
+
+	t.Run("guarded timer", func(t *testing.T) {
+		e := NewEngine(1)
+		var got []string
+		e.Schedule(time.Second, func() {
+			got = append(got, "a")
+			e.AfterInstant(func() { got = append(got, "hook") })
+		})
+		e.Schedule(time.Second, func() { got = append(got, "guarded") }).Guard()
+		e.Schedule(time.Second, func() {
+			got = append(got, "b")
+			e.AfterInstant(func() { got = append(got, "b.hook") })
+		})
+		// A guarded timer with no hook pending pops as any other.
+		e.Schedule(time.Second, func() { got = append(got, "guarded2") }).Guard()
+		e.RunAll()
+		want := []string{"a", "hook", "guarded", "b", "b.hook", "guarded2"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ran %v, want %v", got, want)
+		}
+		if e.Processed() != 4 {
+			t.Fatalf("processed %d, want 4: hooks are not events", e.Processed())
 		}
 	})
 
@@ -144,9 +175,10 @@ func TestAfterEventContract(t *testing.T) {
 		var tm *Timer
 		e.Schedule(time.Second, func() {
 			// A placeholder at the current instant, moved to its real
-			// deadline by a hook.
+			// deadline by a hook before anything can pop it.
 			tm = e.Schedule(0, func() { fired = e.Now() })
-			e.AfterEvent(func() { tm.Retime(10 * time.Second) })
+			tm.Guard()
+			e.AfterInstant(func() { tm.Retime(10 * time.Second) })
 		})
 		e.Run(time.Second)
 		if fired >= 0 || !tm.Active() || e.Now() != time.Second {
@@ -163,6 +195,87 @@ func TestAfterEventContract(t *testing.T) {
 		}
 	})
 
+	t.Run("drained queue", func(t *testing.T) {
+		e := NewEngine(1)
+		ran := Time(-1)
+		e.Schedule(time.Second, func() {
+			e.AfterInstant(func() { ran = e.Now() })
+		})
+		if !e.Step() {
+			t.Fatal("no event fired")
+		}
+		if ran >= 0 {
+			t.Fatal("hook ran with the instant still open")
+		}
+		if e.Step() {
+			t.Fatal("Step fired an event from an empty queue")
+		}
+		if ran != time.Second {
+			t.Fatalf("hook ran at %v, want 1s, when Step found the queue empty", ran)
+		}
+
+		// Run returns on a drained queue only after the hooks, and a
+		// hook's own events keep it going.
+		var got []string
+		e.Schedule(time.Second, func() {
+			got = append(got, "a")
+			e.AfterInstant(func() {
+				got = append(got, "hook")
+				e.Schedule(time.Second, func() { got = append(got, "b") })
+			})
+		})
+		e.RunAll()
+		if want := []string{"a", "hook", "b"}; !slices.Equal(got, want) || e.Now() != 3*time.Second {
+			t.Fatalf("ran %v, now %v; want %v, 3s", got, e.Now(), want)
+		}
+	})
+
+	t.Run("until bound", func(t *testing.T) {
+		e := NewEngine(1)
+		ran := Time(-1)
+		e.Schedule(time.Second, func() {
+			e.AfterInstant(func() { ran = e.Now() })
+		})
+		e.Schedule(5*time.Second, func() {})
+		e.Run(2 * time.Second)
+		if ran != time.Second || e.Now() != 2*time.Second {
+			t.Fatalf("hook ran at %v, now %v; want 1s and 2s", ran, e.Now())
+		}
+
+		// An until bound behind the clock leaves it where it is, but the
+		// hooks still run before Run returns.
+		ran = -1
+		e.Schedule(time.Second, func() {
+			e.AfterInstant(func() { ran = e.Now() })
+			e.Post(0, func() {})
+		})
+		e.Step()
+		e.Run(time.Second)
+		if ran != 3*time.Second || e.Now() != 3*time.Second || e.QueueLen() != 2 {
+			t.Fatalf("hook ran at %v, now %v, queue %d; want 3s, 3s, 2", ran, e.Now(), e.QueueLen())
+		}
+	})
+
+	t.Run("stop and resume", func(t *testing.T) {
+		e := NewEngine(1)
+		var got []string
+		e.Schedule(time.Second, func() {
+			got = append(got, "a")
+			e.AfterInstant(func() { got = append(got, "hook") })
+			e.Stop()
+		})
+		e.Schedule(time.Second, func() { got = append(got, "b") })
+		e.Schedule(2*time.Second, func() { got = append(got, "c") })
+		e.RunAll()
+		if want := []string{"a"}; !slices.Equal(got, want) {
+			t.Fatalf("after Stop ran %v, want %v: the instant is still open", got, want)
+		}
+		e.RunAll()
+		if want := []string{"a", "b", "hook", "c"}; !slices.Equal(got, want) {
+			t.Fatalf("resumed Run ran %v, want %v", got, want)
+		}
+	})
+
 	t.Run("in event", func(t *testing.T) {
 		e := NewEngine(1)
 		if e.InEvent() {
@@ -171,25 +284,23 @@ func TestAfterEventContract(t *testing.T) {
 		var handler, hook []bool
 		e.Schedule(0, func() {
 			handler = append(handler, e.InEvent())
-			e.AfterEvent(func() { hook = append(hook, e.InEvent()) })
+			e.AfterInstant(func() { hook = append(hook, e.InEvent()) })
 		})
-		if !e.Step() {
-			t.Fatal("no event fired")
-		}
+		e.RunAll()
 		if !slices.Equal(handler, []bool{true}) || !slices.Equal(hook, []bool{false}) {
 			t.Fatalf("InEvent in handler %v, in hook %v; want [true] and [false]", handler, hook)
 		}
 		if e.InEvent() {
-			t.Fatal("InEvent after Step returned")
+			t.Fatal("InEvent after Run returned")
 		}
 	})
 
 	t.Run("outside an event panics", func(t *testing.T) {
 		e := NewEngine(1)
-		mustPanic(t, "AfterEvent outside a handler", func() { e.AfterEvent(func() {}) })
+		mustPanic(t, "AfterInstant outside a handler", func() { e.AfterInstant(func() {}) })
 		e.Schedule(0, func() {
-			e.AfterEvent(func() {
-				mustPanic(t, "AfterEvent inside a hook", func() { e.AfterEvent(func() {}) })
+			e.AfterInstant(func() {
+				mustPanic(t, "AfterInstant inside a hook", func() { e.AfterInstant(func() {}) })
 			})
 		})
 		e.RunAll()

@@ -16,11 +16,13 @@
 // imminent events in strict (at, seq) order. DESIGN.md §16 has the
 // architecture notes.
 //
-// A handler can defer work to the end of its event with AfterEvent: the
-// fair-share model uses it to run one bandwidth allocation per event
-// however many flows the handler starts or stops, arming its completion
-// timer as a placeholder and moving it to the real deadline with
-// Timer.Retime.
+// A handler can defer work to the end of its instant with AfterInstant:
+// the hooks run once the events due at the current virtual time have
+// fired, before the clock moves (or before a guarded timer pops). The
+// fair-share model uses it to run one bandwidth allocation per instant
+// however many flows the instant's handlers start or stop, arming its
+// completion timer as a guarded placeholder and moving it to the real
+// deadline with Timer.Retime.
 package sim
 
 import (
@@ -75,6 +77,9 @@ type Timer struct {
 	slot uint8
 	// posted marks a timer armed by Post, which Step recycles.
 	posted bool
+	// guarded marks a timer set by Guard: Step runs the pending
+	// end-of-instant hooks before it pops one.
+	guarded bool
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
@@ -162,6 +167,14 @@ func (t *Timer) Retime(delay Time) {
 	e.q.schedule(t)
 }
 
+// Guard marks the timer as guarded: before Step pops it, the pending
+// end-of-instant hooks (AfterInstant) run, as they do before the clock
+// moves. A component that arms a placeholder at the current instant and
+// moves it to its real deadline in a hook guards it, so the placeholder
+// is moved before it can fire. The mark stays through Stop, Reschedule
+// and firing.
+func (t *Timer) Guard() { t.guarded = true }
+
 // Engine is a discrete-event scheduler with a virtual clock.
 type Engine struct {
 	now     Time
@@ -169,8 +182,8 @@ type Engine struct {
 	q       *wheelQueue
 	rng     *rand.Rand
 	stopped bool
-	// inEvent is true while Step runs an event handler (not its
-	// after-event hooks). It shares stopped's word, which keeps the
+	// inEvent is true while Step runs an event handler (not while the
+	// end-of-instant hooks run). It shares stopped's word, which keeps the
 	// Engine in the 128 B size class with free below.
 	inEvent bool
 	// Processed counts events that have fired; useful for loop guards in
@@ -193,11 +206,11 @@ type Engine struct {
 	interruptFn    func() bool
 	interruptEvery uint64
 	interruptLeft  uint64
-	// afterEvent holds the hooks registered by the running handler, in
-	// registration order. Step runs and clears them once the handler
-	// returns; the slice keeps its capacity, so registering costs no
-	// allocation in the steady state.
-	afterEvent []func()
+	// afterInstant holds the hooks registered by the current instant's
+	// handlers, in registration order. next runs and clears them before
+	// the clock moves or a guarded timer pops; the slice keeps its
+	// capacity, so registering costs no allocation in the steady state.
+	afterInstant []func()
 	// free heads a list, linked through Timer.next, of posted timers
 	// that have fired: no handle reaches them, so the next arming
 	// reuses one.
@@ -306,21 +319,47 @@ func (e *Engine) enqueue(t *Timer) {
 }
 
 // InEvent reports whether an event handler is running: true inside the
-// callback Step fires, false outside Step and inside after-event hooks.
+// callback Step fires, false outside Step and inside end-of-instant
+// hooks.
 func (e *Engine) InEvent() bool { return e.inEvent }
 
-// AfterEvent registers fn to run once, after the running event handler
-// returns and before the next event is popped. Hooks run in
-// registration order with InEvent false, so anything they schedule or
-// re-time is in the queue before Run looks at it again. A component that
-// would otherwise redo the same work several times within one event
-// defers it to a hook and does it once. AfterEvent panics outside an
-// event handler.
-func (e *Engine) AfterEvent(fn func()) {
+// AfterInstant registers fn to run once, at the end of the current
+// instant: after the handler that registers it returns, once no event
+// due at the current virtual time is left to fire ahead of a guarded
+// timer. The hooks run before Step pops an event at a later time or a
+// guarded timer, or finds the queue empty, and before Run returns on
+// its until bound or on a drained queue. They run in registration order
+// with InEvent false, at the instant they were registered, so anything
+// they schedule or re-time is in the queue before the clock moves. A
+// component that would otherwise redo the same work at every event of
+// an instant defers it to a hook and does it once. AfterInstant panics
+// outside an event handler.
+func (e *Engine) AfterInstant(fn func()) {
 	if !e.inEvent {
-		panic("sim: AfterEvent called outside an event handler")
+		panic("sim: AfterInstant called outside an event handler")
 	}
-	e.afterEvent = append(e.afterEvent, fn)
+	e.afterInstant = append(e.afterInstant, fn)
+}
+
+// endInstant runs and clears the pending end-of-instant hooks.
+func (e *Engine) endInstant() {
+	for i, h := range e.afterInstant {
+		e.afterInstant[i] = nil
+		h()
+	}
+	e.afterInstant = e.afterInstant[:0]
+}
+
+// next returns the timer Step pops next, or nil when the queue is
+// empty. When hooks are pending and that timer is later than now,
+// guarded, or absent, it runs the hooks first and looks again.
+func (e *Engine) next() *Timer {
+	tm := e.q.peek()
+	if len(e.afterInstant) > 0 && (tm == nil || tm.at > e.now || tm.guarded) {
+		e.endInstant()
+		tm = e.q.peek()
+	}
+	return tm
 }
 
 // Stop makes Run return after the current event completes.
@@ -332,10 +371,18 @@ func (e *Engine) Pending() bool { return e.q.len() > 0 }
 
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	tm := e.q.pop()
+	tm := e.next()
 	if tm == nil {
 		return false
 	}
+	e.fire(tm)
+	return true
+}
+
+// fire pops tm, the queue's head, advances the clock to it and runs its
+// handler.
+func (e *Engine) fire(tm *Timer) {
+	e.q.pop()
 	if tm.at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, tm.at))
 	}
@@ -353,34 +400,29 @@ func (e *Engine) Step() bool {
 	e.inEvent = true
 	fn()
 	e.inEvent = false
-	if len(e.afterEvent) > 0 {
-		for i, h := range e.afterEvent {
-			e.afterEvent[i] = nil
-			h()
-		}
-		e.afterEvent = e.afterEvent[:0]
-	}
-	return true
 }
 
 // Run fires events until the queue drains, Stop is called, or the clock
 // passes until (events at exactly until still fire). When an event is
 // left pending beyond until, the clock parks at until — never earlier
 // than Now, so virtual time does not run backwards. Pass a negative
-// until to run until the queue drains.
+// until to run until the queue drains. Pending end-of-instant hooks run
+// before Run returns on the until bound or on a drained queue; after
+// Stop or an interrupt they wait for the next Step or Run.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
 		// Peek without popping to honour the until bound.
-		next := e.q.peek()
+		next := e.next()
 		if next == nil {
 			return
 		}
 		if until >= 0 && next.at > until {
+			e.endInstant()
 			e.now = max(e.now, until)
 			return
 		}
-		e.Step()
+		e.fire(next)
 		if e.interruptFn != nil {
 			e.interruptLeft--
 			if e.interruptLeft == 0 {
