@@ -54,9 +54,9 @@ lint-test:
 # event or several, so several changes share one deferred allocation.
 # FuzzQueue then searches 10 s of scripts of schedules, posts, stops, reschedules, retimes and runs on
 # the sim's timing wheel against the sorted-list reference loop.
-# FuzzHostIndex then searches 10 s of scripts of moves and deliveries on
-# a reducer's host index (internal/engine) against a map-per-host
-# oracle. FuzzRestore then searches 10 s of one-reducer jobs (workload,
+# FuzzHostIndex then searches 10 s of scripts of moves, deliveries,
+# session changes and wait-advisory flips on a reducer's host index
+# (internal/engine) against a map-per-host oracle and the fetch walk. FuzzRestore then searches 10 s of one-reducer jobs (workload,
 # mode, checkpointing, two reducer failure times) for a completed run
 # whose output differs from the fault-free run's (internal/engine).
 # Plain `go test` replays only the checked-in corpora
@@ -104,12 +104,12 @@ chaos-smoke:
 	$(GO) run -race ./cmd/almrun -chaos -seed 11 -seeds 8
 
 # scale-probe runs one fault-free SFM terasort job at each of 1,000,
-# 2,000 and 4,000 nodes (20 per rack, 2 maps per node, 100 reducers,
-# seed 11, no trace) and prints host time, CPU time, max RSS, events,
-# HostVisits and virtual duration per size. It is tooling for fetch-choice
-# and memory work, not a CI gate: the 4,000-node job takes tens of
-# seconds. The binary runs directly, not under `go run`, because a
-# process's max RSS starts at its parent's.
+# 2,000, 4,000 and 10,000 nodes (20 per rack, 2 maps per node, 100
+# reducers, seed 11, no trace) and prints host time, CPU time, max RSS,
+# events, HostVisits and virtual duration per size. It is tooling for
+# fetch-choice and memory work, not a CI gate: the 10,000-node job takes
+# about 15 s and 800 MB. The binary runs directly, not under `go run`,
+# because a process's max RSS starts at its parent's.
 scale-probe:
 	$(GO) build -o bin/almbench ./cmd/almbench
 	bin/almbench -scale-probe

@@ -516,9 +516,7 @@ func (am *appMaster) attemptFailed(a *attempt, reason string) {
 			am.job.result.AdditionalReduceFailures++
 		}
 		if am.job.tier != nil && !t.done {
-			// The attempt's fetched segments died with it; the next
-			// attempt refetches, so the tier owes the partition again.
-			am.job.tier.ResetDelivered(a.taskIdx)
+			am.resetDelivered(a.taskIdx)
 		}
 	}
 	if t.failures >= am.conf.MaxTaskAttempts {
@@ -602,7 +600,7 @@ func (am *appMaster) markFailedNoRecover(a *attempt, reason string) {
 	} else {
 		am.job.result.ReduceAttemptFailures++
 		if am.job.tier != nil && !t.done {
-			am.job.tier.ResetDelivered(a.taskIdx)
+			am.resetDelivered(a.taskIdx)
 		}
 	}
 	if t.failures >= am.conf.MaxTaskAttempts {
@@ -720,6 +718,24 @@ func (am *appMaster) tierChanged(m int, parts []int) {
 		if r, ok := ex.(*reduceExec); ok && r.indexLive() {
 			r.checkHostIndex()
 		}
+	}
+}
+
+// resetDelivered tells the tier that partition r's fetched segments
+// died with its attempt: the next attempt refetches, so the tier owes
+// the partition again. The tier's Recovering reads those delivery flags,
+// so the wait advisory is re-evaluated for every map.
+func (am *appMaster) resetDelivered(r int) {
+	am.job.tier.ResetDelivered(r)
+	am.waitChanged(-1)
+}
+
+// waitChanged tells every running reduce executor that shouldWait(m)
+// may have flipped (m < 0: for any map) without a serving host moving:
+// a map rerun was scheduled, or the tier's delivery state changed.
+func (am *appMaster) waitChanged(m int) {
+	for _, ex := range am.reduceExecs {
+		ex.onWaitChanged(m)
 	}
 }
 

@@ -66,6 +66,10 @@ func (f *fcmExec) onMapAvailable(int) {
 // host-indexed state, so there is nothing to update.
 func (f *fcmExec) onReachabilityChanged(topology.NodeID, bool) {}
 
+// onWaitChanged is required by mapAvailListener; FCM does not pick
+// fetch hosts, so the wait advisory is not its concern.
+func (f *fcmExec) onWaitChanged(int) {}
+
 // onTierChanged re-checks pipeline start: a tier repair completing may
 // have just made the last missing segment servable. FCM waits on every
 // map, so it ignores the change's scope.

@@ -42,24 +42,46 @@ import (
 //     hot flag)
 //   - rebuildHostIndex — wholesale state replacement (checkpoint restore)
 //
+// Fetch choice. A fetcher picks uniformly among the hosts that have no
+// open session and serve a pending map the wait advisory (shouldWait)
+// does not hold back, in the order of each host's first such map. That
+// map is the host's candidate (candOf), and the index keeps every
+// candidate in one bitset over maps (cand). Each pending map is filed
+// under exactly one host, so no two hosts share a candidate: the hosts in
+// ascending candidate order are the set bits in ascending order, and
+// pickHost draws Intn(nCand) and selects that rank in O(maps/64), never
+// visiting a host. A host's candidate is re-evaluated (refresh) whenever
+// an input of it can have changed:
+//
+//   - its list changed (file, from reindexMap): the host a map left when
+//     the map was its candidate, and the host the map is on, even when
+//     the map stayed where it was;
+//   - it opened or closed a session (setBusy, from fillFetchers and
+//     endSession);
+//   - shouldWait flipped for one of its maps without moving it
+//     (waitChanged): a map rerun was scheduled, the tier marked a
+//     segment delivered or forgot its deliveries, or a tier change named
+//     a map outside this reducer's partition (the tier's Recovering and
+//     FullyServable span every partition). Reachability flips and
+//     in-scope tier changes re-resolve maps, so file covers them.
+//
+// A map after the host's candidate cannot change it, so file and
+// waitChanged skip the refresh for one.
+//
 // Determinism: every traversal is in ascending index order. A host's
 // pending maps sit in one sorted intrusive list (head[n], then next[m]),
-// pending maps and live hosts in bitsets, hosts in dense NodeID-indexed
-// slices. pickHost reconstructs exactly the candidate list the full scan
-// produced (hosts ordered by their smallest eligible pending map index)
-// before consuming the engine's seeded randomness. It walks only the
-// live hosts — a node bitset of non-empty lists — in ascending node
-// order; an empty list could never yield a candidate, so skipping it
-// leaves the list unchanged.
+// pending maps and candidates in bitsets, hosts in dense NodeID-indexed
+// slices. The draw sees the same count and returns the same host the
+// full walk over every host did, which checked builds re-run as the
+// oracle at every pick and tier notification (checkHostIndex).
 //
-// Memory: per reducer, one int32 and one bit per node (head, live) and
-// two int32s and one bit per map (next, serveOf, pending) — linear in
-// nodes + maps, never nodes × maps. A host's list holds only the maps it
-// serves, so walking it costs O(its pending maps), and a sorted insert
-// or unlink in reindexMap walks the same list.
+// Memory: per reducer, two int32s and a bool per node (head, candOf,
+// busy) and two int32s and two bits per map (next, serveOf, pending,
+// cand) — linear in nodes + maps, never nodes × maps. A host's list
+// holds only the maps it serves, so a refresh, a sorted insert or an
+// unlink walks only that list.
 
-// mapBitset is a fixed-capacity set of map indices (of node indices, for
-// hostIndex.live).
+// mapBitset is a fixed-capacity set of map indices.
 type mapBitset []uint64
 
 func newMapBitset(n int) mapBitset { return make(mapBitset, (n+63)/64) }
@@ -91,33 +113,79 @@ func (b mapBitset) each(fn func(int) bool) {
 	}
 }
 
+// count returns the number of set bits.
+func (b mapBitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// nth returns the k-th set bit (0-based) in ascending order, or -1 when
+// fewer than k+1 bits are set.
+func (b mapBitset) nth(k int) int {
+	for wi, w := range b {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return wi<<6 + bits.TrailingZeros64(w)
+	}
+	return -1
+}
+
+// waiter answers the wait advisory for a map: the appMaster's
+// shouldWait, or a test double.
+type waiter interface {
+	shouldWait(m int) bool
+}
+
 // hostIndex is the reducer's incremental view of where its pending maps
-// are served.
+// are served and which hosts a fetcher may pick.
 type hostIndex struct {
 	// head[n] is the smallest pending map served by node n, or -1; next[m]
 	// is the next larger pending map served by serveOf[m], or -1. Together
 	// they hold one ascending list per host.
 	head []int32
 	next []int32
-	// live holds the nodes whose list is non-empty.
-	live mapBitset
 	// serveOf[m] is the node serving pending map m, or -1.
 	serveOf []int32
 	// pending holds every not-yet-copied map (whether or not it currently
 	// has a serving host).
 	pending mapBitset
+	// busy[n] is set while the reducer has a fetch session open on node n.
+	busy []bool
+	// candOf[n] is node n's candidate: the first map of its list that
+	// wait lets through, or -1 when there is none or n is busy. cand
+	// holds every candidate, nCand counts them.
+	candOf []int32
+	cand   mapBitset
+	nCand  int
+	wait   waiter
+	// visits counts the candidate re-evaluations that walked a list
+	// (EventStats.HostVisits).
+	visits *uint64
 }
 
-func newHostIndex(numNodes, numMaps int) *hostIndex {
+func newHostIndex(numNodes, numMaps int, wait waiter, visits *uint64) *hostIndex {
 	ix := &hostIndex{
 		head:    make([]int32, numNodes),
 		next:    make([]int32, numMaps),
-		live:    newMapBitset(numNodes),
 		serveOf: make([]int32, numMaps),
 		pending: newMapBitset(numMaps),
+		busy:    make([]bool, numNodes),
+		candOf:  make([]int32, numNodes),
+		cand:    newMapBitset(numMaps),
+		wait:    wait,
+		visits:  visits,
 	}
 	for n := range ix.head {
 		ix.head[n] = -1
+		ix.candOf[n] = -1
 	}
 	for m := range ix.serveOf {
 		ix.next[m] = -1
@@ -126,9 +194,56 @@ func newHostIndex(numNodes, numMaps int) *hostIndex {
 	return ix
 }
 
-// move re-files map m under host nh (-1: no host). The old host's list
-// loses m, the new one gains it at its sorted position, and live tracks
-// which lists are non-empty.
+// file moves map m under host nh (-1: no host) and re-evaluates the
+// candidates the move or a flip of m's advisory can have changed: the
+// host m left when m was its candidate, and the host m is on.
+func (ix *hostIndex) file(m int, nh int32) {
+	old := ix.serveOf[m]
+	ix.move(m, nh)
+	if old != nh && old >= 0 && ix.candOf[old] == int32(m) {
+		ix.refresh(int(old))
+	}
+	ix.touch(nh, m)
+}
+
+// setBusy records that a fetch session opened (busy) or closed on node
+// n.
+func (ix *hostIndex) setBusy(n int, busy bool) {
+	ix.busy[n] = busy
+	ix.refresh(n)
+}
+
+// waitChanged re-evaluates the candidate of map m's host after m's
+// advisory may have flipped; m < 0 re-evaluates every host with
+// pending maps.
+func (ix *hostIndex) waitChanged(m int) {
+	if m >= 0 {
+		ix.touch(ix.serveOf[m], m)
+		return
+	}
+	for n, first := range ix.head {
+		if first >= 0 {
+			ix.refresh(n)
+		}
+	}
+}
+
+// touch re-evaluates node n's candidate (n < 0: none) when map m on its
+// list can change it: m at or before the candidate, or no candidate.
+// The candidate is the first map the advisory lets through, so a later
+// map's advisory is never read.
+func (ix *hostIndex) touch(n int32, m int) {
+	if n < 0 {
+		return
+	}
+	if c := ix.candOf[n]; c >= 0 && int32(m) > c {
+		return
+	}
+	ix.refresh(int(n))
+}
+
+// move re-files map m under host nh (-1: no host): the old host's list
+// loses m and the new one gains it at its sorted position.
 func (ix *hostIndex) move(m int, nh int32) {
 	old := ix.serveOf[m]
 	if old == nh {
@@ -142,9 +257,6 @@ func (ix *hostIndex) move(m int, nh int32) {
 		}
 		*p = ix.next[m]
 		ix.next[m] = -1
-		if ix.head[old] < 0 {
-			ix.live.clear(int(old))
-		}
 	}
 	if nh >= 0 {
 		p := &ix.head[nh]
@@ -153,9 +265,38 @@ func (ix *hostIndex) move(m int, nh int32) {
 		}
 		ix.next[m] = *p
 		*p = m32
-		ix.live.set(int(nh))
 	}
 	ix.serveOf[m] = nh
+}
+
+// refresh re-evaluates node n's candidate: none while busy, else the
+// first map of its list that wait lets through.
+func (ix *hostIndex) refresh(n int) {
+	c := int32(-1)
+	if !ix.busy[n] && ix.head[n] >= 0 {
+		*ix.visits++
+		c = ix.head[n]
+		for c >= 0 && ix.wait.shouldWait(int(c)) {
+			c = ix.next[c] // SFM advisory: regeneration under way
+		}
+	}
+	if old := ix.candOf[n]; old != c {
+		if old >= 0 {
+			ix.cand.clear(int(old))
+			ix.nCand--
+		}
+		if c >= 0 {
+			ix.cand.set(int(c))
+			ix.nCand++
+		}
+		ix.candOf[n] = c
+	}
+}
+
+// pick returns the host whose candidate has rank k (0 <= k < nCand) in
+// ascending map order.
+func (ix *hostIndex) pick(k int) int {
+	return int(ix.serveOf[ix.cand.nth(k)])
 }
 
 // appendOn appends the pending maps node n serves, in ascending order.
@@ -166,16 +307,14 @@ func (ix *hostIndex) appendOn(dst []int, n int) []int {
 	return dst
 }
 
-// check verifies the lists against serveOf and live: every list strictly
-// ascending and holding exactly the maps serveOf files under its host,
-// and live holding exactly the non-empty lists. It returns "" when the
-// index is consistent.
+// check verifies the lists against serveOf and the candidates against
+// the lists: every list strictly ascending and holding exactly the maps
+// serveOf files under its host, every candidate a map of its host's
+// list, and cand and nCand holding exactly the candidates. It returns ""
+// when the index is consistent.
 func (ix *hostIndex) check() string {
 	listed := 0
 	for n, m := range ix.head {
-		if ix.live.has(n) != (m >= 0) {
-			return "live host set out of sync for node " + itoa(n)
-		}
 		for prev := int32(-1); m >= 0; prev, m = m, ix.next[m] {
 			if m <= prev {
 				return "host " + itoa(n) + " list not ascending at map " + itoa(int(m))
@@ -194,6 +333,20 @@ func (ix *hostIndex) check() string {
 	}
 	if listed != 0 {
 		return "host lists and serveOf disagree on the number of served maps"
+	}
+	cands := 0
+	for n, c := range ix.candOf {
+		if c < 0 {
+			continue
+		}
+		if ix.serveOf[c] != int32(n) || !ix.cand.has(int(c)) {
+			return "host " + itoa(n) + " candidate map " + itoa(int(c)) + " not in its list or not in the candidate set"
+		}
+		cands++
+	}
+	if got := ix.cand.count(); got != cands || ix.nCand != cands {
+		return "candidate set holds " + itoa(got) + " maps, count " + itoa(ix.nCand) +
+			", hosts name " + itoa(cands)
 	}
 	return ""
 }
@@ -221,8 +374,9 @@ func (r *reduceExec) serveHost(m int) (topology.NodeID, bool) {
 	return mof.node, true
 }
 
-// reindexMap recomputes map m's serving host and moves it between host
-// lists. Pure state maintenance: no events, no randomness.
+// reindexMap recomputes map m's serving host and files it there, which
+// re-evaluates the candidates it can have changed (see hostIndex.file).
+// Pure state maintenance: no events, no randomness.
 func (r *reduceExec) reindexMap(m int) {
 	ix := r.hostIdx
 	if ix == nil {
@@ -235,19 +389,21 @@ func (r *reduceExec) reindexMap(m int) {
 			nh = int32(h)
 		}
 	}
-	ix.move(m, nh)
+	ix.file(m, nh)
 }
 
 // markCopied records a delivered (or restored) map and drops it from the
-// index. It is the only place shuffle code may set r.copied[m].
+// index. It is the only place shuffle code may set r.copied[m]. Under
+// remote shuffle the delivery can end the tier's repair obligation for
+// m, which other reducers read through the wait advisory.
 func (r *reduceExec) markCopied(m int) {
 	if r.copied[m] {
 		return
 	}
 	r.copied[m] = true
 	r.copiedCount++
-	if tier := r.job.tier; tier != nil {
-		tier.MarkDelivered(m, r.t.idx)
+	if tier := r.job.tier; tier != nil && tier.MarkDelivered(m, r.t.idx) {
+		r.job.am.waitChanged(m)
 	}
 	if r.hostIdx != nil {
 		r.hostIdx.pending.clear(m)
@@ -257,9 +413,10 @@ func (r *reduceExec) markCopied(m int) {
 
 // rebuildHostIndex recomputes the whole index from r.copied and the AM's
 // MOF registry — used at registration and after wholesale state
-// replacement (checkpoint restore).
+// replacement (checkpoint restore). Both run in begin, before the
+// attempt opens a fetch session, so no host is busy.
 func (r *reduceExec) rebuildHostIndex() {
-	r.hostIdx = newHostIndex(len(r.job.locals), len(r.copied))
+	r.hostIdx = newHostIndex(len(r.job.locals), len(r.copied), r.job.am, &r.job.hostVisits)
 	for m := range r.copied {
 		if r.copied[m] {
 			continue
@@ -294,10 +451,12 @@ func (r *reduceExec) onReachabilityChanged(_ topology.NodeID, reachable bool) {
 // scoped to map m and partitions parts (nil: all of m's): only map m is
 // re-resolved, and only when this reducer's partition is in scope. m < 0
 // (tier node crash/restore/heal, hot flag) re-resolves every pending
-// map. Like a heal, a newly servable replica has no other event that
-// would restart an idle shuffle, so the fetchers are woken through a
-// zero-delay event — on every notification, in scope or not: the wake
-// draws seeded randomness, so skipping it would change the run.
+// map. Out of scope, m's host stays but its wait advisory may not: the
+// tier's Recovering and FullyServable read every partition of m. Like a
+// heal, a newly servable replica has no other event that would restart
+// an idle shuffle, so the fetchers are woken through a zero-delay event
+// — on every notification, in scope or not: the wake draws seeded
+// randomness, so skipping it would change the run.
 func (r *reduceExec) onTierChanged(m int, parts []int) {
 	if !r.indexLive() {
 		return
@@ -307,8 +466,19 @@ func (r *reduceExec) onTierChanged(m int, parts []int) {
 		r.reindexPending()
 	case parts == nil || slices.Contains(parts, r.t.idx):
 		r.reindexMap(m)
+	default:
+		r.hostIdx.waitChanged(m)
 	}
 	r.job.Eng.Post(0, r.fillFn)
+}
+
+// onWaitChanged re-evaluates the candidate of the host serving map m
+// after an input of shouldWait(m) flipped without moving any map; m < 0
+// re-evaluates every host with pending maps.
+func (r *reduceExec) onWaitChanged(m int) {
+	if r.indexLive() {
+		r.hostIdx.waitChanged(m)
+	}
 }
 
 // indexLive reports whether the reducer is shuffling with an index that
@@ -327,12 +497,14 @@ func (r *reduceExec) reindexPending() {
 
 // checkHostIndex verifies the index against a full scan (testing builds
 // only): every pending map must sit in exactly the list the live
-// resolution would pick, every list must be ascending, and the live host
-// set must hold exactly the non-empty lists.
+// resolution would pick, every list must be ascending, and every host's
+// candidate must be what the walk pickHost once made finds: none with an
+// open session, else the first map of its list shouldWait lets through.
 func (r *reduceExec) checkHostIndex() {
 	if !invariantsEnabled || r.hostIdx == nil {
 		return
 	}
+	ix := r.hostIdx
 	for m := range r.copied {
 		want := int32(-1)
 		if !r.copied[m] {
@@ -340,13 +512,24 @@ func (r *reduceExec) checkHostIndex() {
 				want = int32(h)
 			}
 		}
-		if got := r.hostIdx.serveOf[m]; got != want {
+		if got := ix.serveOf[m]; got != want {
 			panic("engine: host index out of sync for map " + itoa(m) +
 				": indexed host " + itoa(int(got)) + ", live host " + itoa(int(want)))
 		}
 	}
-	if msg := r.hostIdx.check(); msg != "" {
+	if msg := ix.check(); msg != "" {
 		panic("engine: " + msg)
+	}
+	for n, first := range ix.head {
+		want := int32(-1)
+		if !ix.busy[n] {
+			for want = first; want >= 0 && r.job.am.shouldWait(int(want)); want = ix.next[want] {
+			}
+		}
+		if got := ix.candOf[n]; got != want {
+			panic("engine: host " + itoa(n) + " candidate map " + itoa(int(got)) +
+				", the walk finds " + itoa(int(want)))
+		}
 	}
 }
 

@@ -99,6 +99,7 @@ func (am *appMaster) RecoverMap(idx int, highPrio bool, avoid topology.NodeID) {
 
 func (am *appMaster) ScheduleMapRerun(idx int, highPrio bool, avoid topology.NodeID, reason string) {
 	am.rerunScheduled[idx] = true
+	am.waitChanged(idx)
 	mt := am.maps[idx]
 	if mt.done {
 		mt.rerunInFlight = true

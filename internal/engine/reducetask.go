@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -18,11 +17,14 @@ import (
 // mapAvailListener is notified when a map's output becomes available
 // (first completion or regeneration), when a node's reachability flips,
 // and — under remote shuffle — when the tier's serving state changes:
-// the three events that move a pending map between serving hosts.
+// the three events that move a pending map between serving hosts. It
+// also hears when the wait advisory for a map (or, m < 0, for any map)
+// may have flipped while its serving host stayed put.
 type mapAvailListener interface {
 	onMapAvailable(mapIdx int)
 	onReachabilityChanged(id topology.NodeID, reachable bool)
 	onTierChanged(m int, parts []int)
+	onWaitChanged(m int)
 }
 
 // reduceExec runs one regular ReduceTask attempt through the three
@@ -46,13 +48,9 @@ type reduceExec struct {
 	copied      []bool
 	copiedCount int
 	hostIdx     *hostIndex
-	candHosts   []topology.NodeID // pickHost scratch, reused per call
-	candMinIdx  []int
-	// hostInSession/hostFailures are dense NodeID-indexed tables (like
-	// hostIndex.head): at thousand-node scale the per-reducer maps cost
-	// far more than two flat slices, and slice reads keep the fetch loop
-	// allocation-free.
-	hostInSession    []bool
+	// hostFailures is a dense NodeID-indexed table (like hostIndex.head):
+	// at thousand-node scale a per-reducer map costs far more than a flat
+	// slice, and slice reads keep the fetch loop allocation-free.
 	hostFailures     []int
 	lastFetchSuccess sim.Time
 	sessions         int
@@ -156,12 +154,11 @@ type reduceExec struct {
 
 func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 	r := &reduceExec{
-		attemptRun:    attemptRun{job: j, t: t, a: a},
-		conf:          j.Spec.Conf,
-		copied:        make([]bool, len(j.am.maps)),
-		hostInSession: make([]bool, len(j.locals)),
-		hostFailures:  make([]int, len(j.locals)),
-		stage:         core.StageShuffle,
+		attemptRun:   attemptRun{job: j, t: t, a: a},
+		conf:         j.Spec.Conf,
+		copied:       make([]bool, len(j.am.maps)),
+		hostFailures: make([]int, len(j.locals)),
+		stage:        core.StageShuffle,
 	}
 	r.memoryLimit = int64(float64(r.conf.ReduceMemoryMB) * 1024 * 1024 * r.conf.ShuffleMemoryShare)
 	r.lastFetchSuccess = j.Eng.Now()
@@ -317,7 +314,7 @@ func (r *reduceExec) fillFetchers() {
 			break
 		}
 		r.sessions++
-		r.hostInSession[host] = true
+		r.hostIdx.setBusy(int(host), true)
 		r.runSession(host)
 	}
 	if r.copiedCount == len(r.copied) {
@@ -331,50 +328,17 @@ func (r *reduceExec) fillFetchers() {
 // the engine's seeded source) so no host's data is systematically drained
 // first.
 //
-// The eligible set comes from the per-host index instead of a scan over
-// every map. To keep runs byte-identical with the scanning version, the
-// candidate list is ordered exactly as the scan built it: hosts sorted by
-// their smallest pending map index that is not under the SFM wait
-// advisory (first-occurrence order in an ascending map sweep). Only then
-// is the seeded random draw made. Only live hosts (non-empty lists) are
-// visited; the advisory is still evaluated per list at call time, since
-// shouldWait can change without a reindex.
+// The eligible hosts, ordered by their smallest pending map index that
+// is not under the SFM wait advisory, are the index's candidates in
+// ascending map order (see hostindex.go), so the draw selects a rank in
+// the candidate set without visiting a host.
 func (r *reduceExec) pickHost() (topology.NodeID, bool) {
 	r.checkHostIndex()
-	am := r.job.am
 	ix := r.hostIdx
-	hosts := r.candHosts[:0]
-	minIdx := r.candMinIdx[:0]
-	for wi, w := range ix.live {
-		for ; w != 0; w &= w - 1 {
-			n := wi<<6 + bits.TrailingZeros64(w)
-			host := topology.NodeID(n)
-			if r.hostInSession[host] {
-				continue
-			}
-			r.job.hostVisits++
-			first := ix.head[n]
-			for first >= 0 && am.shouldWait(int(first)) {
-				first = ix.next[first] // SFM advisory: regeneration under way
-			}
-			if first < 0 {
-				continue
-			}
-			i := len(hosts)
-			hosts = append(hosts, host)
-			minIdx = append(minIdx, int(first))
-			for i > 0 && minIdx[i-1] > minIdx[i] {
-				hosts[i], hosts[i-1] = hosts[i-1], hosts[i]
-				minIdx[i], minIdx[i-1] = minIdx[i-1], minIdx[i]
-				i--
-			}
-		}
-	}
-	r.candHosts, r.candMinIdx = hosts, minIdx
-	if len(hosts) == 0 {
+	if ix.nCand == 0 {
 		return topology.Invalid, false
 	}
-	return hosts[r.job.Eng.Rand().Intn(len(hosts))], true
+	return topology.NodeID(ix.pick(r.job.Eng.Rand().Intn(ix.nCand))), true
 }
 
 // pendingOn lists pending map indices currently served by the node
@@ -669,8 +633,8 @@ func (r *reduceExec) anyStrikeablePending() bool {
 }
 
 func (r *reduceExec) endSession(host topology.NodeID) {
-	if r.hostInSession[host] {
-		r.hostInSession[host] = false
+	if r.hostIdx.busy[host] {
+		r.hostIdx.setBusy(int(host), false)
 		r.sessions--
 	}
 	r.fillFetchers()

@@ -39,7 +39,10 @@ func TestWorkCountersPinned(t *testing.T) {
 		// per instant instead of once per event took AllocPasses from
 		// 3,466 to 419, AllocRounds from 25,091 to 5,156, AllocFlows
 		// from 55,806 to 10,131 and AllocPorts from 78,437 to 12,607,
-		// and left the event counts as they were.
+		// and left the event counts as they were. Picking by rank in
+		// the candidate set instead of walking the live hosts took
+		// HostVisits, now host re-evaluations by the index, from 54,900
+		// to 1,800 and moved no other count.
 		name: "scale_1000",
 		spec: JobSpec{
 			Workload:   workloads.Terasort(),
@@ -58,7 +61,32 @@ func TestWorkCountersPinned(t *testing.T) {
 			AllocFlows:   10131,
 			AllocPorts:   12607,
 			IndexUpdates: 3600,
-			HostVisits:   54900,
+			HostVisits:   1800,
+		},
+	}, {
+		// The same maps and reducers on 4× the nodes (200 racks × 20):
+		// a host is re-evaluated only when its own list, session or
+		// advisory changes, so HostVisits does not grow with the node
+		// count.
+		name: "scale_1000_nodes_x4",
+		spec: JobSpec{
+			Workload:   workloads.Terasort(),
+			InputBytes: 60 * 128 << 20,
+			NumReduces: 30,
+			Mode:       ModeSFM,
+			Seed:       11,
+		},
+		cs: ClusterSpec{Racks: 200, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5},
+		want: EventStats{
+			Processed:    5748,
+			MaxQueue:     3080,
+			Stopped:      7893,
+			AllocPasses:  419,
+			AllocRounds:  5055,
+			AllocFlows:   10232,
+			AllocPorts:   11193,
+			IndexUpdates: 3600,
+			HostVisits:   1800,
 		},
 	}, {
 		// Remote shuffle with a tier-service crash mid-shuffle and its
@@ -72,7 +100,9 @@ func TestWorkCountersPinned(t *testing.T) {
 		// from 7,219 to 4,060. Allocating once per instant took
 		// AllocPasses from 1,270 to 633, AllocRounds from 2,145 to
 		// 1,602, AllocFlows from 2,896 to 2,143 and AllocPorts from
-		// 4,060 to 2,983.
+		// 4,060 to 2,983. Picking by rank in the candidate set left
+		// HostVisits at 8, though it now counts candidate
+		// re-evaluations, not hosts a pick walks.
 		name: "tier_crash",
 		spec: remoteSpec(workloads.Terasort(), ModeALM, 8),
 		cs:   smallCluster(),

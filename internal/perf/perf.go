@@ -86,31 +86,31 @@ func Benchmarks() []Bench {
 			Name:   "fetch_session_churn",
 			Desc:   "shuffle-heavy terasort (20 reducers), fetch sessions dominate",
 			Func:   benchFetchSessionChurn,
-			Budget: Budget{AllocsPerOp: 32_925, BytesPerOp: 3_185_886},
+			Budget: Budget{AllocsPerOp: 32_704, BytesPerOp: 3_168_101},
 		},
 		{
 			Name:   "fig4_heap_load",
 			Desc:   "event-heap footprint under the Fig. 4 spatial-amplification fault load",
 			Func:   benchFig4HeapLoad,
-			Budget: Budget{AllocsPerOp: 34_599, BytesPerOp: 3_363_938},
+			Budget: Budget{AllocsPerOp: 34_302, BytesPerOp: 3_339_893},
 		},
 		{
 			Name:   "fig3_temporal_amplification",
 			Desc:   "reproduce Fig. 3 (temporal amplification timeline)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig3") },
-			Budget: Budget{AllocsPerOp: 5_648, BytesPerOp: 772_001},
+			Budget: Budget{AllocsPerOp: 5_625, BytesPerOp: 771_425},
 		},
 		{
 			Name:   "fig4_spatial_amplification",
 			Desc:   "reproduce Fig. 4 (healthy reducers infected by one node failure)",
 			Func:   func(b *testing.B) { benchExperiment(b, "fig4") },
-			Budget: Budget{AllocsPerOp: 34_721, BytesPerOp: 3_369_648},
+			Budget: Budget{AllocsPerOp: 34_425, BytesPerOp: 3_345_686},
 		},
 		{
 			Name:   "table2_spatial_cure",
 			Desc:   "reproduce Table II (additional failures, YARN vs SFM)",
 			Func:   func(b *testing.B) { benchExperiment(b, "table2") },
-			Budget: Budget{AllocsPerOp: 165_883, BytesPerOp: 14_898_088},
+			Budget: Budget{AllocsPerOp: 164_462, BytesPerOp: 14_783_216},
 		},
 		{
 			Name: "remote_shuffle_crash",
@@ -119,7 +119,7 @@ func Benchmarks() []Bench {
 			// A fair-share pass keys the ports of every change in its
 			// instant at once; on this job that grows the bottleneck
 			// heap's scratch by about 4.7 kB per op.
-			Budget: Budget{AllocsPerOp: 38_987, BytesPerOp: 3_897_525},
+			Budget: Budget{AllocsPerOp: 38_939, BytesPerOp: 3_899_244},
 		},
 		{
 			Name: "alg_reduce_snapshots",
@@ -128,19 +128,19 @@ func Benchmarks() []Bench {
 			// Snapshots cost what changed since the last one: the
 			// committed flushed prefix is a view of the output, not a
 			// copy per snapshot.
-			Budget: Budget{AllocsPerOp: 26_145, BytesPerOp: 5_717_752},
+			Budget: Budget{AllocsPerOp: 26_102, BytesPerOp: 5_714_388},
 		},
 		{
 			Name:   "sweep_parallel",
 			Desc:   "8 seeded jobs fanned through the sweep scheduler at Workers workers",
 			Func:   benchSweepParallel,
-			Budget: Budget{AllocsPerOp: 37_357, BytesPerOp: 3_033_482},
+			Budget: Budget{AllocsPerOp: 37_133, BytesPerOp: 3_029_336},
 		},
 		{
 			Name:   "engine_1000_nodes",
 			Desc:   "one job on a 1000-node cluster (2000 maps, 100 reducers): dense SoA state tables under thousand-node load",
 			Func:   benchEngine1000Nodes,
-			Budget: Budget{AllocsPerOp: 1_055_046, BytesPerOp: 120_935_592},
+			Budget: Budget{AllocsPerOp: 1_052_750, BytesPerOp: 116_357_848},
 		},
 	}
 }

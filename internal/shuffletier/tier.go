@@ -614,10 +614,15 @@ func (t *Tier) PendingRecovery() int {
 
 // MarkDelivered records that reducer r fetched map m's segment; losing
 // it later costs nothing (the current reduce attempt holds the data).
-func (t *Tier) MarkDelivered(m, r int) {
-	if ms := t.mapAt(m); ms != nil && r >= 0 && r < t.numParts {
-		ms.delivered[r] = true
+// It reports whether Recovering(m) may have changed: the segment was not
+// marked yet and has no stored replica.
+func (t *Tier) MarkDelivered(m, r int) bool {
+	ms := t.mapAt(m)
+	if ms == nil || r < 0 || r >= t.numParts || ms.delivered[r] {
+		return false
 	}
+	ms.delivered[r] = true
+	return ms.stored[r] == 0
 }
 
 // ResetDelivered forgets delivery state for partition r — called when a
