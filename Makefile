@@ -106,7 +106,8 @@ chaos-smoke:
 # scale-probe runs one fault-free SFM terasort job at each of 1,000,
 # 2,000, 4,000 and 10,000 nodes (20 per rack, 2 maps per node, 100
 # reducers, seed 11, no trace) and prints host time, CPU time, max RSS,
-# events, HostVisits and virtual duration per size. It is tooling for
+# the Go heap live at the job's end, events, HostVisits and virtual
+# duration per size. It is tooling for
 # fetch-choice and memory work, not a CI gate: the 10,000-node job takes
 # about 15 s and 800 MB. The binary runs directly, not under `go run`,
 # because a process's max RSS starts at its parent's.

@@ -17,8 +17,9 @@
 //	                          # per simulated case under m/
 //	almbench -scale-probe -nodes 1000,2000,4000,10000
 //	                          # one SFM terasort job per cluster size:
-//	                          # host time, CPU, max RSS, events,
-//	                          # HostVisits and virtual duration
+//	                          # host time, CPU, max RSS, live heap
+//	                          # at the job's end, events, HostVisits
+//	                          # and virtual duration
 package main
 
 import (
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format   = fs.String("format", "text", "output format: text | json | csv")
 		perfFlag = fs.Bool("perf", false, "run the engine allocation harness instead of experiments; exit 1 when an entry leaves its pin")
 		metrDir  = fs.String("metrics-dir", "", "directory to dump one Prometheus-text metrics file per simulated case")
-		probe    = fs.Bool("scale-probe", false, "run one SFM terasort job per -nodes size instead of experiments and print host time, CPU, max RSS, events, HostVisits and virtual time")
+		probe    = fs.Bool("scale-probe", false, "run one SFM terasort job per -nodes size instead of experiments and print host time, CPU, max RSS, live heap at the job's end, events, HostVisits and virtual time")
 		nodeList = fs.String("nodes", "1000,2000,4000,10000", "comma-separated node counts for -scale-probe (multiples of 20, ascending)")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {

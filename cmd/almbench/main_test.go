@@ -67,8 +67,8 @@ func TestScaleProbe(t *testing.T) {
 	if len(lines) != 2 || !strings.Contains(lines[0], "host_visits") {
 		t.Fatalf("want a header and one row, got:\n%s", stdout.String())
 	}
-	if f := strings.Fields(lines[1]); len(f) != 8 || f[0] != "20" || f[1] != "40" {
-		t.Fatalf("row %q: want 8 fields for 20 nodes and 40 maps", lines[1])
+	if f := strings.Fields(lines[1]); len(f) != 9 || f[0] != "20" || f[1] != "40" {
+		t.Fatalf("row %q: want 9 fields for 20 nodes and 40 maps", lines[1])
 	}
 	for _, bad := range []string{"30", "0", "1000,x"} {
 		stdout.Reset()

@@ -125,7 +125,7 @@ func TestALGLocalReduceLogBeforeCommit(t *testing.T) {
 			}
 			stalled = true
 		}
-		rec := job.local(a.node).algLogs[0]
+		rec := job.local(a.node).algLog(0)
 		if stalled && rec != nil && rec.Stage == core.StageReduce && job.algCommits[0].rec == nil {
 			job.am.attemptFailed(a, "injected failure between local log and HDFS commit")
 			failed = true

@@ -164,8 +164,7 @@ func (r *reduceExec) tryCheckpointRestore() bool {
 	r.ckptSeq = img.seq
 	local := r.job.local(r.a.node)
 	for i, sg := range img.onDisk {
-		local.segments[sg.Path] = sg
-		local.segMaps[sg.Path] = img.onDiskMaps[i]
+		local.putSegment(sg.Path, sg, img.onDiskMaps[i])
 		r.holdMaps(img.onDiskMaps[i])
 	}
 	r.holdMaps(img.inMemMaps)

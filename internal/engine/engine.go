@@ -261,7 +261,10 @@ type EventStats struct {
 
 // localNode is a worker node's local state outside YARN's view: the local
 // filesystem holding spilled segments, MOFs and ALG logs. StopNetwork
-// keeps it intact (but unreachable); Crash destroys it.
+// keeps it intact (but unreachable); Crash destroys it. Every table is
+// allocated on its first write, so the nodes that hold no reducer data
+// (most of a large cluster, and every node of a job without ALG logs)
+// cost one empty struct; reads treat a nil table as empty.
 type localNode struct {
 	segments map[string]*merge.Segment
 	// segMaps records which map outputs each spilled segment contains —
@@ -269,9 +272,35 @@ type localNode struct {
 	// (so an ALG log never claims data that only lived in lost memory).
 	segMaps map[string][]int
 	// algLogs holds the latest local log record per reduce task, indexed
-	// densely by task idx (nil = no log); flat SoA layout so thousand-node
-	// runs pay a slice header per node, not a map.
+	// densely by task idx (nil = no log).
 	algLogs []*core.LogRecord
+}
+
+// putSegment records a spilled segment at path and the maps it holds.
+func (l *localNode) putSegment(path string, seg *merge.Segment, maps []int) {
+	if l.segments == nil {
+		l.segments = make(map[string]*merge.Segment)
+		l.segMaps = make(map[string][]int)
+	}
+	l.segments[path] = seg
+	l.segMaps[path] = maps
+}
+
+// algLog returns reduce task idx's latest local log record, or nil.
+func (l *localNode) algLog(idx int) *core.LogRecord {
+	if idx >= len(l.algLogs) {
+		return nil
+	}
+	return l.algLogs[idx]
+}
+
+// putALGLog stores reduce task idx's latest local log record; tasks is
+// the job's reduce count.
+func (l *localNode) putALGLog(idx, tasks int, rec *core.LogRecord) {
+	if l.algLogs == nil {
+		l.algLogs = make([]*core.LogRecord, tasks)
+	}
+	l.algLogs[idx] = rec
 }
 
 // Job is one running MapReduce job.
@@ -295,6 +324,9 @@ type Job struct {
 	obs        Observer
 	// tier is the remote shuffle service; nil unless Spec.Shuffle.Remote.
 	tier *shuffletier.Tier
+	// hostSlots numbers the nodes that serve maps for every reducer's
+	// host index (hostindex.go).
+	hostSlots *hostSlots
 	// indexUpdates and hostVisits count the reducers' fetch-index work
 	// (EventStats.IndexUpdates and HostVisits).
 	indexUpdates uint64
@@ -363,13 +395,10 @@ func NewJob(spec JobSpec, cl *cluster.Cluster, plan *faults.Plan) (*Job, error) 
 		plan:        plan,
 		algCommits:  make([]algCommit, spec.NumReduces),
 		checkpoints: make([]*ckptImage, spec.NumReduces),
+		hostSlots:   newHostSlots(cl.Topo.NumNodes()),
 	}
 	for range cl.Topo.Nodes() {
-		j.locals = append(j.locals, &localNode{
-			segments: make(map[string]*merge.Segment),
-			segMaps:  make(map[string][]int),
-			algLogs:  make([]*core.LogRecord, spec.NumReduces),
-		})
+		j.locals = append(j.locals, &localNode{})
 	}
 	j.result.Counters = mr.Counters{}
 	j.result.Trace = j.Tracer
@@ -473,11 +502,7 @@ func (j *Job) local(id topology.NodeID) *localNode { return j.locals[id] }
 
 // crashWipe destroys a node's local data (CrashNode action).
 func (j *Job) crashWipe(id topology.NodeID) {
-	j.locals[id] = &localNode{
-		segments: make(map[string]*merge.Segment),
-		segMaps:  make(map[string][]int),
-		algLogs:  make([]*core.LogRecord, j.Spec.NumReduces),
-	}
+	j.locals[id] = &localNode{}
 }
 
 func (j *Job) finish(failed bool, reason string) {

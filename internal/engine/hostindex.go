@@ -45,7 +45,7 @@ import (
 // Fetch choice. A fetcher picks uniformly among the hosts that have no
 // open session and serve a pending map the wait advisory (shouldWait)
 // does not hold back, in the order of each host's first such map. That
-// map is the host's candidate (candOf), and the index keeps every
+// map is the host's candidate (hostSlot.cand), and the index keeps every
 // candidate in one bitset over maps (cand). Each pending map is filed
 // under exactly one host, so no two hosts share a candidate: the hosts in
 // ascending candidate order are the set bits in ascending order, and
@@ -69,17 +69,25 @@ import (
 // waitChanged skip the refresh for one.
 //
 // Determinism: every traversal is in ascending index order. A host's
-// pending maps sit in one sorted intrusive list (head[n], then next[m]),
-// pending maps and candidates in bitsets, hosts in dense NodeID-indexed
-// slices. The draw sees the same count and returns the same host the
-// full walk over every host did, which checked builds re-run as the
-// oracle at every pick and tier notification (checkHostIndex).
+// pending maps sit in one sorted intrusive list (hostSlot.head, then
+// next[m]), pending maps and candidates in bitsets. Hosts are numbered
+// by slot (hostSlots), in the order they first serve one of the job's
+// maps; that order is seeded like every event, and nothing reads it but
+// the tables: the draw selects a rank over map indices and returns the
+// node serveOf names, so the slot order cannot change a draw. The draw
+// sees the same count and returns the same host the full walk over
+// every host did, which checked builds re-run as the oracle at every
+// pick and tier notification (checkHostIndex).
 //
-// Memory: per reducer, two int32s and a bool per node (head, candOf,
-// busy) and two int32s and two bits per map (next, serveOf, pending,
-// cand) — linear in nodes + maps, never nodes × maps. A host's list
-// holds only the maps it serves, so a refresh, a sorted insert or an
-// unlink walks only that list.
+// Memory: per reducer, one 32-byte hostSlot per host that has served
+// the job a map (list head, candidate, strike count, session flag and
+// interned fetch flow name), and two int32s and two bits per map (next,
+// serveOf, pending, cand). The node→slot table is per job, so nothing
+// per reducer grows with the cluster: at 1,000 nodes a 200-map job's
+// reducers hold 200 slots each, not 1,000. A fetch name lives only while
+// its host has pending maps. A host's list holds only the maps it
+// serves, so a refresh, a sorted insert or an unlink walks only that
+// list.
 
 // mapBitset is a fixed-capacity set of map indices.
 type mapBitset []uint64
@@ -144,54 +152,124 @@ type waiter interface {
 	shouldWait(m int) bool
 }
 
+// hostSlots numbers the hosts that serve a job's maps densely, in the
+// order they first serve one. There is one table per job, shared by
+// every reducer's index, so a reducer's per-host state is a slice over
+// the hosts that have served maps, not over the cluster's nodes.
+type hostSlots struct {
+	// of[n] is node n's slot, or -1 while n has served no map.
+	of []int32
+	// count is the number of slots numbered so far.
+	count int
+}
+
+func newHostSlots(numNodes int) *hostSlots {
+	hs := &hostSlots{of: make([]int32, numNodes)}
+	for n := range hs.of {
+		hs.of[n] = -1
+	}
+	return hs
+}
+
+// slot returns node n's slot, numbering n when it first serves a map.
+func (hs *hostSlots) slot(n int32) int32 {
+	s := hs.of[n]
+	if s < 0 {
+		s = int32(hs.count)
+		hs.of[n] = s
+		hs.count++
+	}
+	return s
+}
+
+// hostSlot is one reducer's state for one host.
+type hostSlot struct {
+	// head is the smallest pending map the host serves, or -1; the rest
+	// of the list follows hostIndex.next.
+	head int32
+	// cand is the host's candidate: the first map of its list that wait
+	// lets through, or -1 when there is none or the host is busy.
+	cand int32
+	// fails counts the reducer's consecutive failed fetch rounds on the
+	// host (its strikes); a session that delivers resets it.
+	fails int32
+	// busy is set while the reducer has a fetch session open on the host.
+	busy bool
+	// name is the interned fetch flow name, "" until a session needs it.
+	// It is dropped when the host's list empties, so a reducer keeps
+	// names only for hosts it still fetches from; the name depends only
+	// on (attempt, host), so a rebuild renders the same string.
+	name string
+}
+
 // hostIndex is the reducer's incremental view of where its pending maps
 // are served and which hosts a fetcher may pick.
 type hostIndex struct {
-	// head[n] is the smallest pending map served by node n, or -1; next[m]
-	// is the next larger pending map served by serveOf[m], or -1. Together
-	// they hold one ascending list per host.
-	head []int32
+	slots *hostSlots
+	// hosts[s] is the state of the host with slot s. It covers the job's
+	// slots as of the index's last growth: a host enters it when it is
+	// first filed here.
+	hosts []hostSlot
+	// next[m] is the next larger pending map served by serveOf[m], or -1.
 	next []int32
 	// serveOf[m] is the node serving pending map m, or -1.
 	serveOf []int32
 	// pending holds every not-yet-copied map (whether or not it currently
 	// has a serving host).
 	pending mapBitset
-	// busy[n] is set while the reducer has a fetch session open on node n.
-	busy []bool
-	// candOf[n] is node n's candidate: the first map of its list that
-	// wait lets through, or -1 when there is none or n is busy. cand
-	// holds every candidate, nCand counts them.
-	candOf []int32
-	cand   mapBitset
-	nCand  int
-	wait   waiter
+	// cand holds every host's candidate, nCand counts them.
+	cand  mapBitset
+	nCand int
+	wait  waiter
 	// visits counts the candidate re-evaluations that walked a list
 	// (EventStats.HostVisits).
 	visits *uint64
 }
 
-func newHostIndex(numNodes, numMaps int, wait waiter, visits *uint64) *hostIndex {
+func newHostIndex(slots *hostSlots, numMaps int, wait waiter, visits *uint64) *hostIndex {
 	ix := &hostIndex{
-		head:    make([]int32, numNodes),
+		slots:   slots,
 		next:    make([]int32, numMaps),
 		serveOf: make([]int32, numMaps),
 		pending: newMapBitset(numMaps),
-		busy:    make([]bool, numNodes),
-		candOf:  make([]int32, numNodes),
 		cand:    newMapBitset(numMaps),
 		wait:    wait,
 		visits:  visits,
 	}
-	for n := range ix.head {
-		ix.head[n] = -1
-		ix.candOf[n] = -1
-	}
+	ix.grow()
 	for m := range ix.serveOf {
 		ix.next[m] = -1
 		ix.serveOf[m] = -1
 	}
 	return ix
+}
+
+// grow extends hosts to the job's slot count, doubling its capacity
+// when it must reallocate, so a reducer that sees hosts appear one by
+// one reallocates O(log hosts) times.
+func (ix *hostIndex) grow() {
+	n, old := ix.slots.count, len(ix.hosts)
+	if n > cap(ix.hosts) {
+		grown := make([]hostSlot, old, max(n, 2*cap(ix.hosts)))
+		copy(grown, ix.hosts)
+		ix.hosts = grown
+	}
+	ix.hosts = ix.hosts[:n]
+	for s := old; s < n; s++ {
+		ix.hosts[s] = hostSlot{head: -1, cand: -1}
+	}
+}
+
+// host returns the state of node n, which must have been filed here.
+func (ix *hostIndex) host(n int32) *hostSlot { return &ix.hosts[ix.slots.of[n]] }
+
+// lookup returns the state of node n, or nil when n was never filed
+// here.
+func (ix *hostIndex) lookup(n int) *hostSlot {
+	if s := ix.slots.of[n]; s >= 0 && int(s) < len(ix.hosts) {
+		return &ix.hosts[s]
+	}
+	return nil
 }
 
 // file moves map m under host nh (-1: no host) and re-evaluates the
@@ -200,8 +278,10 @@ func newHostIndex(numNodes, numMaps int, wait waiter, visits *uint64) *hostIndex
 func (ix *hostIndex) file(m int, nh int32) {
 	old := ix.serveOf[m]
 	ix.move(m, nh)
-	if old != nh && old >= 0 && ix.candOf[old] == int32(m) {
-		ix.refresh(int(old))
+	if old != nh && old >= 0 {
+		if h := ix.host(old); h.cand == int32(m) {
+			ix.refresh(h)
+		}
 	}
 	ix.touch(nh, m)
 }
@@ -209,8 +289,9 @@ func (ix *hostIndex) file(m int, nh int32) {
 // setBusy records that a fetch session opened (busy) or closed on node
 // n.
 func (ix *hostIndex) setBusy(n int, busy bool) {
-	ix.busy[n] = busy
-	ix.refresh(n)
+	h := ix.host(int32(n))
+	h.busy = busy
+	ix.refresh(h)
 }
 
 // waitChanged re-evaluates the candidate of map m's host after m's
@@ -221,9 +302,9 @@ func (ix *hostIndex) waitChanged(m int) {
 		ix.touch(ix.serveOf[m], m)
 		return
 	}
-	for n, first := range ix.head {
-		if first >= 0 {
-			ix.refresh(n)
+	for s := range ix.hosts {
+		if h := &ix.hosts[s]; h.head >= 0 {
+			ix.refresh(h)
 		}
 	}
 }
@@ -236,14 +317,17 @@ func (ix *hostIndex) touch(n int32, m int) {
 	if n < 0 {
 		return
 	}
-	if c := ix.candOf[n]; c >= 0 && int32(m) > c {
+	h := ix.host(n)
+	if c := h.cand; c >= 0 && int32(m) > c {
 		return
 	}
-	ix.refresh(int(n))
+	ix.refresh(h)
 }
 
 // move re-files map m under host nh (-1: no host): the old host's list
-// loses m and the new one gains it at its sorted position.
+// loses m and the new one gains it at its sorted position. A host filed
+// for the first time enters hosts, numbered in the job's slots if it is
+// new to the job.
 func (ix *hostIndex) move(m int, nh int32) {
 	old := ix.serveOf[m]
 	if old == nh {
@@ -251,15 +335,22 @@ func (ix *hostIndex) move(m int, nh int32) {
 	}
 	m32 := int32(m)
 	if old >= 0 {
-		p := &ix.head[old]
+		h := ix.host(old)
+		p := &h.head
 		for *p != m32 {
 			p = &ix.next[*p]
 		}
 		*p = ix.next[m]
 		ix.next[m] = -1
+		if h.head < 0 {
+			h.name = ""
+		}
 	}
 	if nh >= 0 {
-		p := &ix.head[nh]
+		if int(ix.slots.slot(nh)) >= len(ix.hosts) {
+			ix.grow()
+		}
+		p := &ix.host(nh).head
 		for *p >= 0 && *p < m32 {
 			p = &ix.next[*p]
 		}
@@ -269,18 +360,18 @@ func (ix *hostIndex) move(m int, nh int32) {
 	ix.serveOf[m] = nh
 }
 
-// refresh re-evaluates node n's candidate: none while busy, else the
+// refresh re-evaluates host h's candidate: none while busy, else the
 // first map of its list that wait lets through.
-func (ix *hostIndex) refresh(n int) {
+func (ix *hostIndex) refresh(h *hostSlot) {
 	c := int32(-1)
-	if !ix.busy[n] && ix.head[n] >= 0 {
+	if !h.busy && h.head >= 0 {
 		*ix.visits++
-		c = ix.head[n]
+		c = h.head
 		for c >= 0 && ix.wait.shouldWait(int(c)) {
 			c = ix.next[c] // SFM advisory: regeneration under way
 		}
 	}
-	if old := ix.candOf[n]; old != c {
+	if old := h.cand; old != c {
 		if old >= 0 {
 			ix.cand.clear(int(old))
 			ix.nCand--
@@ -289,7 +380,7 @@ func (ix *hostIndex) refresh(n int) {
 			ix.cand.set(int(c))
 			ix.nCand++
 		}
-		ix.candOf[n] = c
+		h.cand = c
 	}
 }
 
@@ -301,7 +392,11 @@ func (ix *hostIndex) pick(k int) int {
 
 // appendOn appends the pending maps node n serves, in ascending order.
 func (ix *hostIndex) appendOn(dst []int, n int) []int {
-	for m := ix.head[n]; m >= 0; m = ix.next[m] {
+	h := ix.lookup(n)
+	if h == nil {
+		return dst
+	}
+	for m := h.head; m >= 0; m = ix.next[m] {
 		dst = append(dst, int(m))
 	}
 	return dst
@@ -310,24 +405,35 @@ func (ix *hostIndex) appendOn(dst []int, n int) []int {
 // check verifies the lists against serveOf and the candidates against
 // the lists: every list strictly ascending and holding exactly the maps
 // serveOf files under its host, every candidate a map of its host's
-// list, and cand and nCand holding exactly the candidates. It returns ""
-// when the index is consistent.
+// list, cand and nCand holding exactly the candidates, and a fetch name
+// kept only while its host's list is non-empty. It returns "" when the
+// index is consistent.
 func (ix *hostIndex) check() string {
+	slotOf := func(m int32) int32 {
+		if n := ix.serveOf[m]; n >= 0 {
+			return ix.slots.of[n]
+		}
+		return -1
+	}
 	listed := 0
-	for n, m := range ix.head {
-		for prev := int32(-1); m >= 0; prev, m = m, ix.next[m] {
+	for s := range ix.hosts {
+		h := &ix.hosts[s]
+		for prev, m := int32(-1), h.head; m >= 0; prev, m = m, ix.next[m] {
 			if m <= prev {
-				return "host " + itoa(n) + " list not ascending at map " + itoa(int(m))
+				return "host slot " + itoa(s) + " list not ascending at map " + itoa(int(m))
 			}
-			if ix.serveOf[m] != int32(n) {
-				return "map " + itoa(int(m)) + " listed under host " + itoa(n) +
-					", filed under " + itoa(int(ix.serveOf[m]))
+			if slotOf(m) != int32(s) {
+				return "map " + itoa(int(m)) + " listed under host slot " + itoa(s) +
+					", filed under node " + itoa(int(ix.serveOf[m]))
 			}
 			listed++
 		}
+		if h.head < 0 && h.name != "" {
+			return "host slot " + itoa(s) + " keeps its fetch name with no pending map"
+		}
 	}
-	for _, h := range ix.serveOf {
-		if h >= 0 {
+	for _, n := range ix.serveOf {
+		if n >= 0 {
 			listed--
 		}
 	}
@@ -335,12 +441,13 @@ func (ix *hostIndex) check() string {
 		return "host lists and serveOf disagree on the number of served maps"
 	}
 	cands := 0
-	for n, c := range ix.candOf {
+	for s := range ix.hosts {
+		c := ix.hosts[s].cand
 		if c < 0 {
 			continue
 		}
-		if ix.serveOf[c] != int32(n) || !ix.cand.has(int(c)) {
-			return "host " + itoa(n) + " candidate map " + itoa(int(c)) + " not in its list or not in the candidate set"
+		if slotOf(c) != int32(s) || !ix.cand.has(int(c)) {
+			return "host slot " + itoa(s) + " candidate map " + itoa(int(c)) + " not in its list or not in the candidate set"
 		}
 		cands++
 	}
@@ -416,7 +523,7 @@ func (r *reduceExec) markCopied(m int) {
 // replacement (checkpoint restore). Both run in begin, before the
 // attempt opens a fetch session, so no host is busy.
 func (r *reduceExec) rebuildHostIndex() {
-	r.hostIdx = newHostIndex(len(r.job.locals), len(r.copied), r.job.am, &r.job.hostVisits)
+	r.hostIdx = newHostIndex(r.job.hostSlots, len(r.copied), r.job.am, &r.job.hostVisits)
 	for m := range r.copied {
 		if r.copied[m] {
 			continue
@@ -520,14 +627,14 @@ func (r *reduceExec) checkHostIndex() {
 	if msg := ix.check(); msg != "" {
 		panic("engine: " + msg)
 	}
-	for n, first := range ix.head {
+	for s, h := range ix.hosts {
 		want := int32(-1)
-		if !ix.busy[n] {
-			for want = first; want >= 0 && r.job.am.shouldWait(int(want)); want = ix.next[want] {
+		if !h.busy {
+			for want = h.head; want >= 0 && r.job.am.shouldWait(int(want)); want = ix.next[want] {
 			}
 		}
-		if got := ix.candOf[n]; got != want {
-			panic("engine: host " + itoa(n) + " candidate map " + itoa(int(got)) +
+		if h.cand != want {
+			panic("engine: host slot " + itoa(s) + " candidate map " + itoa(int(h.cand)) +
 				", the walk finds " + itoa(int(want)))
 		}
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -22,18 +24,46 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A reducer's host index must grow with nodes + maps, not nodes × maps:
-// at 4,000 nodes and 8,000 maps the list form takes about 83 KB, where a
-// bitset of all maps per node took about 4.1 MB.
+// A reducer's host index must grow with the hosts that serve the job's
+// maps and with the maps, never with the cluster: the node→slot table
+// is the job's, so an 8,000-map index over 50 serving hosts allocates
+// the same at 4,000 and at 40,000 nodes (about 67 KB), where per-node
+// tables took 4,000 × 9 B more at 4,000 nodes and a bitset of all maps
+// per node about 4.1 MB.
 func TestHostIndexSizeLinear(t *testing.T) {
-	const limit = 128 << 10
-	var ix *hostIndex
-	got := allocBytes(func() { ix = newHostIndex(4000, 8000, nil, nil) })
-	runtime.KeepAlive(ix)
-	t.Logf("newHostIndex(4000, 8000) allocated %d bytes", got)
-	if got >= limit {
-		t.Fatalf("newHostIndex(4000, 8000) allocated %d bytes, want < %d", got, limit)
+	const limit = 96 << 10
+	size := func(nodes int) uint64 {
+		slots := newHostSlots(nodes)
+		for n := 0; n < nodes; n += nodes / 50 {
+			slots.slot(int32(n))
+		}
+		var ix *hostIndex
+		got := allocBytes(func() { ix = newHostIndex(slots, 8000, nil, nil) })
+		runtime.KeepAlive(ix)
+		return got
 	}
+	small, large := size(4000), size(40000)
+	t.Logf("newHostIndex over 50 slots and 8000 maps allocated %d bytes at 4,000 nodes, %d at 40,000", small, large)
+	if small != large {
+		t.Fatalf("the index allocated %d bytes at 4,000 nodes and %d at 40,000: it grows with the node count", small, large)
+	}
+	if small >= limit {
+		t.Fatalf("newHostIndex over 50 slots and 8000 maps allocated %d bytes, want < %d", small, limit)
+	}
+}
+
+// candidate returns node n's candidate map, or -1.
+func (ix *hostIndex) candidate(n int) int {
+	if h := ix.lookup(n); h != nil {
+		return int(h.cand)
+	}
+	return -1
+}
+
+// isBusy reports whether the reducer has a fetch session open on node n.
+func (ix *hostIndex) isBusy(n int) bool {
+	h := ix.lookup(n)
+	return h != nil && h.busy
 }
 
 // walkHosts is the walk pickHost made before the candidate set: over
@@ -92,11 +122,18 @@ func (w waitSet) shouldWait(m int) bool { return w[m] }
 // (1–130, so the bitsets span three words), then 3 bytes per step:
 // kind, map, host. Kind%4 == 0 delivers the map (clears it from pending
 // and unfiles it, as markCopied does); kind%4 == 3 opens or closes a
-// session on host byte%nodes (kind&4 == 0) or flips the advisory for the
-// map (kind&4 != 0) and reports it for that map (kind&8 == 0) or for
-// every map; otherwise the map moves to host byte%(nodes+1)-1,
-// -1 meaning "no serving host", and a delivered map stays unfiled, as
+// session on host byte%nodes (kind&4 == 0; skipped for a host never
+// filed, as pickHost returns only filed hosts) or flips the advisory for
+// the map (kind&4 != 0) and reports it for that map (kind&8 == 0) or for
+// every map; otherwise the map moves to host byte%(nodes+1)-1, -1
+// meaning "no serving host", and a delivered map stays unfiled, as
 // reindexMap leaves it.
+//
+// Slots: a hash of the whole input shuffles the nodes and numbers a
+// prefix of the shuffle before the index is built, as other reducers of
+// the job would have; every other node is numbered when it is first
+// filed, which grows the index's tables mid-script. The draw must not
+// depend on that order.
 func FuzzHostIndex(f *testing.F) {
 	f.Add([]byte{3, 10, 1, 0, 1, 1, 1, 1, 1, 2, 2, 0, 1, 3})
 	f.Add([]byte{15, 129, 1, 128, 4, 1, 64, 4, 1, 63, 4, 0, 64, 0, 2, 128, 0})
@@ -106,7 +143,15 @@ func FuzzHostIndex(f *testing.F) {
 		}
 		nodes, maps := 1+int(data[0])%16, 1+int(data[1])%130
 		wait := make(waitSet, maps)
-		ix := newHostIndex(nodes, maps, wait, new(uint64))
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		slots := newHostSlots(nodes)
+		order := rng.Perm(nodes)
+		for _, n := range order[:rng.Intn(nodes+1)] {
+			slots.slot(int32(n))
+		}
+		ix := newHostIndex(slots, maps, wait, new(uint64))
 		oracle := make([]map[int]bool, nodes)
 		for n := range oracle {
 			oracle[n] = map[int]bool{}
@@ -123,7 +168,9 @@ func FuzzHostIndex(f *testing.F) {
 			switch kind := ops[0]; {
 			case kind%4 == 3 && kind&4 == 0:
 				n := int(ops[2]) % nodes
-				ix.setBusy(n, !ix.busy[n])
+				if ix.lookup(n) != nil {
+					ix.setBusy(n, !ix.isBusy(n))
+				}
 			case kind%4 == 3:
 				wait[m] = !wait[m]
 				if kind&8 != 0 {
@@ -153,6 +200,9 @@ func FuzzHostIndex(f *testing.F) {
 			if msg := ix.check(); msg != "" {
 				t.Fatalf("step %d: %s", step, msg)
 			}
+			if len(ix.hosts) != slots.count {
+				t.Fatalf("step %d: %d host slots in the index, %d in the job", step, len(ix.hosts), slots.count)
+			}
 			if !slices.Equal(ix.serveOf, serve) {
 				t.Fatalf("step %d: serveOf %v, oracle %v", step, ix.serveOf, serve)
 			}
@@ -171,7 +221,7 @@ func FuzzHostIndex(f *testing.F) {
 					t.Fatalf("step %d: host %d lists %v, oracle %v", step, n, got, lists[n])
 				}
 			}
-			walk := walkHosts(lists, func(n int) bool { return ix.busy[n] }, wait.shouldWait)
+			walk := walkHosts(lists, ix.isBusy, wait.shouldWait)
 			if msg := pickMismatch(ix, walk); msg != "" {
 				t.Fatalf("step %d: %s", step, msg)
 			}
@@ -181,11 +231,11 @@ func FuzzHostIndex(f *testing.F) {
 
 // reducerWalk runs walkHosts over a live reducer's index.
 func reducerWalk(r *reduceExec) []int {
-	lists := make([][]int, len(r.hostIdx.head))
+	lists := make([][]int, r.job.Cluster.Topo.NumNodes())
 	for n := range lists {
 		lists[n] = r.hostIdx.appendOn(nil, n)
 	}
-	return walkHosts(lists, func(n int) bool { return r.hostIdx.busy[n] }, r.job.am.shouldWait)
+	return walkHosts(lists, r.hostIdx.isBusy, r.job.am.shouldWait)
 }
 
 // assertPicks fails the test unless r's candidate set agrees with the
@@ -223,7 +273,7 @@ func TestCandidateFollowsRerunScheduled(t *testing.T) {
 		host = idleCandidateHost(r)
 		return host >= 0
 	})
-	m := int(r.hostIdx.candOf[host])
+	m := r.hostIdx.candidate(host)
 	job.Cluster.StopNetwork(topology.NodeID(host))
 	if r.hostIdx.serveOf[m] != int32(host) || job.am.shouldWait(m) {
 		t.Fatalf("map %d moved off host %d or waits before the rerun", m, host)
@@ -238,8 +288,8 @@ func TestCandidateFollowsRerunScheduled(t *testing.T) {
 // idleCandidateHost returns a host other than r's own node that has no
 // open session and a candidate, or -1.
 func idleCandidateHost(r *reduceExec) int {
-	for n, c := range r.hostIdx.candOf {
-		if c >= 0 && !r.hostIdx.busy[n] && topology.NodeID(n) != r.a.node {
+	for n := range r.job.Cluster.Topo.NumNodes() {
+		if r.hostIdx.candidate(n) >= 0 && !r.hostIdx.isBusy(n) && topology.NodeID(n) != r.a.node {
 			return n
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"alm/internal/shuffletier"
 	"alm/internal/sim"
 )
 
@@ -24,8 +25,12 @@ var invariantsEnabled = false
 // the unit suite gets; the checks panic on violation, which the harness
 // converts into reported invariant failures. There is deliberately no
 // way to turn them back off — a process that wants checked runs wants
-// all of them checked.
-func EnableInvariantChecks() { invariantsEnabled = true }
+// all of them checked. It arms the shuffle tier's checks too
+// (shuffletier.EnableChecks).
+func EnableInvariantChecks() {
+	invariantsEnabled = true
+	shuffletier.EnableChecks()
+}
 
 // assertLaunchTimes verifies (checked builds only) that the speculation
 // bookkeeping — launchedAt/launched fields on the attempts — marks

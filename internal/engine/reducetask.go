@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sort"
+	"strconv"
 
 	"alm/internal/core"
 	"alm/internal/dfs"
@@ -47,11 +48,9 @@ type reduceExec struct {
 	// Shuffle state.
 	copied      []bool
 	copiedCount int
-	hostIdx     *hostIndex
-	// hostFailures is a dense NodeID-indexed table (like hostIndex.head):
-	// at thousand-node scale a per-reducer map costs far more than a flat
-	// slice, and slice reads keep the fetch loop allocation-free.
-	hostFailures     []int
+	// hostIdx also holds the per-host strike counts and fetch flow names
+	// (hostSlot), in one table over the hosts that served maps.
+	hostIdx          *hostIndex
 	lastFetchSuccess sim.Time
 	sessions         int
 	// inMem holds fetched segments still in the shuffle buffer, each one
@@ -122,13 +121,13 @@ type reduceExec struct {
 	ckptRestoredOutput int64
 
 	// Interned identifiers (see names.go): stable prefixes computed once
-	// per attempt; sequence-numbered paths render through nameBuf.
+	// per attempt; sequence-numbered paths render through nameBuf. Fetch
+	// flow names are interned per host in hostIdx.
 	spillPrefix  string
 	mergedPrefix string
 	immergeName  string
 	reduceName   string
 	ckptPrefix   string
-	fetchNames   []string // per-host fetch flow names, built lazily
 	nameBuf      []byte
 
 	// Pre-bound callbacks for the recurring timers, the fetcher wake and
@@ -146,19 +145,25 @@ type reduceExec struct {
 	// no sync.Pool) for the shuffle's high-churn objects, plus scratch
 	// slices reused across calls. Pooled objects never cross runs — the
 	// exec, and with it every pool, is per-attempt.
-	sessFree    []*fetchSession
-	watchFree   []*fetchWatch
-	portScratch []*fairshare.Port
-	pendScratch []int
+	sessFree  []*fetchSession
+	watchFree []*fetchWatch
+	// detached is a FIFO ring of the tick timers of landed sessions'
+	// watches (detachTick): detachedLen of them, the oldest at
+	// detachedHead. The oldest is lent to the next watch once it has
+	// fired (tickTimer).
+	detached     []*heldTimer
+	detachedHead int
+	detachedLen  int
+	portScratch  []*fairshare.Port
+	pendScratch  []int
 }
 
 func newReduceExec(j *Job, t *taskState, a *attempt) *reduceExec {
 	r := &reduceExec{
-		attemptRun:   attemptRun{job: j, t: t, a: a},
-		conf:         j.Spec.Conf,
-		copied:       make([]bool, len(j.am.maps)),
-		hostFailures: make([]int, len(j.locals)),
-		stage:        core.StageShuffle,
+		attemptRun: attemptRun{job: j, t: t, a: a},
+		conf:       j.Spec.Conf,
+		copied:     make([]bool, len(j.am.maps)),
+		stage:      core.StageShuffle,
 	}
 	r.memoryLimit = int64(float64(r.conf.ReduceMemoryMB) * 1024 * 1024 * r.conf.ShuffleMemoryShare)
 	r.lastFetchSuccess = j.Eng.Now()
@@ -190,18 +195,18 @@ func (r *reduceExec) seqPath(prefix string, n int) string {
 }
 
 // fetchFlowName interns the per-host fetch flow name ("r_003_0<-7"); a
-// reducer fetches from each host many times, and the rendered name is
-// identical every time.
+// reducer can fetch from a host many times while it serves pending maps
+// (a shuffle-tier node serves thousands of sessions), and the rendered
+// name is identical every time. The index drops it when the host's list
+// empties.
 func (r *reduceExec) fetchFlowName(host topology.NodeID) string {
-	if int(host) >= len(r.fetchNames) {
-		grown := make([]string, r.job.Cluster.Topo.NumNodes())
-		copy(grown, r.fetchNames)
-		r.fetchNames = grown
+	h := r.hostIdx.host(int32(host))
+	if h.name == "" {
+		b := append(append(r.nameBuf[:0], r.a.id...), "<-"...)
+		r.nameBuf = strconv.AppendInt(b, int64(host), 10)
+		h.name = string(r.nameBuf)
 	}
-	if r.fetchNames[host] == "" {
-		r.fetchNames[host] = r.seqPath(r.a.id+"<-", int(host))
-	}
-	return r.fetchNames[host]
+	return h.name
 }
 
 func (r *reduceExec) kill() {
@@ -360,6 +365,7 @@ type fetchSession struct {
 	host   topology.NodeID
 	batch  []int
 	gens   []int
+	watch  *fetchWatch
 	doneFn func()
 }
 
@@ -380,6 +386,7 @@ func (r *reduceExec) newSession(host topology.NodeID) *fetchSession {
 func (r *reduceExec) recycleSession(s *fetchSession) {
 	s.batch = s.batch[:0]
 	s.gens = s.gens[:0]
+	s.watch = nil
 	r.sessFree = append(r.sessFree, s)
 }
 
@@ -429,26 +436,27 @@ func (r *reduceExec) runSession(host topology.NodeID) {
 		r.fetchFlowName(host), bytes, ports, 0, sess.doneFn)
 	r.portScratch = ports[:0]
 	r.addFlow(flow)
-	r.startWatch(host, flow)
+	sess.watch = r.startWatch(host, flow)
 }
 
 // fetchWatch aborts a fetch whose flow makes no progress for a connect-
-// timeout window (the source died mid-transfer). Each watch owns one
-// recurring Timer, held in tm and re-armed in place each round (rearm
-// records it once, when the watch first arms it); watches recycle through
-// watchFree only from inside tick — i.e. only when the timer has just
-// fired and is idle — never while the timer is pending, so a recycled
-// watch can never see a stale fire.
+// timeout window (the source died mid-transfer). Its tick runs on a
+// recurring tick timer (tk) that the watch borrows from the reducer:
+// rearm links each tick timer into held once, when it first arms it, and
+// re-arms it in place each round. A watch recycles through watchFree
+// from its tick, when the timer has just fired and is idle, or from
+// sessionDone, which first detaches the pending tick (detachTick), so a
+// recycled watch can never see a stale fire.
 type fetchWatch struct {
 	r             *reduceExec
 	host          topology.NodeID
 	flow          fairshare.Flow
 	lastRemaining float64
-	tm            heldTimer
+	tk            *heldTimer
 	fn            func()
 }
 
-func (r *reduceExec) startWatch(host topology.NodeID, flow fairshare.Flow) {
+func (r *reduceExec) startWatch(host topology.NodeID, flow fairshare.Flow) *fetchWatch {
 	var w *fetchWatch
 	if n := len(r.watchFree); n > 0 {
 		w = r.watchFree[n-1]
@@ -458,10 +466,14 @@ func (r *reduceExec) startWatch(host topology.NodeID, flow fairshare.Flow) {
 		w = &fetchWatch{r: r}
 		w.fn = w.tick
 	}
+	if w.tk == nil {
+		w.tk = r.tickTimer()
+	}
 	w.host = host
 	w.flow = flow
 	w.lastRemaining = flow.Remaining()
-	r.rearm(&w.tm, r.conf.FetchConnectTimeout, w.fn)
+	r.rearm(w.tk, r.conf.FetchConnectTimeout, w.fn)
+	return w
 }
 
 // tick is the per-interval watchdog probe: fires once per
@@ -481,7 +493,7 @@ func (w *fetchWatch) tick() {
 		return
 	}
 	w.lastRemaining = rem
-	r.rearm(&w.tm, r.conf.FetchConnectTimeout, w.fn)
+	r.rearm(w.tk, r.conf.FetchConnectTimeout, w.fn)
 }
 
 func (w *fetchWatch) recycle() {
@@ -489,11 +501,52 @@ func (w *fetchWatch) recycle() {
 	w.r.watchFree = append(w.r.watchFree, w)
 }
 
+// noTick is the callback of a detached watch tick.
+func noTick() {}
+
+// detachTick frees a landed session's watch. Its flow has ended, and a
+// fairshare.Flow handle stays ended, so the pending tick could only find
+// it so and recycle. The tick is rebound to noTick instead and queued on
+// detached, and the watch recycles at once. The tick still fires, or a
+// kill stops it (its timer stays in held), where it would have, so the
+// event counts do not move.
+func (r *reduceExec) detachTick(w *fetchWatch) {
+	w.tk.tm.Rebind(noTick)
+	if r.detachedLen == len(r.detached) {
+		grown := make([]*heldTimer, max(8, 2*len(r.detached)))
+		n := copy(grown, r.detached[r.detachedHead:])
+		copy(grown[n:], r.detached[:r.detachedHead])
+		r.detached, r.detachedHead = grown, 0
+	}
+	r.detached[(r.detachedHead+r.detachedLen)%len(r.detached)] = w.tk
+	r.detachedLen++
+	w.tk = nil
+	w.recycle()
+}
+
+// tickTimer lends a watch a tick timer: the oldest detached one once it
+// has fired, else a new one, which rearm links into held when it first
+// arms it.
+func (r *reduceExec) tickTimer() *heldTimer {
+	if r.detachedLen > 0 {
+		if h := r.detached[r.detachedHead]; !h.tm.Active() {
+			r.detached[r.detachedHead] = nil
+			r.detachedHead = (r.detachedHead + 1) % len(r.detached)
+			r.detachedLen--
+			return h
+		}
+	}
+	return new(heldTimer)
+}
+
 // sessionDone lands one completed fetch: per-fetch, paired with
 // runSession.
 func (r *reduceExec) sessionDone(s *fetchSession) {
 	if r.dead {
 		return
+	}
+	if s.watch != nil {
+		r.detachTick(s.watch)
 	}
 	host := s.host
 	am := r.job.am
@@ -518,17 +571,23 @@ func (r *reduceExec) sessionDone(s *fetchSession) {
 	// host's strike count.
 	if anyDelivered {
 		r.lastFetchSuccess = r.job.Eng.Now()
-		r.hostFailures[host] = 0
+		*r.strikes(host) = 0
 	}
 	r.job.am.reportProgress(r.a, r.progress())
 	r.endSession(host)
+}
+
+// strikes is the reducer's count of consecutive failed fetch rounds on
+// host, which must have served it a map.
+func (r *reduceExec) strikes(host topology.NodeID) *int32 {
+	return &r.hostIdx.host(int32(host)).fails
 }
 
 func (r *reduceExec) sessionFailed(host topology.NodeID) {
 	if r.dead || r.stage != core.StageShuffle {
 		return
 	}
-	r.hostFailures[host]++
+	*r.strikes(host)++
 	r.job.result.FetchRetries++
 	r.job.result.Counters.Add("shuffle.fetch_retries", 1)
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindFetchRetry, r.a.id,
@@ -538,7 +597,7 @@ func (r *reduceExec) sessionFailed(host topology.NodeID) {
 	// consecutive failed rounds on a host — the slow rediscovery that
 	// lets the scheduler blame the reducer first. A reducer on an
 	// unreachable node cannot report at all.
-	if len(pending) > 0 && r.hostFailures[host] >= r.conf.FetchRetries &&
+	if len(pending) > 0 && int(*r.strikes(host)) >= r.conf.FetchRetries &&
 		r.job.Cluster.NodeReachable(r.a.node) {
 		r.job.am.onFetchFailureReport(r.t.idx, host, pending)
 	}
@@ -546,7 +605,7 @@ func (r *reduceExec) sessionFailed(host topology.NodeID) {
 	// is making no shuffle progress declares itself failed — the seed of
 	// both failure amplifications.
 	now := r.job.Eng.Now()
-	if r.hostFailures[host] >= r.conf.FetchRetries &&
+	if int(*r.strikes(host)) >= r.conf.FetchRetries &&
 		now-r.lastFetchSuccess >= r.conf.StallKillWindow &&
 		r.anyStrikeablePending() {
 		r.endSession(host)
@@ -633,7 +692,7 @@ func (r *reduceExec) anyStrikeablePending() bool {
 }
 
 func (r *reduceExec) endSession(host topology.NodeID) {
-	if r.hostIdx.busy[host] {
+	if r.hostIdx.host(int32(host)).busy {
 		r.hostIdx.setBusy(int(host), false)
 		r.sessions--
 	}
@@ -677,9 +736,7 @@ func (r *reduceExec) deliver(mapIdx int, seg *merge.Segment) {
 			}
 			cp.Spill(path)
 			r.onDisk = append(r.onDisk, cp)
-			local := r.job.local(r.a.node)
-			local.segments[path] = cp
-			local.segMaps[path] = []int{mapIdx}
+			r.job.local(r.a.node).putSegment(path, cp, []int{mapIdx})
 			r.checkMergeReady()
 		})
 		r.addDiskFlow(f)
@@ -726,9 +783,7 @@ func (r *reduceExec) mergeInMemory(done func()) {
 			}
 			merged.Spill(path)
 			r.onDisk = append(r.onDisk, merged)
-			local := r.job.local(r.a.node)
-			local.segments[path] = merged
-			local.segMaps[path] = mapIDs
+			r.job.local(r.a.node).putSegment(path, merged, mapIDs)
 			if done != nil {
 				done()
 			}
@@ -814,8 +869,7 @@ func (r *reduceExec) mergePasses() {
 			return
 		}
 		merged.Spill(path)
-		local.segments[path] = merged
-		local.segMaps[path] = mapIDs
+		local.putSegment(path, merged, mapIDs)
 		r.onDisk = append(rest, merged)
 		r.mergeDone += bytes
 		r.job.am.reportProgress(r.a, r.progress())
@@ -1065,7 +1119,7 @@ func (r *reduceExec) writeLocalLog() *core.LogRecord {
 	node := r.a.node
 	taskIdx := r.t.idx
 	f := r.job.Cluster.Disks.Write(node, rec.EstimateSizeBytes(), func() {
-		r.job.local(node).algLogs[taskIdx] = rec
+		r.job.local(node).putALGLog(taskIdx, r.job.Spec.NumReduces, rec)
 	})
 	r.addFlow(f)
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindLogSnapshot, r.a.id, r.a.nodeName(r.job), rec.Stage.String())
@@ -1132,7 +1186,7 @@ func (r *reduceExec) flushedRecords() []mr.Record {
 // segMaps), so every other map is fetched again.
 func (r *reduceExec) tryLocalRestore() bool {
 	local := r.job.local(r.a.node)
-	rec := local.algLogs[r.t.idx]
+	rec := local.algLog(r.t.idx)
 	if rec == nil || rec.Validate() != nil {
 		return false
 	}

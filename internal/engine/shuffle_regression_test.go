@@ -70,8 +70,8 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 
 	// Pick any host currently serving pending maps.
 	host := topology.Invalid
-	for n, m := range r.hostIdx.head {
-		if m >= 0 {
+	for n := range job.Cluster.Topo.NumNodes() {
+		if len(r.hostIdx.appendOn(nil, n)) > 0 {
 			host = topology.NodeID(n)
 			break
 		}
@@ -88,7 +88,7 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 	preHeld, preDiskOps := heldLogical(r), r.pendingDiskOps
 	preCopied := r.copiedCount
 	preSuccess := r.lastFetchSuccess
-	r.hostFailures[host] = 2
+	*r.strikes(host) = 2
 
 	// The session completes, but every MOF in it regenerated mid-transfer.
 	for _, m := range sess.batch {
@@ -108,8 +108,8 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 	if r.lastFetchSuccess != preSuccess {
 		t.Error("stale session reset the fetch-stall clock")
 	}
-	if r.hostFailures[host] != 2 {
-		t.Errorf("stale session reset host strike count to %d, want 2", r.hostFailures[host])
+	if *r.strikes(host) != 2 {
+		t.Errorf("stale session reset host strike count to %d, want 2", *r.strikes(host))
 	}
 
 	// The same session with matching generations must deliver and credit.
@@ -134,8 +134,8 @@ func TestSessionDoneSkipsRegeneratedMOFs(t *testing.T) {
 	if got := heldLogical(r) - preHeld; got != want {
 		t.Errorf("fresh session credited %d bytes, want %d", got, want)
 	}
-	if r.hostFailures[host] != 0 {
-		t.Errorf("fresh session left strike count at %d, want 0", r.hostFailures[host])
+	if *r.strikes(host) != 0 {
+		t.Errorf("fresh session left strike count at %d, want 0", *r.strikes(host))
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -44,14 +45,8 @@ func TestWorkCountersPinned(t *testing.T) {
 		// HostVisits, now host re-evaluations by the index, from 54,900
 		// to 1,800 and moved no other count.
 		name: "scale_1000",
-		spec: JobSpec{
-			Workload:   workloads.Terasort(),
-			InputBytes: 60 * 128 << 20,
-			NumReduces: 30,
-			Mode:       ModeSFM,
-			Seed:       11,
-		},
-		cs: ClusterSpec{Racks: 50, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5},
+		spec: scale1000Spec(),
+		cs:   scale1000Cluster(50),
 		want: EventStats{
 			Processed:    5748,
 			MaxQueue:     3079,
@@ -69,14 +64,8 @@ func TestWorkCountersPinned(t *testing.T) {
 		// advisory changes, so HostVisits does not grow with the node
 		// count.
 		name: "scale_1000_nodes_x4",
-		spec: JobSpec{
-			Workload:   workloads.Terasort(),
-			InputBytes: 60 * 128 << 20,
-			NumReduces: 30,
-			Mode:       ModeSFM,
-			Seed:       11,
-		},
-		cs: ClusterSpec{Racks: 200, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5},
+		spec: scale1000Spec(),
+		cs:   scale1000Cluster(200),
 		want: EventStats{
 			Processed:    5748,
 			MaxQueue:     3080,
@@ -132,5 +121,67 @@ func TestWorkCountersPinned(t *testing.T) {
 				t.Fatalf("work counters %+v, want %+v", res.Events, c.want)
 			}
 		})
+	}
+}
+
+// scale1000Spec is the bench scale_1000 job (terasort under SFM, seed
+// 11) cut to 60 maps and 30 reducers.
+func scale1000Spec() JobSpec {
+	return JobSpec{
+		Workload:   workloads.Terasort(),
+		InputBytes: 60 * 128 << 20,
+		NumReduces: 30,
+		Mode:       ModeSFM,
+		Seed:       11,
+	}
+}
+
+// scale1000Cluster is the bench scale_1000 cluster (5:1 oversubscribed,
+// 20 nodes per rack) with the given number of racks.
+func scale1000Cluster(racks int) ClusterSpec {
+	return ClusterSpec{Racks: racks, NodesPerRack: 20, HW: topology.DefaultHardware(), Oversubscription: 5}
+}
+
+// TestHostTablesOffNodeCount gates the reducers' host tables with zero
+// tolerance: each has one slot per host that served the job a map, so
+// the scale_1000 work-counter job (60 maps, 30 reducers) gives every
+// reducer the same table length on 1,000 and on 4,000 nodes, and no
+// table is longer than the job has maps. It records each reducer's
+// longest table over the whole run, stepping the job.
+func TestHostTablesOffNodeCount(t *testing.T) {
+	spec, err := scale1000Spec().Defaulted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := func(cs ClusterSpec) []int {
+		eng, jobs, err := assemble(cs, spec.Seed, []JobSpec{spec}, []*faults.Plan{nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := jobs[0]
+		if err := job.Start(func() { eng.Stop() }); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, spec.NumReduces)
+		for eng.Pending() && !job.Finished() {
+			eng.Step()
+			for _, ex := range job.am.reduceExecs {
+				if r, ok := ex.(*reduceExec); ok && r.hostIdx != nil {
+					got[r.t.idx] = max(got[r.t.idx], len(r.hostIdx.hosts))
+				}
+			}
+		}
+		if !job.result.Completed {
+			t.Fatalf("job failed: %s", job.result.FailReason)
+		}
+		return got
+	}
+	x1, x4 := lens(scale1000Cluster(50)), lens(scale1000Cluster(200))
+	t.Logf("host-table lengths per reducer: %v", x1)
+	if !slices.Equal(x1, x4) {
+		t.Fatalf("host-table lengths per reducer differ between 1,000 and 4,000 nodes:\n 1x %v\n 4x %v", x1, x4)
+	}
+	if maps := spec.InputBytes / spec.Conf.BlockSizeBytes; int64(slices.Max(x1)) > maps {
+		t.Fatalf("a host table holds %d slots, more than the job's %d maps", slices.Max(x1), maps)
 	}
 }

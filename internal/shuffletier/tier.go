@@ -105,8 +105,37 @@ type tierNode struct {
 	alive    bool
 	hot      bool
 	inflight int
+	// queue holds the transfers waiting for an ingest slot, FIFO from
+	// qhead (push, pop).
 	queue    []*pushReq
+	qhead    int
 	ingested int64 // cumulative accepted bytes (hot detection + metrics)
+}
+
+// queueLen is the number of transfers waiting for an ingest slot.
+func (tn *tierNode) queueLen() int { return len(tn.queue) - tn.qhead }
+
+// push appends req to the queue. A full slice moves the waiting
+// transfers to the front when at least half of it is spent, and grows
+// otherwise, so a push costs amortized O(1).
+func (tn *tierNode) push(req *pushReq) {
+	if h := tn.qhead; h > 0 && h >= len(tn.queue)/2 && len(tn.queue) == cap(tn.queue) {
+		n := copy(tn.queue, tn.queue[h:])
+		clear(tn.queue[n:])
+		tn.queue, tn.qhead = tn.queue[:n], 0
+	}
+	tn.queue = append(tn.queue, req)
+}
+
+// pop removes and returns the oldest waiting transfer.
+func (tn *tierNode) pop() *pushReq {
+	req := tn.queue[tn.qhead]
+	tn.queue[tn.qhead] = nil
+	tn.qhead++
+	if tn.qhead == len(tn.queue) {
+		tn.queue, tn.qhead = tn.queue[:0], 0
+	}
+	return req
 }
 
 // mapState is the tier's view of one map task's output.
@@ -120,7 +149,11 @@ type mapState struct {
 	// delivered[r] means the current reduce attempt for partition r has
 	// fetched this segment — a subsequent tier loss of it creates no
 	// repair obligation. Reset when the reduce attempt restarts.
-	delivered      []bool
+	delivered []bool
+	// covering[r] counts the transfers carrying partition r that are
+	// active or queued, so covered reads one entry instead of walking
+	// active and every queue.
+	covering       []int32
 	rerunRequested bool
 	onCommit       func()
 }
@@ -282,6 +315,7 @@ func (t *Tier) ensureMap(m int) *mapState {
 		t.maps[m] = &mapState{
 			stored:    make([]uint64, t.numParts),
 			delivered: make([]bool, t.numParts),
+			covering:  make([]int32, t.numParts),
 		}
 	}
 	return t.maps[m]
@@ -347,6 +381,7 @@ func (t *Tier) submit(req *pushReq) {
 		sum += t.maps[req.m].partBytes[r]
 	}
 	req.bytes = sum
+	t.cover(req, 1)
 	tn := t.nodes[req.ord]
 	if tn.inflight < t.opt.MaxInflight {
 		t.start(req)
@@ -354,12 +389,12 @@ func (t *Tier) submit(req *pushReq) {
 	}
 	req.queued = true
 	req.queuedAt = t.eng.Now()
-	tn.queue = append(tn.queue, req)
-	t.mQueue[req.ord].Set(float64(len(tn.queue)))
-	if len(tn.queue) >= t.opt.MaxQueue {
+	tn.push(req)
+	t.mQueue[req.ord].Set(float64(tn.queueLen()))
+	if tn.queueLen() >= t.opt.MaxQueue {
 		t.tr.Emit(t.eng.Now(), trace.KindTierBackpressure, "", tn.name, "ingest queue full")
 		if t.OnBackpressure != nil {
-			t.OnBackpressure(req.ord, len(tn.queue))
+			t.OnBackpressure(req.ord, tn.queueLen())
 		}
 	}
 }
@@ -454,18 +489,15 @@ func segDetail(verb string, m, r int) string {
 // drainQueue starts queued pushes while ingest slots are free, charging
 // each one's queueing delay to the stall histogram.
 func (t *Tier) drainQueue(tn *tierNode) {
-	for tn.inflight < t.opt.MaxInflight && len(tn.queue) > 0 {
-		req := tn.queue[0]
-		copy(tn.queue, tn.queue[1:])
-		tn.queue[len(tn.queue)-1] = nil
-		tn.queue = tn.queue[:len(tn.queue)-1]
+	for tn.inflight < t.opt.MaxInflight && tn.queueLen() > 0 {
+		req := tn.pop()
 		req.queued = false
 		t.mStall.Observe((t.eng.Now() - req.queuedAt).Seconds())
 		t.start(req)
 	}
 	for o, n := range t.nodes {
 		if n == tn {
-			t.mQueue[o].Set(float64(len(tn.queue)))
+			t.mQueue[o].Set(float64(tn.queueLen()))
 		}
 	}
 }
@@ -773,21 +805,21 @@ func (t *Tier) cancelFlows(match func(*pushReq) bool) {
 		copy(t.active[i:], t.active[i+1:])
 		t.active[len(t.active)-1] = nil
 		t.active = t.active[:len(t.active)-1]
+		t.cover(req, -1)
 		t.nodes[req.ord].inflight--
 	}
 	for o, tn := range t.nodes {
 		kept := tn.queue[:0]
-		for _, req := range tn.queue {
+		for _, req := range tn.queue[tn.qhead:] {
 			if match(req) {
+				t.cover(req, -1)
 				continue
 			}
 			kept = append(kept, req)
 		}
-		for i := len(kept); i < len(tn.queue); i++ {
-			tn.queue[i] = nil
-		}
-		tn.queue = kept
-		t.mQueue[o].Set(float64(len(tn.queue)))
+		clear(tn.queue[len(kept):])
+		tn.queue, tn.qhead = kept, 0
+		t.mQueue[o].Set(float64(tn.queueLen()))
 		t.drainQueue(tn)
 	}
 }
@@ -798,21 +830,52 @@ func (t *Tier) removeActive(req *pushReq) {
 			copy(t.active[i:], t.active[i+1:])
 			t.active[len(t.active)-1] = nil
 			t.active = t.active[:len(t.active)-1]
+			t.cover(req, -1)
 			return
 		}
 	}
 }
 
+// cover adds d to the coverage count of every (map, partition) req
+// carries: +1 when it is submitted (active or queued), -1 when it
+// leaves both (its flow lands or it is canceled).
+func (t *Tier) cover(req *pushReq, d int32) {
+	c := t.maps[req.m].covering
+	for _, r := range req.parts {
+		c[r] += d
+	}
+}
+
+// checksEnabled arms the tier's internal cross-checks (EnableChecks).
+var checksEnabled = false
+
+// EnableChecks arms the tier's internal consistency checks: covered is
+// compared with a walk over every active and queued transfer. The
+// engine's EnableInvariantChecks calls it, and the package's tests arm
+// it in an init. The checks panic on a violation.
+func EnableChecks() { checksEnabled = true }
+
 // covered reports whether some active or queued transfer already
 // carries (m, r) — the duplicate-repair guard.
 func (t *Tier) covered(m, r int) bool {
+	c := t.maps[m].covering[r] > 0
+	if checksEnabled && c != t.coveredWalk(m, r) {
+		panic("shuffletier: coverage count of map " + strconv.Itoa(m) + " partition " + strconv.Itoa(r) +
+			" disagrees with the active and queued transfers")
+	}
+	return c
+}
+
+// coveredWalk answers covered by walking the active transfers and every
+// queue: the checked builds' oracle.
+func (t *Tier) coveredWalk(m, r int) bool {
 	for _, req := range t.active {
 		if req.m == m && containsPart(req.parts, r) {
 			return true
 		}
 	}
 	for _, tn := range t.nodes {
-		for _, req := range tn.queue {
+		for _, req := range tn.queue[tn.qhead:] {
 			if req.m == m && containsPart(req.parts, r) {
 				return true
 			}

@@ -12,6 +12,9 @@ import (
 
 const parts = 4
 
+// The package's tests run with the tier's cross-checks armed.
+func init() { EnableChecks() }
+
 // drain advances the simulation a bounded hour — plenty for any tier
 // transfer here, and finite despite the cluster's recurring heartbeat
 // sweeps (which keep the event queue forever non-empty).

@@ -92,3 +92,18 @@ func TestPostAllocFree(t *testing.T) {
 		t.Fatalf("Post+Step allocs/op = %v, want 0", allocs)
 	}
 }
+
+// TestRebindAllocFree: replacing a pending timer's callback allocates
+// nothing, so a reducer can detach every landed fetch's watchdog tick.
+func TestRebindAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	a, b := func() {}, func() {}
+	tm := e.Schedule(time.Second, a)
+	allocs := testing.AllocsPerRun(200, func() {
+		tm.Rebind(b)
+		tm.Rebind(a)
+	})
+	if allocs != 0 {
+		t.Fatalf("Rebind allocs/op = %v, want 0", allocs)
+	}
+}

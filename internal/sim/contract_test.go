@@ -348,3 +348,43 @@ func mustPanic(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
+
+// TestRebindContract pins Timer.Rebind: the timer keeps its instant and
+// sequence number, so it fires where its arming put it among same-instant
+// peers, now running the new callback; nothing is counted as stopped or
+// scheduled. On a fired or stopped timer Rebind does nothing, and a
+// later Reschedule arms the timer as usual.
+func TestRebindContract(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	first := e.Schedule(time.Second, func() { got = append(got, "first") })
+	e.Schedule(time.Second, func() { got = append(got, "peer") })
+	stopped, maxQ, n := e.StoppedEvents(), e.MaxQueueLen(), e.QueueLen()
+
+	first.Rebind(func() { got = append(got, "rebound") })
+	if e.StoppedEvents() != stopped || e.MaxQueueLen() != maxQ || e.QueueLen() != n {
+		t.Fatalf("Rebind moved the accounting: stopped %d→%d, max queue %d→%d, queue %d→%d",
+			stopped, e.StoppedEvents(), maxQ, e.MaxQueueLen(), n, e.QueueLen())
+	}
+	e.RunAll()
+	if want := []string{"rebound", "peer"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if e.Now() != time.Second || e.Processed() != 2 {
+		t.Fatalf("now %v, processed %d; want 1s and 2", e.Now(), e.Processed())
+	}
+
+	first.Rebind(func() { t.Fatal("a fired timer ran its rebound callback") })
+	stoppedTm := e.Schedule(time.Second, func() {})
+	stoppedTm.Stop()
+	stoppedTm.Rebind(func() { t.Fatal("a stopped timer ran its rebound callback") })
+	if first.Active() || stoppedTm.Active() || e.Pending() {
+		t.Fatal("Rebind armed an idle timer")
+	}
+	first.Reschedule(time.Second, func() { got = append(got, "rearmed") })
+	e.RunAll()
+	if got[len(got)-1] != "rearmed" {
+		t.Fatalf("fired %v, want a re-armed timer to run its own callback", got)
+	}
+	mustPanic(t, "Rebind with a nil callback", func() { first.Rebind(nil) })
+}

@@ -167,6 +167,21 @@ func (t *Timer) Retime(delay Time) {
 	e.q.schedule(t)
 }
 
+// Rebind replaces the callback of a pending timer, keeping its instant
+// and its sequence number: the event fires exactly where it would have,
+// running fn instead. Like Retime it is neither a stop nor a schedule.
+// On a timer that is not pending it does nothing. A caller whose event
+// has become moot rebinds it to a shared no-op and drops everything the
+// old callback held, without moving any event.
+func (t *Timer) Rebind(fn func()) {
+	if fn == nil {
+		panic("sim: Rebind called with nil callback")
+	}
+	if t.loc != locNone {
+		t.fn = fn
+	}
+}
+
 // Guard marks the timer as guarded: before Step pops it, the pending
 // end-of-instant hooks (AfterInstant) run, as they do before the clock
 // moves. A component that arms a placeholder at the current instant and
