@@ -6,7 +6,7 @@
 GO ?= go
 ALMVET := bin/almvet
 
-.PHONY: all build test fmt-check race vet lint-test fuzz-smoke bench-alloc bench-smoke chaos chaos-smoke scale-probe ci clean
+.PHONY: all build test fmt-check race vet lint-test fuzz-smoke bench-alloc bench-smoke chaos chaos-smoke scale-probe sweep-1x ci clean
 
 all: build
 
@@ -114,6 +114,14 @@ chaos-smoke:
 scale-probe:
 	$(GO) build -o bin/almbench ./cmd/almbench
 	bin/almbench -scale-probe
+
+# sweep-1x runs every experiment at paper scale on one worker and ends
+# the tables with the sweep's max RSS. It is tooling for memory work, not
+# a CI gate (about 16 s and 80 MB on a shared 2-core VM). Like
+# scale-probe, the binary runs directly, so its max RSS is its own.
+sweep-1x:
+	$(GO) build -o bin/almbench ./cmd/almbench
+	bin/almbench -scale 1 -workers 1
 
 ci: build test fmt-check fuzz-smoke race vet bench-smoke bench-alloc chaos-smoke
 

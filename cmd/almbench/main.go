@@ -20,6 +20,10 @@
 //	                          # host time, CPU, max RSS, live heap
 //	                          # at the job's end, events, HostVisits
 //	                          # and virtual duration
+//
+// In the text format the tables end with one "(sweep max RSS N MB)"
+// line: the process's peak resident set over the run, read with
+// getrusage. The json and csv formats print the tables alone.
 package main
 
 import (
@@ -181,6 +185,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, outs[i].text)
 	})
+	if *format == "text" {
+		fmt.Fprintf(stdout, "(sweep max RSS %.1f MB)\n", maxRSSMB())
+	}
 	if failed+int(sinkFailed.Load()) > 0 {
 		return 1
 	}

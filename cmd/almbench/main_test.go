@@ -81,3 +81,27 @@ func TestScaleProbe(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRSSTrailer: the text format ends with one max-RSS line; the
+// csv format prints the tables alone.
+func TestSweepRSSTrailer(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig3", "-scale", "0.01", "-workers", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	last := lines[len(lines)-1]
+	if !strings.HasPrefix(last, "(sweep max RSS ") || !strings.HasSuffix(last, " MB)") {
+		t.Fatalf("last text line %q, want the sweep max RSS trailer", last)
+	}
+	if n := strings.Count(stdout.String(), "sweep max RSS"); n != 1 {
+		t.Fatalf("%d max RSS lines, want 1", n)
+	}
+	stdout.Reset()
+	if code := run([]string{"-exp", "fig3", "-scale", "0.01", "-workers", "1", "-format", "csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("csv: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if strings.Contains(stdout.String(), "max RSS") {
+		t.Fatalf("csv output carries the text trailer:\n%s", stdout.String())
+	}
+}

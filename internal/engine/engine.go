@@ -180,7 +180,12 @@ func (s JobSpec) Defaulted() (JobSpec, error) {
 	return s, nil
 }
 
-// Result is the outcome of a job run.
+// Result is the outcome of a job run. A Result that Run or RunShared
+// completed references no simulator state: Metrics is a snapshot copy,
+// Trace holds events and series only (its emit hook is cleared when the
+// run ends), and Counters, Decisions and Output are its own. Keeping a
+// Result keeps none of the job, engine or cluster; WithHandles keeps
+// those.
 type Result struct {
 	Completed  bool
 	Failed     bool

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"alm/internal/core"
 	"alm/internal/topology"
@@ -420,16 +421,16 @@ func (ix *hostIndex) check() string {
 		h := &ix.hosts[s]
 		for prev, m := int32(-1), h.head; m >= 0; prev, m = m, ix.next[m] {
 			if m <= prev {
-				return "host slot " + itoa(s) + " list not ascending at map " + itoa(int(m))
+				return "host slot " + strconv.Itoa(s) + " list not ascending at map " + strconv.Itoa(int(m))
 			}
 			if slotOf(m) != int32(s) {
-				return "map " + itoa(int(m)) + " listed under host slot " + itoa(s) +
-					", filed under node " + itoa(int(ix.serveOf[m]))
+				return "map " + strconv.Itoa(int(m)) + " listed under host slot " + strconv.Itoa(s) +
+					", filed under node " + strconv.Itoa(int(ix.serveOf[m]))
 			}
 			listed++
 		}
 		if h.head < 0 && h.name != "" {
-			return "host slot " + itoa(s) + " keeps its fetch name with no pending map"
+			return "host slot " + strconv.Itoa(s) + " keeps its fetch name with no pending map"
 		}
 	}
 	for _, n := range ix.serveOf {
@@ -447,13 +448,13 @@ func (ix *hostIndex) check() string {
 			continue
 		}
 		if slotOf(c) != int32(s) || !ix.cand.has(int(c)) {
-			return "host slot " + itoa(s) + " candidate map " + itoa(int(c)) + " not in its list or not in the candidate set"
+			return "host slot " + strconv.Itoa(s) + " candidate map " + strconv.Itoa(int(c)) + " not in its list or not in the candidate set"
 		}
 		cands++
 	}
 	if got := ix.cand.count(); got != cands || ix.nCand != cands {
-		return "candidate set holds " + itoa(got) + " maps, count " + itoa(ix.nCand) +
-			", hosts name " + itoa(cands)
+		return "candidate set holds " + strconv.Itoa(got) + " maps, count " + strconv.Itoa(ix.nCand) +
+			", hosts name " + strconv.Itoa(cands)
 	}
 	return ""
 }
@@ -620,8 +621,8 @@ func (r *reduceExec) checkHostIndex() {
 			}
 		}
 		if got := ix.serveOf[m]; got != want {
-			panic("engine: host index out of sync for map " + itoa(m) +
-				": indexed host " + itoa(int(got)) + ", live host " + itoa(int(want)))
+			panic("engine: host index out of sync for map " + strconv.Itoa(m) +
+				": indexed host " + strconv.Itoa(int(got)) + ", live host " + strconv.Itoa(int(want)))
 		}
 	}
 	if msg := ix.check(); msg != "" {
@@ -634,18 +635,8 @@ func (r *reduceExec) checkHostIndex() {
 			}
 		}
 		if h.cand != want {
-			panic("engine: host slot " + itoa(s) + " candidate map " + itoa(int(h.cand)) +
-				", the walk finds " + itoa(int(want)))
+			panic("engine: host slot " + strconv.Itoa(s) + " candidate map " + strconv.Itoa(int(h.cand)) +
+				", the walk finds " + strconv.Itoa(int(want)))
 		}
 	}
-}
-
-func itoa(i int) string {
-	if i < 0 {
-		return "-" + itoa(-i)
-	}
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return itoa(i/10) + string(rune('0'+i%10))
 }

@@ -263,7 +263,8 @@ func assemble(cs ClusterSpec, seed int64, specs []JobSpec, plans []*faults.Plan)
 // drive starts every job, runs eng until all of them finish,
 // cs.MaxVirtualTime elapses or ctx (nil: no bound) is canceled, and then
 // completes each job's Result: final metrics, EventStats, and Failed for
-// a job that did not finish.
+// a job that did not finish. It unhooks each job's trace collector, so
+// the Result references no simulator state.
 func drive(eng *sim.Engine, jobs []*Job, cs ClusterSpec, ctx context.Context) error {
 	cs = cs.defaulted()
 	if ctx != nil {
@@ -286,6 +287,10 @@ func drive(eng *sim.Engine, jobs []*Job, cs ClusterSpec, ctx context.Context) er
 	alloc := jobs[0].Cluster.Net.System().Stats()
 	for _, j := range jobs {
 		j.finalizeMetrics(eng)
+		// Nothing emits once eng.Run returns. The hook is a method value
+		// bound to j, and Result.Trace is this collector, so clearing it
+		// lets a kept Result outlive the job, its engine and its cluster.
+		j.Tracer.OnEmit = nil
 		j.result.Events = EventStats{
 			Processed:    eng.Processed(),
 			MaxQueue:     eng.MaxQueueLen(),

@@ -269,8 +269,10 @@ func job(w *workloads.Workload, inputBytes int64, reduces int, mode engine.Mode,
 // runCase is one simulation to execute. needTrace keeps Result.Trace
 // attached for tables that read raw events (the fig3/fig4/fig10
 // timelines, fig14's meanTaskRecovery); every other case drops the
-// trace at run end so a full-scale sweep retains only Result scalars,
-// not every event of every case.
+// trace at run end. No table reads Result.Output, so runAll drops it
+// for every case. A Result references no simulator state, so a
+// full-scale sweep retains only Result scalars and the traces its
+// tables read.
 type runCase struct {
 	key       string
 	spec      engine.JobSpec
@@ -296,6 +298,7 @@ func runAll(cases []runCase, opt Options) (map[string]engine.Result, error) {
 		if err != nil {
 			return fmt.Errorf("case %s: %w", c.key, err)
 		}
+		res.Output = nil
 		slots[i] = res
 		return nil
 	}, nil)

@@ -81,6 +81,32 @@ func TestInjectionString(t *testing.T) {
 	}
 }
 
+// TestKindName names every ActionKind, and reads a value past the last
+// kind as ActionKind(N).
+func TestKindName(t *testing.T) {
+	for _, tc := range []struct {
+		k    ActionKind
+		want string
+	}{
+		{FailTask, "FailTask"},
+		{StopNodeNetwork, "StopNodeNetwork"},
+		{CrashNode, "CrashNode"},
+		{SlowNode, "SlowNode"},
+		{PartitionNode, "PartitionNode"},
+		{HealNode, "HealNode"},
+		{FlakyLink, "FlakyLink"},
+		{DegradeNIC, "DegradeNIC"},
+		{CrashRack, "CrashRack"},
+		{CrashTierNode, "CrashTierNode"},
+		{HotPartition, "HotPartition"},
+		{HotPartition + 1, "ActionKind(11)"},
+	} {
+		if got := kindName(tc.k); got != tc.want {
+			t.Errorf("kindName(%d) = %q, want %q", int(tc.k), got, tc.want)
+		}
+	}
+}
+
 // validPartition is a well-formed transient partition used as the base
 // for the mutation cases below.
 func validPartition() *Injection {
