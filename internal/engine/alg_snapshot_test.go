@@ -16,7 +16,7 @@ import (
 // TestALGFlushedPrefixSurvivesMigration: reducer 0's node stops in the
 // reduce stage after at least one committed HDFS flush. With no FCM
 // budget the ALM recovery is a regular speculative attempt on another
-// node, which restores from the HDFS log (tryHDFSRestore), inherits the
+// node, which restores from the HDFS log (restoreCommit), inherits the
 // flushed prefix and commits more flushes of its own. Committed flushes
 // share storage with the attempts' output, and the committed record is
 // the one the local store holds, so after every later event each commit

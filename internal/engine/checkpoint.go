@@ -22,30 +22,12 @@ import (
 // capable as ALG replay, but the paper's point — which the `checkpointing`
 // experiment quantifies — is what they cost during normal execution.
 
-// ckptImage is one committed task snapshot.
+// ckptImage is one committed task snapshot: the whole state of the
+// attempt as a restore point, stored in the DFS file path.
 type ckptImage struct {
-	seq   int
-	stage core.Stage
-	path  string
-
-	// Shuffle/merge state: the captured segments, each with the maps
-	// whose partitions it holds (onDiskMaps[i] for onDisk[i], inMemMaps[i]
-	// for inMem[i]). A restore marks copied exactly these maps; a map in
-	// a spill or merge still in flight when the image was taken is in
-	// neither list and is fetched again.
-	onDisk     []*merge.Segment
-	onDiskMaps [][]int
-	inMem      []*merge.Segment
-	inMemMaps  []int
-	inMemBytes int64
-
-	// Reduce state.
-	finalSegs     []*merge.Segment
-	positions     merge.Positions
-	processed     int64
-	consumedReal  int
-	output        []mr.Record
-	outputLogical int64
+	seq  int
+	path string
+	restorePoint
 }
 
 // ckptTick arms periodic snapshots; reduce-stage snapshots are deferred to
@@ -128,20 +110,19 @@ func (r *reduceExec) maybeCheckpoint(cont func()) {
 // objects and their map lists are shared (they are immutable once built).
 func (r *reduceExec) buildImage() *ckptImage {
 	local := r.job.local(r.a.node)
-	img := &ckptImage{
-		seq:        r.ckptSeq,
+	img := &ckptImage{seq: r.ckptSeq, restorePoint: restorePoint{
 		stage:      r.stage,
 		onDisk:     append([]*merge.Segment{}, r.onDisk...),
 		onDiskMaps: make([][]int, len(r.onDisk)),
 		inMem:      append([]*merge.Segment{}, r.inMem...),
 		inMemMaps:  append([]int{}, r.inMemMaps...),
 		inMemBytes: r.inMemBytes,
-	}
+	}}
 	for i, sg := range r.onDisk {
 		img.onDiskMaps[i] = local.segMaps[sg.Path]
 	}
 	if r.stage == core.StageReduce && r.cursor != nil {
-		img.finalSegs = append([]*merge.Segment{}, r.finalSegs...)
+		// The cursor runs over onDisk then inMem (openCursor).
 		img.positions = r.cursor.BoundaryPositions()
 		img.processed = r.processed
 		img.consumedReal = r.consumedReal()
@@ -151,72 +132,37 @@ func (r *reduceExec) buildImage() *ckptImage {
 	return img
 }
 
-// tryCheckpointRestore loads the newest committed image when this attempt
-// starts; it charges the image read and reports whether state was
-// restored. The image's on-disk segments and their map lists are
-// registered on this node, so later merge passes, ALG snapshots and
-// images read the same lists whichever node wrote the segments.
-func (r *reduceExec) tryCheckpointRestore() bool {
+// readableImage returns the newest committed image of this task when
+// checkpointing is on and the image's file exists, else nil.
+func (r *reduceExec) readableImage() *ckptImage {
 	img := r.job.checkpoints[r.t.idx]
-	if img == nil {
-		return false
+	if !r.job.Spec.Checkpoint.Enabled || img == nil || !r.job.Cluster.DFS.Exists(img.path) {
+		return nil
 	}
-	r.ckptSeq = img.seq
-	local := r.job.local(r.a.node)
-	for i, sg := range img.onDisk {
-		local.putSegment(sg.Path, sg, img.onDiskMaps[i])
-		r.holdMaps(img.onDiskMaps[i])
-	}
-	r.holdMaps(img.inMemMaps)
-	// The restored maps bypassed markCopied; the incremental host index is
-	// now stale and must be recomputed before any fetch decision.
-	r.rebuildHostIndex()
-	r.onDisk = append([]*merge.Segment{}, img.onDisk...)
-	r.inMem = append([]*merge.Segment{}, img.inMem...)
-	r.inMemMaps = append([]int{}, img.inMemMaps...)
-	r.inMemBytes = img.inMemBytes
-	if img.stage == core.StageReduce {
-		r.finalSegs = append([]*merge.Segment{}, img.finalSegs...)
-		r.totalLogical = merge.TotalLogicalBytes(r.finalSegs)
-		r.totalReal = merge.TotalRealRecords(r.finalSegs)
-		r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), r.finalSegs, img.positions)
-		r.processed = img.processed
-		r.realBase = img.consumedReal
-		r.output = append([]mr.Record{}, img.output...)
-		r.outputLogical = img.outputLogical
-		r.ckptRestoredOutput = img.outputLogical
-		r.stage = core.StageReduce
-	}
-	// Charge the image read (from an HDFS replica to this node).
+	return img
+}
+
+// readImage charges the read of the applied image, from an HDFS replica
+// to this node; the attempt resumes when it lands.
+func (r *reduceExec) readImage(img *ckptImage) {
 	r.ckptRestoring = true
-	if err := r.job.Cluster.DFS.Read(img.path, r.a.node, func(rerr error) {
-		r.ckptRestoring = false
-		if r.dead {
-			return
-		}
-		if rerr != nil {
-			// The image read failed mid-restore. In-memory state was
-			// already applied, so resuming is still the least-bad option,
-			// but the failure must be visible in the run's counters.
-			r.job.result.Counters.Add("ckpt.restore_errors", 1)
-		}
-		r.resume()
-	}); err != nil {
-		r.ckptRestoring = false
-		return false
+	if err := r.job.Cluster.DFS.Read(img.path, r.a.node, r.imageRead); err != nil {
+		r.imageRead(err)
 	}
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindCkptRestored, r.a.id, r.a.nodeName(r.job), img.stage.String())
 	r.job.result.Counters.Add("ckpt.restores", 1)
-	return true
 }
 
-// holdMaps marks the maps a restored image holds as copied, before the
-// host index is rebuilt from copied.
-func (r *reduceExec) holdMaps(maps []int) {
-	for _, m := range maps {
-		if !r.copied[m] {
-			r.copied[m] = true
-			r.copiedCount++
-		}
+// imageRead resumes the attempt after its image read. A read that failed
+// midway still resumes from the applied state, the least-bad option, but
+// the failure must be visible in the run's counters.
+func (r *reduceExec) imageRead(err error) {
+	r.ckptRestoring = false
+	if r.dead {
+		return
 	}
+	if err != nil {
+		r.job.result.Counters.Add("ckpt.restore_errors", 1)
+	}
+	r.resume()
 }

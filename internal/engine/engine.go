@@ -359,6 +359,16 @@ type algCommit struct {
 	records []mr.Record
 }
 
+// skip is the reduced prefix an attempt that inherits c need not reduce
+// again: the real records and logical bytes c's record had processed, 0
+// for the zero commit.
+func (c algCommit) skip() (real int, logical int64) {
+	if c.rec == nil {
+		return 0, 0
+	}
+	return c.rec.ProcessedRealRecords, c.rec.ProcessedLogicalBytes
+}
+
 // flushedLogical is the committed output watermark in logical bytes, 0
 // for the zero commit.
 func (c algCommit) flushedLogical() int64 {

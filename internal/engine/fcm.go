@@ -29,9 +29,9 @@ type fcmExec struct {
 	pendingSrcs   int
 	cpuPort       *fairshare.Port
 
-	skipReal        int
-	restoredLogical int64
-	restored        algCommit
+	// restored is the HDFS commit this attempt inherits (zero if none):
+	// the pipeline supplies and reduces only what follows its prefix.
+	restored algCommit
 
 	output        []mr.Record
 	outputLogical int64
@@ -91,8 +91,6 @@ func (f *fcmExec) begin() {
 	f.startHeartbeat(f)
 	if f.job.Spec.Mode.ALGEnabled() {
 		if c := f.job.algCommits[f.t.idx]; c.rec != nil {
-			f.skipReal = c.rec.ProcessedRealRecords
-			f.restoredLogical = c.rec.ProcessedLogicalBytes
 			f.restored = c
 			f.job.Tracer.Emit(f.job.Eng.Now(), trace.KindLogRestored, f.a.id, f.a.nodeName(f.job), "hdfs:reduce(fcm)")
 			f.job.result.Counters.Add("alg.restores.fcm", 1)
@@ -154,11 +152,8 @@ func (f *fcmExec) maybeBegin() {
 	f.sources = core.PlanFCM(f.job.Spec.Workload.Cmp(), inputs)
 	total := core.TotalLogicalBytes(f.sources)
 	skipFrac := 0.0
-	if f.restoredLogical > 0 && total > 0 {
-		skipFrac = float64(f.restoredLogical) / float64(total)
-		if skipFrac > 1 {
-			skipFrac = 1
-		}
+	if _, logical := f.restored.skip(); logical > 0 && total > 0 {
+		skipFrac = min(float64(logical)/float64(total), 1)
 	}
 	f.cpuPort = f.job.Cluster.Net.System().NewPort(f.a.id+"/cpu", f.job.Spec.Conf.Costs.ReduceCPURate)
 	// Open the output stream now: in the pipeline the reduce output is
@@ -249,7 +244,8 @@ func (f *fcmExec) sourceDone() {
 func (f *fcmExec) pipelineDone() {
 	segs := core.GlobalMPQSegments(f.sources)
 	cursor := merge.NewGroupCursor(f.job.Spec.Workload.Cmp(), f.job.Spec.Workload.Group(), segs, nil)
-	for f.skipReal > 0 && cursor.DeliveredRecords() < f.skipReal {
+	skipReal, _ := f.restored.skip()
+	for cursor.DeliveredRecords() < skipReal {
 		if _, _, ok := cursor.NextGroup(); !ok {
 			break
 		}

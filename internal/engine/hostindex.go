@@ -29,8 +29,7 @@ import (
 // Every transition of that function is covered by a hook, and each hook
 // re-resolves only the maps whose answer can have moved:
 //
-//   - markCopied       — the map was delivered (or restored from a log):
-//     that map
+//   - markCopied       — the map was delivered: that map
 //   - onMapAvailable   — a MOF appeared or regenerated (host/gen change):
 //     that map
 //   - onReachabilityChanged — a node's network stopped or came back
@@ -41,7 +40,8 @@ import (
 //     change's scope (a replica landed or a map committed), every
 //     pending map for the rare global changes (tier crash/restore/heal,
 //     hot flag)
-//   - rebuildHostIndex — wholesale state replacement (checkpoint restore)
+//   - rebuildHostIndex — the attempt begins, after any restore (apply):
+//     every map
 //
 // Fetch choice. A fetcher picks uniformly among the hosts that have no
 // open session and serve a pending map the wait advisory (shouldWait)
@@ -501,7 +501,8 @@ func (r *reduceExec) reindexMap(m int) {
 }
 
 // markCopied records a delivered (or restored) map and drops it from the
-// index. It is the only place shuffle code may set r.copied[m]. Under
+// index, if the attempt has one yet. It is the only place that sets
+// r.copied[m]. Under
 // remote shuffle the delivery can end the tier's repair obligation for
 // m, which other reducers read through the wait advisory.
 func (r *reduceExec) markCopied(m int) {
@@ -519,9 +520,8 @@ func (r *reduceExec) markCopied(m int) {
 	}
 }
 
-// rebuildHostIndex recomputes the whole index from r.copied and the AM's
-// MOF registry — used at registration and after wholesale state
-// replacement (checkpoint restore). Both run in begin, before the
+// rebuildHostIndex computes the whole index from r.copied and the AM's
+// MOF registry. begin calls it once, after any restore and before the
 // attempt opens a fetch session, so no host is busy.
 func (r *reduceExec) rebuildHostIndex() {
 	r.hostIdx = newHostIndex(r.job.hostSlots, len(r.copied), r.job.am, &r.job.hostVisits)

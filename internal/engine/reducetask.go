@@ -83,11 +83,8 @@ type reduceExec struct {
 	totalReal    int
 	processed    int64
 	// realBase counts real records consumed before this cursor was
-	// constructed (local log restore); skipReal is the fast-forward
-	// watermark for an HDFS-log restore on a fresh shuffle.
-	realBase        int
-	skipReal        int
-	restoredLogical int64
+	// constructed (a reduce-stage restore).
+	realBase int
 	// output is append-only: emitFn appends and a checkpoint restore
 	// replaces the whole slice, so no element is ever rewritten. Committed
 	// flushes (snapshotReduce) hold capped views output[:n:n] into it
@@ -106,7 +103,8 @@ type reduceExec struct {
 	lastFlushedLogical int64
 	// restored is the committed snapshot inherited from a previous
 	// attempt (zero if none), so this attempt's flushes extend its
-	// flushed prefix.
+	// flushed prefix. After an HDFS migration its processed counts are
+	// also the prefix the reduce stage skips (algCommit.skip).
 	restored algCommit
 	// flushedBuf is a restored attempt's append-only flushed prefix: the
 	// inherited records, copied once, then this attempt's output as it
@@ -114,11 +112,10 @@ type reduceExec struct {
 	flushedBuf []mr.Record
 
 	// Heavyweight checkpoint state (see checkpoint.go).
-	ckptPending        bool
-	ckptBusy           bool
-	ckptRestoring      bool
-	ckptSeq            int
-	ckptRestoredOutput int64
+	ckptPending   bool
+	ckptBusy      bool
+	ckptRestoring bool
+	ckptSeq       int
 
 	// Interned identifiers (see names.go): stable prefixes computed once
 	// per attempt; sequence-numbered paths render through nameBuf. Fetch
@@ -231,35 +228,46 @@ func (r *reduceExec) start() {
 	r.after(r.conf.TaskLaunchOverhead, r.begin)
 }
 
+// begin starts the attempt: it restores saved state from at most one
+// source, builds the host index, arms the recurring timers and runs.
+// The sources, first usable wins: the newest checkpoint image when
+// checkpointing is on, the node-local ALG log on a local relaunch, the
+// HDFS commit of an ALG mode.
 func (r *reduceExec) begin() {
 	if r.dead {
 		return
 	}
 	r.job.am.registerExec(r)
-	r.rebuildHostIndex()
 	r.shufflePort = r.job.Cluster.Net.System().NewPort(r.a.id+"/shuffle-cpu", r.conf.Costs.ShuffleCPURate)
 	r.startHeartbeat(r)
+	alg := r.job.Spec.Mode.ALGEnabled()
+	img := r.readableImage()
+	switch {
+	case img != nil:
+		r.ckptSeq = img.seq
+		r.apply(&img.restorePoint)
+	case !alg: // no other source
+	case r.a.localResume && r.restoreLocalLog():
+	default:
+		r.restoreCommit()
+	}
+	r.rebuildHostIndex()
 	if r.job.Spec.Checkpoint.Enabled {
 		r.rearm(&r.ckptTimer, r.job.Spec.Checkpoint.Interval, r.ckptFn)
-		if r.tryCheckpointRestore() {
-			return // execution resumes once the image read lands
-		}
 	}
-	if r.job.Spec.Mode.ALGEnabled() {
-		if r.a.localResume && r.tryLocalRestore() {
-			// Restored; execution continues from the restored stage.
-		} else if r.tryHDFSRestore() {
-			// Migration restore: shuffle everything again but skip the
-			// already-reduced prefix in the reduce stage.
-		}
+	if alg {
 		r.rearm(&r.algTimer, r.job.Spec.ALG.Interval, r.algFn)
+	}
+	if img != nil {
+		r.readImage(img) // resumes once the read lands
+		return
 	}
 	r.resume()
 }
 
-// resume runs the attempt from the state begin or a checkpoint restore
-// left: a reduce-stage restore jumps straight into the reduce loop,
-// anything else shuffles what is still missing.
+// resume runs the attempt from the state begin left: a reduce-stage
+// restore jumps straight into the reduce loop, anything else shuffles
+// what is still missing.
 func (r *reduceExec) resume() {
 	if r.stage == core.StageReduce && r.cursor != nil {
 		r.enterReduceLoop()
@@ -882,19 +890,22 @@ func (r *reduceExec) mergePasses() {
 // ---- reduce stage ----
 
 func (r *reduceExec) startReduceStage() {
+	r.openCursor(nil)
+	if skipReal, logical := r.restored.skip(); skipReal > 0 {
+		// HDFS-log restore: credit the previously reduced prefix.
+		r.processed = min(logical, r.totalLogical)
+	}
+	r.enterReduceLoop()
+}
+
+// openCursor builds the reduce stage's input, the on-disk runs then the
+// in-memory segments, and its group cursor from pos (nil: the start).
+func (r *reduceExec) openCursor(pos merge.Positions) {
 	r.finalSegs = append([]*merge.Segment{}, r.onDisk...)
 	r.finalSegs = append(r.finalSegs, r.inMem...)
 	r.totalLogical = merge.TotalLogicalBytes(r.finalSegs)
 	r.totalReal = merge.TotalRealRecords(r.finalSegs)
-	r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), r.finalSegs, nil)
-	if r.skipReal > 0 {
-		// HDFS-log restore: credit the previously reduced prefix.
-		r.processed = r.restoredLogical
-		if r.processed > r.totalLogical {
-			r.processed = r.totalLogical
-		}
-	}
-	r.enterReduceLoop()
+	r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), r.finalSegs, pos)
 }
 
 // enterReduceLoop opens the output stream and runs the reduce chunks,
@@ -904,7 +915,9 @@ func (r *reduceExec) enterReduceLoop() {
 	r.stage = core.StageReduce
 	// Fast-forward over the prefix a restored HDFS log already covers —
 	// no reduce computation, no deserialization charge (the ALG benefit).
-	for r.skipReal > 0 && r.realBase+r.cursor.DeliveredRecords() < r.skipReal {
+	// A reduce-stage restore's cursor already starts there.
+	skipReal, _ := r.restored.skip()
+	for r.realBase+r.cursor.DeliveredRecords() < skipReal {
 		if _, _, ok := r.cursor.NextGroup(); !ok {
 			break
 		}
@@ -915,11 +928,11 @@ func (r *reduceExec) enterReduceLoop() {
 		return
 	}
 	r.outWriter = w
-	if r.ckptRestoredOutput > 0 {
-		// Checkpoint restart discards the previous attempt's uncommitted
-		// output file; rewrite the restored prefix.
-		w.Append(r.ckptRestoredOutput, nil)
-		r.ckptRestoredOutput = 0
+	if r.outputLogical > 0 {
+		// Only a checkpoint image brings output of its own: the restart
+		// discards the previous attempt's uncommitted output file, so the
+		// restored prefix is written again.
+		w.Append(r.outputLogical, nil)
 	}
 	r.job.am.reportProgress(r.a, r.progress())
 	r.reduceChunk()
@@ -1176,98 +1189,112 @@ func (r *reduceExec) flushedRecords() []mr.Record {
 	return r.flushedBuf[:len(r.flushedBuf):len(r.flushedBuf)]
 }
 
-// ---- ALG restore paths ----
+// ---- restore ----
 
-// tryLocalRestore replays the latest local log record when this attempt
-// runs on the node that wrote it and the referenced segments survive.
-// A shuffle- or merge-stage record, and a reduce-stage record with no
-// committed snapshot, restore the record's segments as onDisk and mark
-// copied exactly the maps those segments hold (their node-local
-// segMaps), so every other map is fetched again.
-func (r *reduceExec) tryLocalRestore() bool {
+// restorePoint is saved reducer state in the one form every source
+// builds (the node-local ALG log, the HDFS commit, a checkpoint image)
+// and apply installs.
+type restorePoint struct {
+	stage core.Stage
+	// The saved segments, each with the maps whose partitions it holds:
+	// onDiskMaps[i] for onDisk[i], inMemMaps[i] for inMem[i]. A map in a
+	// spill or merge still in flight when the state was saved is in
+	// neither list and is fetched again.
+	onDisk     []*merge.Segment
+	onDiskMaps [][]int
+	inMem      []*merge.Segment
+	inMemMaps  []int
+	inMemBytes int64
+
+	// Reduce stage: the cursor positions over onDisk then inMem, the
+	// input processed so far, and the output prefix, either the image's
+	// own output or the inherited ALG commit. An HDFS migration restores
+	// only the commit, whose processed counts the reduce stage skips.
+	positions     merge.Positions
+	processed     int64
+	consumedReal  int
+	output        []mr.Record
+	outputLogical int64
+	commit        algCommit
+}
+
+// apply installs p, all of it, before the attempt has a host index. It
+// registers the segments and their map lists on this node, so later
+// merge passes, snapshots and images read the same lists whichever node
+// wrote them, and marks copied the sorted union of the maps they hold,
+// so every other map is fetched again. A reduce-stage point also
+// rebuilds the cursor and takes over the counts and the output prefix.
+func (r *reduceExec) apply(p *restorePoint) {
+	local := r.job.local(r.a.node)
+	held := slices.Clone(p.inMemMaps)
+	for i, sg := range p.onDisk {
+		local.putSegment(sg.Path, sg, p.onDiskMaps[i])
+		held = append(held, p.onDiskMaps[i]...)
+	}
+	sort.Ints(held)
+	for _, m := range held {
+		r.markCopied(m)
+	}
+	r.onDisk = slices.Clone(p.onDisk)
+	r.inMem = slices.Clone(p.inMem)
+	r.inMemMaps = slices.Clone(p.inMemMaps)
+	r.inMemBytes = p.inMemBytes
+	r.restored = p.commit
+	if p.stage == core.StageReduce {
+		r.openCursor(p.positions)
+		r.processed = p.processed
+		r.realBase = p.consumedReal
+		r.output = slices.Clone(p.output)
+		r.outputLogical = p.outputLogical
+		r.stage = core.StageReduce
+	}
+}
+
+// restoreLocalLog applies the latest local log record when this attempt
+// runs on the node that wrote it and the segments it names survive. A
+// reduce-stage record resumes from the committed snapshot, so the
+// flushed prefix and the cursor agree; with no committed snapshot it
+// reuses the shuffled segments and redoes the reduce stage from zero,
+// as a shuffle- or merge-stage record does.
+func (r *reduceExec) restoreLocalLog() bool {
 	local := r.job.local(r.a.node)
 	rec := local.algLog(r.t.idx)
 	if rec == nil || rec.Validate() != nil {
 		return false
 	}
-	lookup := func(paths []string) ([]*merge.Segment, bool) {
-		segs := make([]*merge.Segment, 0, len(paths))
-		for _, p := range paths {
-			s, ok := local.segments[p]
-			if !ok {
-				return nil, false
-			}
-			segs = append(segs, s)
-		}
-		return segs, true
+	var p restorePoint
+	paths := rec.SegmentPaths
+	if c := r.job.algCommits[r.t.idx]; rec.Stage == core.StageReduce && c.rec != nil {
+		p = restorePoint{stage: core.StageReduce, positions: c.rec.Positions,
+			processed: c.rec.ProcessedLogicalBytes, consumedReal: c.rec.ProcessedRealRecords, commit: c}
+		paths = c.rec.SegmentPaths
 	}
-	restoreShuffled := func() bool {
-		segs, ok := lookup(rec.SegmentPaths)
+	for _, path := range paths {
+		s, ok := local.segments[path]
 		if !ok {
 			return false
 		}
-		r.onDisk = segs
-		var held []int
-		for _, s := range segs {
-			held = append(held, local.segMaps[s.Path]...)
-		}
-		sort.Ints(held)
-		for _, m := range held {
-			r.markCopied(m)
-		}
-		return true
+		p.onDisk = append(p.onDisk, s)
+		p.onDiskMaps = append(p.onDiskMaps, local.segMaps[path])
 	}
-	restored := false
-	switch rec.Stage {
-	case core.StageShuffle, core.StageMerge:
-		restored = restoreShuffled()
-	case core.StageReduce:
-		// Resume the MPQ from the committed snapshot so the flushed
-		// output prefix and the cursor position agree exactly.
-		c := r.job.algCommits[r.t.idx]
-		if c.rec == nil {
-			// No committed reduce snapshot: fall back to reusing the
-			// shuffled segments and redoing the reduce stage from zero.
-			restored = restoreShuffled()
-			break
-		}
-		segs, ok := lookup(c.rec.SegmentPaths)
-		if !ok {
-			return false
-		}
-		r.finalSegs = segs
-		r.totalLogical = merge.TotalLogicalBytes(segs)
-		r.totalReal = merge.TotalRealRecords(segs)
-		r.cursor = merge.NewGroupCursor(r.cmp(), r.grouper(), segs, c.rec.Positions)
-		r.processed = c.rec.ProcessedLogicalBytes
-		r.realBase = c.rec.ProcessedRealRecords
-		r.restored = c
-		r.stage = core.StageReduce
-		restored = true
-	}
-	if !restored {
-		return false
-	}
+	r.apply(&p)
 	r.algSeq = rec.Seq
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindLogRestored, r.a.id, r.a.nodeName(r.job), "local:"+rec.Stage.String())
 	r.job.result.Counters.Add("alg.restores.local", 1)
 	return true
 }
 
-// tryHDFSRestore uses the reduce-stage log stored on HDFS when migrating
-// to a different node: the shuffle and merge must be redone (the local
-// intermediate data died with the node), but the already-reduced prefix —
-// whose output is safely flushed — is skipped, avoiding its
-// deserialization and reduce computation.
-func (r *reduceExec) tryHDFSRestore() bool {
+// restoreCommit applies the reduce-stage log committed to HDFS when
+// migrating to a different node: the shuffle and merge must be redone
+// (the local intermediate data died with the node), but the
+// already-reduced prefix — whose output is safely flushed — is skipped,
+// avoiding its deserialization and reduce computation.
+func (r *reduceExec) restoreCommit() {
 	c := r.job.algCommits[r.t.idx]
 	if c.rec == nil {
-		return false
+		return
 	}
-	r.skipReal = c.rec.ProcessedRealRecords
-	r.restoredLogical = c.rec.ProcessedLogicalBytes
-	r.restored = c
+	r.apply(&restorePoint{commit: c})
 	r.job.Tracer.Emit(r.job.Eng.Now(), trace.KindLogRestored, r.a.id, r.a.nodeName(r.job), "hdfs:reduce")
 	r.job.result.Counters.Add("alg.restores.hdfs", 1)
-	return true
 }

@@ -267,17 +267,19 @@ func job(w *workloads.Workload, inputBytes int64, reduces int, mode engine.Mode,
 }
 
 // runCase is one simulation to execute. needTrace keeps Result.Trace
-// attached for tables that read raw events (the fig3/fig4/fig10
-// timelines, fig14's meanTaskRecovery); every other case drops the
-// trace at run end. No table reads Result.Output, so runAll drops it
-// for every case. A Result references no simulator state, so a
-// full-scale sweep retains only Result scalars and the traces its
-// tables read.
+// attached for the tables that draw raw events (the fig3/fig4/fig10
+// timelines). measure, if set, runs in the worker on the traced Result,
+// for a table that reads only a scalar of the events (fig14's
+// meanTaskRecovery); its case then drops the trace like every other.
+// No table reads Result.Output, so runAll drops it for every case. A
+// Result references no simulator state, so a full-scale sweep retains
+// only Result scalars and the timelines its tables draw.
 type runCase struct {
 	key       string
 	spec      engine.JobSpec
 	plan      *faults.Plan
 	needTrace bool
+	measure   func(engine.Result)
 }
 
 // runAll executes cases on the shared sweep scheduler (one engine per
@@ -288,7 +290,7 @@ func runAll(cases []runCase, opt Options) (map[string]engine.Result, error) {
 	err := sweep.Do(context.Background(), len(cases), opt.workers(), func(i int) error {
 		c := cases[i]
 		opts := []engine.RunOption{engine.WithPlan(c.plan)}
-		if !c.needTrace {
+		if !c.needTrace && c.measure == nil {
 			opts = append(opts, engine.WithoutTrace())
 		}
 		if opt.MetricsSink != nil {
@@ -297,6 +299,12 @@ func runAll(cases []runCase, opt Options) (map[string]engine.Result, error) {
 		res, err := engine.Run(c.spec, engine.DefaultClusterSpec(), opts...)
 		if err != nil {
 			return fmt.Errorf("case %s: %w", c.key, err)
+		}
+		if c.measure != nil {
+			c.measure(res)
+			if !c.needTrace {
+				res.Trace = nil
+			}
 		}
 		res.Output = nil
 		slots[i] = res

@@ -168,23 +168,28 @@ func Fig14(opt Options) (*Table, error) {
 	failures := []int{1, 5, 10}
 	const reduces = 10
 	var cases []runCase
+	// recovery holds each case's meanTaskRecovery, computed in the worker
+	// from its trace, by case key.
+	recovery := map[string]*float64{}
 	for _, sz := range perReducerGB {
 		spec := func(mode engine.Mode) engine.JobSpec {
 			return job(opt.wl.terasort, sz*gb*reduces, reduces, mode, opt)
 		}
 		for _, mode := range []engine.Mode{engine.ModeYARN, engine.ModeSFM} {
 			for _, n := range failures {
+				key := fmt.Sprintf("%v/%d/%d", mode, sz, n)
+				v := new(float64)
+				recovery[key] = v
 				cases = append(cases, runCase{
-					key:       fmt.Sprintf("%v/%d/%d", mode, sz, n),
-					spec:      spec(mode),
-					plan:      faults.FailTasksAtProgress(faults.Reduce, n, 0.5),
-					needTrace: true, // meanTaskRecovery reads raw task events
+					key:     key,
+					spec:    spec(mode),
+					plan:    faults.FailTasksAtProgress(faults.Reduce, n, 0.5),
+					measure: func(res engine.Result) { *v = meanTaskRecovery(res) },
 				})
 			}
 		}
 	}
-	results, err := runAll(cases, opt)
-	if err != nil {
+	if _, err := runAll(cases, opt); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -195,8 +200,8 @@ func Fig14(opt Options) (*Table, error) {
 	gainBy := map[int][]float64{}
 	for _, n := range failures {
 		for _, sz := range perReducerGB {
-			y := meanTaskRecovery(results[fmt.Sprintf("%v/%d/%d", engine.ModeYARN, sz, n)])
-			s := meanTaskRecovery(results[fmt.Sprintf("%v/%d/%d", engine.ModeSFM, sz, n)])
+			y := *recovery[fmt.Sprintf("%v/%d/%d", engine.ModeYARN, sz, n)]
+			s := *recovery[fmt.Sprintf("%v/%d/%d", engine.ModeSFM, sz, n)]
 			gain := pct(y, s)
 			gainBy[n] = append(gainBy[n], gain)
 			t.Rows = append(t.Rows, Row{
